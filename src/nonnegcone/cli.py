@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,7 +64,6 @@ class RunConfig:
 
     command: str
     seed: int
-    threads: int
     restarts: int
     samples: int
     tol: float
@@ -89,14 +89,10 @@ def _resolve_seed(arg_seed: Optional[int]) -> int:
 def _run_config(args: argparse.Namespace, command: str, params: dict,
                 default_restarts: int) -> RunConfig:
     seed = _resolve_seed(args.seed)
-    requested = args.threads if args.threads else (os.cpu_count() or 1)
-    # worker cap; all reductions are order-independent so the count only
-    # affects wall time, never results
-    threads = max(1, min(requested, os.cpu_count() or 1))
     restarts = args.restarts if args.restarts is not None else default_restarts
-    return RunConfig(command=command, seed=seed, threads=threads,
-                     restarts=restarts, samples=args.samples, tol=args.tol,
-                     out=args.out, params=params)
+    return RunConfig(command=command, seed=seed, restarts=restarts,
+                     samples=args.samples, tol=args.tol, out=args.out,
+                     params=params)
 
 
 def _search_config(rc: RunConfig, max_iters: int = 200) -> SearchConfig:
@@ -121,9 +117,10 @@ def _parse_json_arg(text: str, what: str):
 def _parse_poly(text: str) -> Polynomial:
     data = _parse_json_arg(text, "polynomial")
     if not isinstance(data, list) or not data or \
-            not all(isinstance(c, (int, float)) for c in data):
+            not all(isinstance(c, (int, float)) and
+                    abs(c) <= sys.float_info.max for c in data):
         raise _InputError("polynomial must be a nonempty JSON array of "
-                          "numbers, constant term first")
+                          "finite numbers, constant term first")
     return Polynomial(data)
 
 
@@ -131,11 +128,13 @@ def _parse_matrix(text: str) -> np.ndarray:
     data = _parse_json_arg(text, "matrix")
     try:
         a = np.array(data, dtype=float)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise _InputError("matrix must be a JSON array of equal-length "
                           "numeric rows")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise _InputError(f"matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise _InputError("matrix entries must be finite numbers")
     return a
 
 
@@ -190,6 +189,8 @@ def _emit(payload: dict, rc: RunConfig, extra_files: Optional[dict] = None) -> N
 
 def cmd_check(args: argparse.Namespace) -> int:
     p = _parse_poly(args.poly)
+    if p.is_zero():
+        raise _InputError("check needs a nonzero polynomial")
     rc = _run_config(args, "check", {"poly": list(p.coeffs), "n": args.n},
                      default_restarts=50)
     cfg = _search_config(rc)
@@ -239,6 +240,8 @@ def cmd_volume(args: argparse.Namespace) -> int:
                      default_restarts=20)
     cfg = _search_config(rc, max_iters=120)
     if args.projection:
+        if args.k < 2 * args.n:
+            raise _InputError("--projection needs --k >= 2 n")
         est = estimate_projection_fraction(args.n, args.k, rc.samples, cfg,
                                            c_cap=args.c_cap, z=args.z)
     else:
@@ -259,7 +262,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _search_config(rc, max_iters=120)
     try:
         report = compare_experiment(args.kind, params, rc.samples, cfg)
-    except (KeyError, AssertionError, ValueError) as e:
+    except (KeyError, AssertionError, ValueError, TypeError) as e:
         raise _InputError(f"bad parameters for {args.kind!r}: {e}")
     _emit({"report": report}, rc)
     return 0
@@ -346,16 +349,35 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 # argument wiring
 
 
+def _checked(conv: Callable, ok: Callable, what: str) -> Callable:
+    """argparse type: conv(text), rejected as a usage error unless ok."""
+    def parse(text: str):
+        try:
+            v = conv(text)
+            if ok(v):
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
+_POS_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NONNEG_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POS_FLOAT = _checked(float, lambda v: 0.0 < v < math.inf,
+                      "a finite number > 0")
+_NONNEG_FLOAT = _checked(float, lambda v: 0.0 <= v < math.inf,
+                         "a finite number >= 0")
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help=f"RNG seed (fallback: ${ENV_SEED}, then 0)")
-    sp.add_argument("--threads", type=int, default=0,
-                    help="worker cap (0 = available parallelism)")
-    sp.add_argument("--restarts", type=int, default=None,
+    sp.add_argument("--restarts", type=_POS_INT, default=None,
                     help="search restarts per membership query")
-    sp.add_argument("--samples", type=int, default=10000,
+    sp.add_argument("--samples", type=_POS_INT, default=10000,
                     help="Monte Carlo sample count")
-    sp.add_argument("--tol", type=float, default=1e-9,
+    sp.add_argument("--tol", type=_NONNEG_FLOAT, default=1e-9,
                     help="witness confirmation threshold")
     sp.add_argument("--out", type=str, default=None,
                     help="write the JSON artifact here (atomically)")
@@ -363,7 +385,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 def _add_family_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("kind", choices=["loewy", "alpha", "conjecture"])
-    sp.add_argument("--n", type=int, required=True, help="matrix order")
+    sp.add_argument("--n", type=_POS_INT, required=True, help="matrix order")
     sp.add_argument("--m", type=int, default=None, help="center degree")
     sp.add_argument("--s", type=int, default=None, help="offset")
 
@@ -377,27 +399,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="test one polynomial for membership")
     sp.add_argument("poly", help="JSON coefficient array or @file")
-    sp.add_argument("--n", type=int, required=True, help="matrix order")
+    sp.add_argument("--n", type=_POS_INT, required=True, help="matrix order")
     _add_common(sp)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("maxt", help="bisect the largest safe family weight")
     _add_family_args(sp)
-    sp.add_argument("--t-hi", type=float, default=4.0,
+    sp.add_argument("--t-hi", type=_POS_FLOAT, default=4.0,
                     help="upper end of the bisection bracket")
-    sp.add_argument("--width", type=float, default=0.01,
+    sp.add_argument("--width", type=_POS_FLOAT, default=0.01,
                     help="target bracket width")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_maxt)
+    # t comes from the bisection; the spec is built at the default weight
+    sp.set_defaults(fn=cmd_maxt, t=2.0)
 
     sp = sub.add_parser("volume", help="Monte Carlo cone fraction of the ball")
-    sp.add_argument("--n", type=int, required=True, help="matrix order")
-    sp.add_argument("--k", type=int, required=True, help="degree bound")
+    sp.add_argument("--n", type=_POS_INT, required=True, help="matrix order")
+    sp.add_argument("--k", type=_NONNEG_INT, required=True,
+                    help="degree bound")
     sp.add_argument("--projection", action="store_true",
                     help="measure the one-degree-down projection instead")
-    sp.add_argument("--c-cap", type=float, default=10.0,
+    sp.add_argument("--c-cap", type=_POS_FLOAT, default=10.0,
                     help="projection completion coefficient cap")
-    sp.add_argument("--z", type=float, default=3.0, help="CI z level")
+    sp.add_argument("--z", type=_POS_FLOAT, default=3.0, help="CI z level")
     _add_common(sp)
     sp.set_defaults(fn=cmd_volume)
 
@@ -412,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("p", help="left endpoint polynomial JSON")
     sp.add_argument("q", help="right endpoint polynomial JSON")
     sp.add_argument("u", help="probe direction polynomial JSON")
-    sp.add_argument("--n", type=int, required=True, help="matrix order")
-    sp.add_argument("--grid", type=int, default=9,
+    sp.add_argument("--n", type=_POS_INT, required=True, help="matrix order")
+    sp.add_argument("--grid", type=_POS_INT, default=9,
                     help="number of interior segment points")
     _add_common(sp)
     sp.set_defaults(fn=cmd_slice)
@@ -436,15 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(fn=cmd_normalize)
 
-    # maxt reuses the family flags but takes t from the bisection, not --t
     return ap
 
 
 def main(argv: Optional[list] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if not hasattr(args, "t"):
-        args.t = 2.0  # placeholder weight for specs parsed inside maxt
     try:
         return args.fn(args)
     except _InputError as e:

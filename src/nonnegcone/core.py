@@ -9,7 +9,7 @@ reduction that lets membership searches range over (rho, S) only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -77,10 +77,6 @@ class Polynomial:
     def to_list(self) -> list[float]:
         """JSON text form: plain list of coefficients, lowest degree first."""
         return list(self.coeffs)
-
-    @staticmethod
-    def from_list(values: Sequence[float]) -> "Polynomial":
-        return Polynomial(values)
 
 
 @dataclass(frozen=True)

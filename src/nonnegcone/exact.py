@@ -51,19 +51,12 @@ class RationalPolynomial:
         return -1
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _eval_frac(self.coeffs, x)
 
     @staticmethod
     def from_polynomial(p: Polynomial) -> "RationalPolynomial":
         """Exact lift: every binary float is a rational, no rounding occurs."""
         return RationalPolynomial([Fraction(c) for c in p.coeffs])
-
-    def to_polynomial(self) -> Polynomial:
-        """Rounds each coefficient to the nearest binary float."""
-        return Polynomial([float(c) for c in self.coeffs])
 
     def to_json_list(self) -> list[str]:
         """Serialized as "num/den" strings, lowest degree first."""

@@ -16,13 +16,16 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 from scipy import optimize
 
 from .core import Polynomial, eval_matrix, eval_scalar, min_entry
 from .exact import RationalPolynomial, refute_halfline
+
+if TYPE_CHECKING:
+    from .families import FamilySpec
 
 
 class NoUpperRefutation(RuntimeError):
@@ -152,14 +155,17 @@ def _exact_entry(p: Polynomial, s: np.ndarray, rho: float, i: int, j: int) -> Fr
 def confirm_witness(p: Polynomial, w: Witness, tol: float) -> bool:
     """Fresh exact re-evaluation of the claimed negative entry.
 
-    Checks the stochastic normalization as well; soundness of the refutation
-    itself only needs rho * s to be a positive matrix.
+    The claimed value must be finite and below -tol, and rho finite and
+    positive. Checks the stochastic normalization as well; soundness of the
+    refutation itself only needs rho * s to be a positive matrix.
     """
+    if not (0.0 < w.rho < np.inf and -np.inf < w.value < -tol):
+        return False
     s = np.asarray(w.s, dtype=float)
     n = s.shape[0]
     if s.shape != (n, n) or not (0 <= w.i < n and 0 <= w.j < n):
         return False
-    if w.rho <= 0.0 or not np.all(s > 0.0):
+    if not np.all(s > 0.0):
         return False
     if np.max(np.abs(s.sum(axis=1) - 1.0)) > 1e-12:
         return False
@@ -189,31 +195,14 @@ def _unpack(x: np.ndarray, n: int,
     return _softmax_rows(logits), np.exp(tau)
 
 
-def _objective(p: Polynomial, n: int, cfg: SearchConfig) -> Callable:
-    def f(x: np.ndarray) -> float:
-        s, rho = _unpack(x, n, cfg.rho_log_range)
-        val, _, _ = min_entry(eval_matrix(p, rho * s))
-        return np.inf if np.isnan(val) else val
-    return f
-
-
-def _witness_at(p: Polynomial, x: np.ndarray, n: int,
-                cfg: SearchConfig) -> Optional[Witness]:
-    s, rho = _unpack(x, n, cfg.rho_log_range)
+def _witness(p: Polynomial, s: np.ndarray, rho: float,
+             cfg: SearchConfig) -> tuple[float, Optional[Witness]]:
+    """Smallest entry of p(rho * s), with the witness at it once confirmed."""
     val, i, j = min_entry(eval_matrix(p, rho * s))
-    if val >= -cfg.confirm_tol:
-        return None
+    if not val < -cfg.confirm_tol:
+        return val, None
     w = Witness(s, rho, i, j, val)
-    return w if confirm_witness(p, w, cfg.confirm_tol) else None
-
-
-def _matrix_witness(p: Polynomial, s: np.ndarray, rho: float,
-                    cfg: SearchConfig) -> Optional[Witness]:
-    val, i, j = min_entry(eval_matrix(p, rho * s))
-    if val >= -cfg.confirm_tol:
-        return None
-    w = Witness(s, rho, i, j, val)
-    return w if confirm_witness(p, w, cfg.confirm_tol) else None
+    return val, (w if confirm_witness(p, w, cfg.confirm_tol) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +257,11 @@ def _scalar_precheck(p: Polynomial, n: int,
     if eval_scalar(p, 0.0) < 0.0:
         # constant term already negative: diagonal entries sink at small rho
         for k in range(1, 200):
-            w = _matrix_witness(p, uniform, 2.0 ** (-k), cfg)
+            _, w = _witness(p, uniform, 2.0 ** (-k), cfg)
             if w is not None:
                 return w
         return None
-    return _matrix_witness(p, uniform, float(x0), cfg)
+    return _witness(p, uniform, float(x0), cfg)[1]
 
 
 def _restart_start(p: Polynomial, n: int, cfg: SearchConfig,
@@ -297,6 +286,26 @@ def _restart_start(p: Polynomial, n: int, cfg: SearchConfig,
     return np.concatenate([free, [tau]])
 
 
+def _restart(p: Polynomial, n: int, cfg: SearchConfig,
+             r: int) -> tuple[float, np.ndarray]:
+    """One Nelder-Mead run; returns the lowest point it evaluated."""
+    x0 = _restart_start(p, n, cfg, r)
+    best_val, best_x = np.inf, x0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal best_val, best_x
+        s, rho = _unpack(x, n, cfg.rho_log_range)
+        val, _, _ = min_entry(eval_matrix(p, rho * s))
+        if val < best_val:
+            best_val, best_x = val, np.array(x, dtype=float)
+        return np.inf if np.isnan(val) else val
+
+    optimize.minimize(f, x0, method="Nelder-Mead",
+                      options={"maxiter": cfg.max_iters, "xatol": 1e-7,
+                               "fatol": 1e-13, "adaptive": True})
+    return best_val, best_x
+
+
 def refute(p: Polynomial, n: int, cfg: SearchConfig) -> Verdict:
     """Search for a positive matrix showing p outside the order-n cone.
 
@@ -314,33 +323,15 @@ def refute(p: Polynomial, n: int, cfg: SearchConfig) -> Verdict:
     if w is not None:
         return Refuted(w)
     for s, rho in _probe_candidates(p, n):
-        val, _, _ = min_entry(eval_matrix(p, rho * s))
+        val, w = _witness(p, s, rho, cfg)
+        best = min(best, val)
+        if w is not None:
+            return Refuted(w)
+    for r in range(cfg.restarts):
+        val, x = _restart(p, n, cfg, r)
         best = min(best, val)
         if val < -cfg.confirm_tol:
-            w = _matrix_witness(p, s, rho, cfg)
-            if w is not None:
-                return Refuted(w)
-    f = _objective(p, n, cfg)
-    for r in range(cfg.restarts):
-        x0 = _restart_start(p, n, cfg, r)
-        seen: list[tuple[float, np.ndarray]] = [(f(x0), x0.copy())]
-
-        def tracked(x, _seen=seen):
-            v = f(x)
-            if v < _seen[0][0]:
-                _seen[0] = (v, np.asarray(x, dtype=float).copy())
-            return v
-
-        res = optimize.minimize(
-            tracked, x0, method="Nelder-Mead",
-            options={"maxiter": cfg.max_iters, "xatol": 1e-7,
-                     "fatol": 1e-13, "adaptive": True})
-        cand_val, cand_x = seen[0]
-        if res.fun < cand_val:
-            cand_val, cand_x = float(res.fun), np.asarray(res.x, dtype=float)
-        best = min(best, cand_val)
-        if cand_val < -cfg.confirm_tol:
-            w = _witness_at(p, cand_x, n, cfg)
+            _, w = _witness(p, *_unpack(x, n, cfg.rho_log_range), cfg)
             if w is not None:
                 return Refuted(w)
     return NoRefutationFound(cfg.restarts, float(best))
@@ -385,13 +376,7 @@ def _deepen_scalar_witness(q: RationalPolynomial, x0: Fraction,
     return x0 if x0 > 0 else Fraction(1, 2 ** 60)
 
 
-def scalar_walk_check(w: float, rho: float, ell: int, t: float) -> bool:
-    """Sign test for the scalar combination 1 - t u + u^2 at u = w * rho^ell."""
-    u = w * rho ** ell
-    return 1.0 - t * u + u * u >= 0.0
-
-
-FamilyLike = Union[Callable[[float], Polynomial], "object"]
+FamilyLike = Union[Callable[[float], Polynomial], "FamilySpec"]
 
 
 def _family_fn(family: FamilyLike) -> Callable[[float], Polynomial]:
@@ -424,10 +409,24 @@ def max_t(family: FamilyLike, n: int, cfg: SearchConfig,
 
     if not probe(t_hi):
         raise NoUpperRefutation(f"no witness at t = {t_hi} within budget")
-    lo, hi = 0.0, float(t_hi)
+    return _bisect(probe, float(t_hi), width)
+
+
+def _bisect(refuted: Callable[[float], bool], hi: float,
+            width: float) -> tuple[float, float]:
+    """Shrink (0, hi], hi refuted, to (lo, hi) with hi - lo <= width.
+
+    Stops early only when lo and hi are adjacent floats, so no midpoint
+    exists; raises ValueError unless width and hi are positive.
+    """
+    if not (width > 0.0 and hi > 0.0):
+        raise ValueError(f"need width > 0 and hi > 0, got {width}, {hi}")
+    lo = 0.0
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if probe(mid):
+        if not lo < mid < hi:
+            break
+        if refuted(mid):
             hi = mid
         else:
             lo = mid
@@ -452,14 +451,8 @@ def boundary_offset(g: Polynomial, u: Polynomial, n: int, cfg: SearchConfig,
     else:
         raise BadBracket(f"direction never refuted up to mu = {hi / 2.0}")
     target = width if width is not None else 1e-3 * hi
-    lo = 0.0
-    while hi - lo > target:
-        mid = 0.5 * (lo + hi)
-        if isinstance(refute(g + u.scale(mid), n, cfg), Refuted):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return _bisect(lambda mu: isinstance(refute(g + u.scale(mu), n, cfg),
+                                         Refuted), hi, target)[0]
 
 
 @dataclass(frozen=True)

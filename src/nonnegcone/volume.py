@@ -111,12 +111,15 @@ def _sample_seed(seed: int, idx: int) -> int:
     return (seed + 0x9E3779B97F4A7C15 * (idx + 1)) & 0xFFFFFFFFFFFFFFFF
 
 
-def _exactly_negative_at(coeffs: Sequence[float], x: float) -> bool:
-    acc = Fraction(0)
-    fx = Fraction(x)
-    for c in reversed(list(coeffs)):
-        acc = acc * fx + Fraction(float(c))
-    return acc < 0
+def _grid_refuted(rows: np.ndarray) -> np.ndarray:
+    """Mask of coefficient rows exactly negative at their grid minimum."""
+    vals = np.polynomial.polynomial.polyval(_GRID, rows.T)
+    argmins = vals.argmin(axis=1)
+    out = np.zeros(rows.shape[0], dtype=bool)
+    for i in np.where(vals.min(axis=1) < 0.0)[0]:
+        x = Fraction(float(_GRID[argmins[i]]))
+        out[i] = RationalPolynomial(rows[i])(x) < 0
+    return out
 
 
 def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
@@ -131,16 +134,8 @@ def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
     low_bad = (rows[:, :n] < 0.0).any(axis=1)
     high_bad = (rows[:, max(0, k + 1 - n):] < 0.0).any(axis=1)
     undecided &= ~(low_bad | high_bad)
-    if undecided.any():
-        vals = np.polynomial.polynomial.polyval(_GRID, rows[undecided].T)
-        sub = np.where(undecided)[0]
-        mins = vals.min(axis=1)
-        argmins = vals.argmin(axis=1)
-        for pos in np.where(mins < 0.0)[0]:
-            i = sub[pos]
-            x = float(_GRID[argmins[pos]])
-            if _exactly_negative_at(rows[i], x):
-                undecided[i] = False
+    sub = np.where(undecided)[0]
+    undecided[sub[_grid_refuted(rows[sub])]] = False
     for i in np.where(undecided)[0]:
         p = Polynomial(rows[i])
         if not is_nonneg_on_halfline(RationalPolynomial.from_polynomial(p)):
@@ -228,17 +223,9 @@ def estimate_projection_fraction(
         if n == 1:
             # vectorized scan of the completed polynomials at the ladder top
             sub = np.where(candidates)[0]
-            if sub.size:
-                completed = np.concatenate(
-                    [rows[sub], np.full((sub.size, 1), 16.0 * c_cap)], axis=1)
-                vals = np.polynomial.polynomial.polyval(_GRID, completed.T)
-                mins = vals.min(axis=1)
-                argmins = vals.argmin(axis=1)
-                for pos in np.where(mins < 0.0)[0]:
-                    i = sub[pos]
-                    x = float(_GRID[argmins[pos]])
-                    if _exactly_negative_at(completed[pos], x):
-                        candidates[i] = False
+            completed = np.concatenate(
+                [rows[sub], np.full((sub.size, 1), 16.0 * c_cap)], axis=1)
+            candidates[sub[_grid_refuted(completed)]] = False
         for i in np.where(candidates)[0]:
             if _projection_inside(rows[i], n, k, cfg, start + int(i), c_cap):
                 n_inside += 1
@@ -263,43 +250,6 @@ def compare_experiment(kind: str, params: dict, N: int,
     """
     if cfg is None:
         cfg = SearchConfig(restarts=20, max_iters=120)
-    if kind == "order":
-        n_a, n_b, k = int(params["n_a"]), int(params["n_b"]), int(params["k"])
-        assert n_a < n_b
-        a = estimate_cone_fraction(n_a, k, N, cfg)
-        b = estimate_cone_fraction(n_b, k, N, cfg)
-        expected = "fraction decreases when the matrix order increases"
-        holds = b.fraction < a.fraction
-        sep = _separated(a, b)
-        return {"kind": kind, "params": params, "n_samples": N,
-                "estimates": [a.to_json_dict(), b.to_json_dict()],
-                "expected": expected, "observed_direction_holds": holds,
-                "ci_separated": sep, "confirmed": bool(holds and sep)}
-    if kind == "projection":
-        n, k = int(params["n"]), int(params["k"])
-        a = estimate_projection_fraction(n, k, N, cfg)
-        b = estimate_cone_fraction(n, k, N, cfg)
-        expected = ("the projected higher-degree cone fills more of the ball "
-                    "than the same-degree cone")
-        holds = a.fraction > b.fraction
-        sep = _separated(a, b)
-        return {"kind": kind, "params": params, "n_samples": N,
-                "estimates": [a.to_json_dict(), b.to_json_dict()],
-                "expected": expected, "observed_direction_holds": holds,
-                "ci_separated": sep, "confirmed": bool(holds and sep)}
-    if kind == "degree":
-        n = int(params["n"])
-        k_a, k_b = int(params["k_a"]), int(params["k_b"])
-        assert k_a < k_b
-        a = estimate_cone_fraction(n, k_a, N, cfg)
-        b = estimate_cone_fraction(n, k_b, N, cfg)
-        expected = "fraction decreases as the degree grows"
-        holds = b.fraction < a.fraction
-        sep = _separated(a, b)
-        return {"kind": kind, "params": params, "n_samples": N,
-                "estimates": [a.to_json_dict(), b.to_json_dict()],
-                "expected": expected, "observed_direction_holds": holds,
-                "ci_separated": sep, "confirmed": bool(holds and sep)}
     if kind == "trend":
         n = int(params["n"])
         ks = [int(k) for k in params["ks"]]
@@ -310,4 +260,30 @@ def compare_experiment(kind: str, params: dict, N: int,
                 "expected": "fractions drift toward zero as degree grows",
                 "monotone_decreasing": all(x > y for x, y in zip(fr, fr[1:])),
                 "note": "reported as data; a finite sweep cannot settle a limit"}
-    raise ValueError(f"unknown experiment kind {kind!r}")
+    if kind == "order":
+        n_a, n_b, k = int(params["n_a"]), int(params["n_b"]), int(params["k"])
+        assert n_a < n_b
+        a = estimate_cone_fraction(n_a, k, N, cfg)
+        b = estimate_cone_fraction(n_b, k, N, cfg)
+        expected = "fraction decreases when the matrix order increases"
+    elif kind == "projection":
+        n, k = int(params["n"]), int(params["k"])
+        a = estimate_projection_fraction(n, k, N, cfg)
+        b = estimate_cone_fraction(n, k, N, cfg)
+        expected = ("the projected higher-degree cone fills more of the ball "
+                    "than the same-degree cone")
+    elif kind == "degree":
+        n = int(params["n"])
+        k_a, k_b = int(params["k_a"]), int(params["k_b"])
+        assert k_a < k_b
+        a = estimate_cone_fraction(n, k_a, N, cfg)
+        b = estimate_cone_fraction(n, k_b, N, cfg)
+        expected = "fraction decreases as the degree grows"
+    else:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    holds = b.fraction < a.fraction    # each pair expects a above b
+    sep = _separated(a, b)
+    return {"kind": kind, "params": params, "n_samples": N,
+            "estimates": [a.to_json_dict(), b.to_json_dict()],
+            "expected": expected, "observed_direction_holds": holds,
+            "ci_separated": sep, "confirmed": bool(holds and sep)}

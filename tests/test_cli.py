@@ -207,9 +207,51 @@ def test_no_partial_output_on_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_threads_flag_accepted(capsys):
-    _, doc, _ = run_cli(capsys, "check", "[1,1]", "--n", "1", "--threads", "8")
-    assert 1 <= doc["run_config"]["threads"] <= 8
+def usage_exit(capsys, *argv):
+    """Exit code of main, counting argparse's SystemExit, and the output."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_threads_flag_rejected(capsys):
+    code, out, _ = usage_exit(capsys, "check", "[1,1]", "--n", "1",
+                              "--threads", "8")
+    assert code == 2 and out == ""
+
+
+MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "[NaN,1,1]", "--n", "2"),
+    ("check", "[Infinity,1]", "--n", "2"),
+    ("check", "[%d,1]" % 10 ** 400, "--n", "2"),
+    ("check", "[0]", "--n", "2"),
+    ("check", "[1,1]", "--n", "0"),
+    ("check", "[1,1]", "--n", "2", "--restarts", "0"),
+    ("check", "[1,1]", "--n", "1", "--tol", "-1"),
+    ("volume", "--n", "1", "--k", "2", "--samples", "0"),
+    ("volume", "--n", "1", "--k", "-1"),
+    ("volume", "--n", "1", "--k", "1", "--projection"),
+    ("volume", "--n", "1", "--k", "2", "--z", "-1"),
+    ("volume", "--n", "1", "--k", "4", "--projection", "--c-cap", "-1"),
+    ("compare", "order", '{"n_a":null,"n_b":2,"k":2}', "--samples", "10"),
+    ("compare", "trend", '{"n":1,"ks":5}', "--samples", "10"),
+    ("slice", "[1]", "[0,0,1]", "[0,-1]", "--n", "1", "--grid", "0"),
+    ("normalize", "[[NaN,1],[1,1]]"),
+    MAXT + ("--width", "0"),
+    MAXT + ("--width", "-0.01"),
+    MAXT + ("--width", "nan"),
+    MAXT + ("--t-hi", "0"),
+], ids=lambda argv: " ".join(argv)[:40])
+def test_hostile_input_is_a_usage_error(capsys, argv):
+    code, out, err = usage_exit(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err and "Traceback" not in err
 
 
 def test_module_entrypoint_subprocess():

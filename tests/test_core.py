@@ -123,7 +123,7 @@ def test_sample_stochastic_rows():
 
 def test_polynomial_json_roundtrip():
     p = Polynomial([1.0, 0.5, 0.0, -2.0])
-    assert Polynomial.from_list(p.to_list()) == p
+    assert Polynomial(p.to_list()) == p
 
 
 def test_eval_linearity_invariant():

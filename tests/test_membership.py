@@ -19,7 +19,6 @@ from nonnegcone.membership import (
     confirm_witness,
     max_t,
     refute,
-    scalar_walk_check,
     trace_slice,
     verdict_to_json,
 )
@@ -82,17 +81,14 @@ def test_confirm_witness_rejections():
     s[0, 0] = -s[0, 0]
     assert not confirm_witness(loewy22(2.1), Witness(s, w.rho, w.i, w.j, w.value),
                                CFG.confirm_tol)
-
-
-def test_scalar_walk_check():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        w = float(rng.uniform(0.0, 3.0))
-        rho = float(rng.uniform(0.1, 3.0))
-        ell = int(rng.integers(0, 5))
-        assert scalar_walk_check(w, rho, ell, 2.0)   # perfect square
-    assert not scalar_walk_check(1.0, 1.0, 0, 2.1)
-    assert scalar_walk_check(3.0, 1.0, 0, 1.0)
+    # a claimed value that is not a finite number below -tol
+    for value in (-w.value, float("nan"), float("-inf")):
+        assert not confirm_witness(loewy22(2.1), Witness(w.s, w.rho, w.i, w.j,
+                                                         value), CFG.confirm_tol)
+    # rho that is not a finite positive number
+    for rho in (float("nan"), float("inf")):
+        assert not confirm_witness(loewy22(2.1), Witness(w.s, rho, w.i, w.j,
+                                                         w.value), CFG.confirm_tol)
 
 
 def test_downward_closure_in_t():
@@ -154,6 +150,20 @@ def test_max_t_scalar_family():
                    t_hi=4.0, width=0.01)
     assert hi - lo <= 0.01
     assert lo <= 2.0 <= hi
+
+
+def test_bisection_width_must_be_positive():
+    family = lambda t: Polynomial([1.0, -t, 1.0])  # noqa: E731
+    for width in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            max_t(family, 1, CFG, t_hi=4.0, width=width)
+        with pytest.raises(ValueError):
+            boundary_offset(Polynomial([1.0, 0.0, 1.0]),
+                            Polynomial([0.0, -1.0]), 1, CFG, mu_hi=3.0,
+                            width=width)
+    # below float resolution the bracket stops at adjacent floats
+    lo, hi = max_t(family, 1, CFG, t_hi=4.0, width=1e-300)
+    assert lo <= 2.0 <= hi and np.nextafter(lo, np.inf) == hi
 
 
 def test_max_t_no_upper():
