@@ -393,8 +393,9 @@ def max_t(family: FamilyLike, n: int, cfg: SearchConfig,
 
     Well-posed because the families are (fixed nonnegative part) - t x^m:
     any witness at t transfers to every larger t. Returns (lo, hi) with hi
-    refuted, lo not refuted under the configured budget, hi - lo <= width.
-    probe_log, when given, collects (t, refuted) pairs in probe order.
+    refuted, lo not refuted under the configured budget, hi - lo <= width
+    (see _bisect). probe_log, when given, collects (t, refuted) pairs in
+    probe order.
     """
     fn = _family_fn(family)
     base = fn(0.0)
