@@ -53,6 +53,9 @@ class RationalPolynomial:
     def __call__(self, x: Fraction) -> Fraction:
         return _eval_frac(self.coeffs, x)
 
+    def derivative(self) -> "RationalPolynomial":
+        return RationalPolynomial(_deriv(self.coeffs))
+
     @staticmethod
     def from_polynomial(p: Polynomial) -> "RationalPolynomial":
         """Exact lift: every binary float is a rational, no rounding occurs."""

@@ -29,6 +29,17 @@ class InvalidSpec(ValueError):
     """Raised when family parameters violate the documented ranges."""
 
 
+# coefficient lists are dense, so a family's degree is capped
+MAX_DEGREE = 1000
+
+
+def _check_shape(t: float, degree: int) -> None:
+    if not math.isfinite(t):
+        raise InvalidSpec("need a finite weight")
+    if degree > MAX_DEGREE:
+        raise InvalidSpec(f"family degree must be at most {MAX_DEGREE}")
+
+
 @dataclass(frozen=True)
 class LoewyGeneral:
     n: int
@@ -41,6 +52,7 @@ class LoewyGeneral:
             raise InvalidSpec("need m >= n >= 1")
         if not (0 <= self.s <= self.m - self.n):
             raise InvalidSpec("need 0 <= s <= m - n")
+        _check_shape(self.t, 2 * self.m - self.s)
 
 
 @dataclass(frozen=True)
@@ -51,8 +63,9 @@ class Alpha:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpec("need n >= 1")
-        if not self.alpha > 0:
-            raise InvalidSpec("need alpha > 0")
+        if not 0 < self.alpha < math.inf:
+            raise InvalidSpec("need finite alpha > 0")
+        _check_shape(self.alpha, 2 * _alpha_m(self.n, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -65,6 +78,7 @@ class ConjectureGap:
     def __post_init__(self):
         if not (self.s > self.m >= self.n >= 1):
             raise InvalidSpec("need s > m >= n >= 1")
+        _check_shape(self.t, self.s + self.n - 1)
 
 
 FamilySpec = Union[LoewyGeneral, Alpha, ConjectureGap]
@@ -185,7 +199,9 @@ def necessary_conditions(p: Polynomial, n: int) -> list[tuple[str, Optional[int]
     """Cheap tests every member of the order-n cone must pass.
 
     (a) low n coefficients nonnegative, (b) high n coefficients nonnegative,
-    (c) nonnegative on [0, infinity) via the exact oracle on the float lift.
+    (c) nonnegative on [0, infinity) via the exact oracle on the float lift,
+    (d) for n >= 2, nondecreasing on [0, infinity), the same oracle on p'
+    (p(xI + cJ) has off-diagonal entries (p(x + nc) - p(x)) / n).
     Returns the violations as (check, degree) pairs; an empty list is
     necessary but not sufficient for membership.
     """
@@ -198,8 +214,11 @@ def necessary_conditions(p: Polynomial, n: int) -> list[tuple[str, Optional[int]
     for d in range(max(0, deg - n + 1), deg + 1):
         if p.coeffs[d] < 0.0:
             out.append(("high_coeff", d))
-    if not is_nonneg_on_halfline(RationalPolynomial.from_polynomial(p)):
+    q = RationalPolynomial.from_polynomial(p)
+    if not is_nonneg_on_halfline(q):
         out.append(("halfline", None))
+    if n >= 2 and not is_nonneg_on_halfline(q.derivative()):
+        out.append(("monotone", None))
     return out
 
 

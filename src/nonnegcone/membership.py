@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 import numpy as np
 from scipy import optimize
 
-from .core import Polynomial, eval_matrix, eval_scalar, min_entry
+from .core import Polynomial, eval_matrix, min_entry
 from .exact import RationalPolynomial, refute_halfline
 
 if TYPE_CHECKING:
@@ -206,13 +207,11 @@ def _witness(p: Polynomial, s: np.ndarray, rho: float,
 
 
 # ---------------------------------------------------------------------------
-# deterministic probe families, evaluated before any optimization; these
-# cover the two witness shapes that occur at sharp thresholds (smoothed
-# permutations at rho near 1, and near-identity matrices in a region where
-# the derivative of p goes negative)
+# deterministic candidates, tried before any optimization: smoothed
+# permutations at rho near 1, then one exact xI + cJ matrix
 
 
-def _probe_candidates(p: Polynomial, n: int):
+def _probe_candidates(n: int):
     taus = np.linspace(-2.5, 2.5, 41)   # includes tau = 0, rho = 1 exactly
     perms = list(itertools.permutations(range(n))) if n <= 4 else []
     if not perms:
@@ -226,42 +225,42 @@ def _probe_candidates(p: Polynomial, n: int):
             s = _softmax_rows(logits)
             for tau in taus:
                 yield s, float(np.exp(tau))
-    # derivative dip probes: near-identity matrices around points where p'
-    # is negative; for s = (1 - eps) I + eps U the off-diagonal entries of
-    # p(rho s) behave like eps * rho * p'(rho) / n
-    dp = p.derivative()
-    xs = np.exp(np.linspace(-2.5, 2.5, 81))
-    dvals = np.array([eval_scalar(dp, x) for x in xs])
-    if np.min(dvals) < 0.0:
-        uniform = np.full((n, n), 1.0 / n)
-        order = np.argsort(dvals)
-        for k in order[:5]:
-            x0 = float(xs[k])
-            for eps in (1e-3, 1e-2, 0.05, 0.2):
-                s = (1.0 - eps) * np.eye(n) + eps * uniform
-                yield s, x0
-                yield s, x0 / (1.0 - eps)
 
 
-def _scalar_precheck(p: Polynomial, n: int,
-                     cfg: SearchConfig) -> Optional[Witness]:
-    """Lift a half-line witness: the cone for n x n contains no polynomial
-    outside the n = 1 cone, and at the uniform stochastic matrix U the
-    evaluation collapses to p(rho) I + ((p(rho) - p(0)) / n) (U-like part),
-    so an off-diagonal entry goes negative at rho = x0 when p(x0) < p(0) <= 0
-    fails. The lift is heuristic; it is confirmed or discarded."""
-    x0 = refute_halfline(RationalPolynomial.from_polynomial(p))
-    if x0 is None:
+def _deepest_step(f: Callable[[Fraction], Fraction],
+                  scale: Fraction) -> Fraction:
+    """The step h = scale / 2^k, 0 <= k < 64, with the smallest f(h); the
+    largest such step on ties."""
+    return min((scale / 2 ** k for k in range(64)), key=f)
+
+
+def _monotone_witness(p: Polynomial, n: int,
+                      cfg: SearchConfig) -> Optional[Witness]:
+    """Witness at xI + cJ, J the all-ones matrix, when p(0) < 0 or p
+    decreases somewhere on [0, infinity).
+
+    p(xI + cJ) = p(x) I + ((p(x + nc) - p(x)) / n) J, so no member of an
+    order n >= 2 cone does either. x is 0 when p(0) < 0, else a point where
+    the exact oracle finds p' < 0; c is the ladder step with the smallest
+    exact entry. The float matrix built from x and c is confirmed exactly.
+    """
+    q = RationalPolynomial.from_polynomial(p)
+    x = Fraction(0) if q.coeffs[0] < 0 else refute_halfline(q.derivative())
+    if x is None:
         return None
-    uniform = np.full((n, n), 1.0 / n)
-    if eval_scalar(p, 0.0) < 0.0:
-        # constant term already negative: diagonal entries sink at small rho
-        for k in range(1, 200):
-            _, w = _witness(p, uniform, 2.0 ** (-k), cfg)
-            if w is not None:
-                return w
+    px = q(x)
+
+    def smaller_entry(c: Fraction) -> Fraction:
+        off = (q(x + n * c) - px) / n
+        return min(off, px + off)
+
+    c = _deepest_step(smaller_entry, max(x, Fraction(1)))
+    rho = x + n * c
+    if rho > sys.float_info.max:
         return None
-    return _witness(p, uniform, float(x0), cfg)[1]
+    s = np.full((n, n), float(c / rho))
+    np.fill_diagonal(s, float((x + c) / rho))
+    return _witness(p, s, float(rho), cfg)[1]
 
 
 def _restart_start(p: Polynomial, n: int, cfg: SearchConfig,
@@ -310,8 +309,8 @@ def refute(p: Polynomial, n: int, cfg: SearchConfig) -> Verdict:
     """Search for a positive matrix showing p outside the order-n cone.
 
     n = 1 delegates to the exact oracle. For n >= 2 the order of attack is:
-    half-line precheck with a confirmed lift, deterministic probe matrices,
-    then Nelder-Mead multistart over (row logits, log rho). Restarts use
+    deterministic probe matrices, the exact xI + cJ certificate, then
+    Nelder-Mead multistart over (row logits, log rho). Restarts use
     independent seeded streams and the first confirmed witness (lowest
     restart index) wins, so results do not depend on scheduling.
     """
@@ -319,14 +318,14 @@ def refute(p: Polynomial, n: int, cfg: SearchConfig) -> Verdict:
     if n == 1:
         return _refute_scalar(p, cfg)
     best = np.inf
-    w = _scalar_precheck(p, n, cfg)
-    if w is not None:
-        return Refuted(w)
-    for s, rho in _probe_candidates(p, n):
+    for s, rho in _probe_candidates(n):
         val, w = _witness(p, s, rho, cfg)
         best = min(best, val)
         if w is not None:
             return Refuted(w)
+    w = _monotone_witness(p, n, cfg)
+    if w is not None:
+        return Refuted(w)
     for r in range(cfg.restarts):
         val, x = _restart(p, n, cfg, r)
         best = min(best, val)
@@ -342,38 +341,10 @@ def _refute_scalar(p: Polynomial, cfg: SearchConfig) -> Verdict:
     x0 = refute_halfline(q)
     if x0 is None:
         return ExactMember()
-    x0 = _deepen_scalar_witness(q, x0, cfg.confirm_tol)
-    val = float(q(x0))
-    return Refuted(Witness(np.array([[1.0]]), float(x0), 0, 0, val))
-
-
-def _deepen_scalar_witness(q: RationalPolynomial, x0: Fraction,
-                           tol: float) -> Fraction:
-    """Move an exact witness to a point with comfortably negative value.
-
-    refute_halfline may return x0 = 0 or a point barely inside the negative
-    region; the Witness type wants rho > 0 and value < -tol."""
-    target = -Fraction(tol)
-    if x0 > 0:
-        best_x, best_v = x0, q(x0)
-        if best_v < target * 2:
-            return x0
-    else:
-        best_x, best_v = None, Fraction(0)
-    scale = x0 if x0 > 0 else Fraction(1)
-    for k in range(80):
-        step = scale / 2 ** k
-        for cand in (x0 + step, x0 - step if x0 - step > 0 else None):
-            if cand is None:
-                continue
-            v = q(cand)
-            if v < best_v:
-                best_x, best_v = cand, v
-            if v < target * 2:
-                return cand
-    if best_x is not None:
-        return best_x
-    return x0 if x0 > 0 else Fraction(1, 2 ** 60)
+    if not (x0 > 0 and q(x0) < -2 * Fraction(cfg.confirm_tol)):
+        # x0 may be 0, which is no positive matrix, or barely negative
+        x0 += _deepest_step(lambda h: q(x0 + h), max(x0, Fraction(1)))
+    return Refuted(Witness(np.array([[1.0]]), float(x0), 0, 0, float(q(x0))))
 
 
 FamilyLike = Union[Callable[[float], Polynomial], "FamilySpec"]

@@ -247,6 +247,10 @@ MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
     MAXT + ("--width", "-0.01"),
     MAXT + ("--width", "nan"),
     MAXT + ("--t-hi", "0"),
+    ("family", "loewy", "--n", "2", "--m", "2", "--s", "0", "--t", "nan"),
+    ("family", "loewy", "--n", "2", "--m", "2", "--s", "0", "--t", "inf"),
+    ("family", "alpha", "--n", "2", "--t", "1e308"),
+    ("maxt", "alpha", "--n", "2", "--t-hi", "1e300"),
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_hostile_input_is_a_usage_error(capsys, argv):
     code, out, err = usage_exit(capsys, *argv)

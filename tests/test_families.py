@@ -72,6 +72,19 @@ def test_invalid_specs():
         conjecture_family(2, 2, 2, 1.0)
     with pytest.raises(InvalidSpec):
         projection_gap_example(2, 3, CFG)
+    # non-finite weights, and degrees past the dense-list cap
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(InvalidSpec):
+            loewy_general(2, 2, 0, t)
+        with pytest.raises(InvalidSpec):
+            conjecture_family(1, 1, 2, -t)
+        with pytest.raises(InvalidSpec):
+            alpha_family(2, t)
+    assert loewy_general(1, 500, 0, 2.0).degree() == 1000
+    with pytest.raises(InvalidSpec):
+        loewy_general(1, 501, 0, 2.0)
+    with pytest.raises(InvalidSpec):
+        alpha_family(2, 1e308)
 
 
 def test_alpha_shapes():
@@ -134,6 +147,12 @@ def test_necessary_conditions():
     out = necessary_conditions(Polynomial([-1.0]), 3)
     assert ("low_coeff", 0) in out and ("high_coeff", 0) in out
     assert ("halfline", None) in out
+    # p' < 0 somewhere on (0, infinity): no member of an n >= 2 cone
+    assert ("monotone", None) in necessary_conditions(
+        loewy_general(2, 3, 0, 2.0), 2)
+    assert ("monotone", None) not in necessary_conditions(
+        loewy_general(2, 3, 0, 2.0), 1)
+    assert necessary_conditions(loewy_general(2, 2, 0, 2.0), 2) == []
 
 
 def test_spec_json_roundtrip():

@@ -4,9 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nonnegcone.core import Polynomial, eval_matrix, sample_stochastic
-from nonnegcone.exact import RationalPolynomial, is_nonneg_on_halfline
+from nonnegcone.exact import (
+    RationalPolynomial,
+    is_nonneg_on_halfline,
+    refute_halfline,
+)
+from nonnegcone.families import necessary_conditions
 from nonnegcone.membership import (
     BadBracket,
     ExactMember,
@@ -15,6 +23,7 @@ from nonnegcone.membership import (
     Refuted,
     SearchConfig,
     Witness,
+    _monotone_witness,
     boundary_offset,
     confirm_witness,
     max_t,
@@ -55,6 +64,78 @@ def test_refute_sharp_family():
     assert confirm_witness(loewy22(2.1), v.witness, CFG.confirm_tol)
     v = refute(loewy22(2.0), 2, CFG)
     assert isinstance(v, NoRefutationFound)
+
+
+def test_decrease_beyond_the_rho_clip_is_refuted():
+    # q(y) = 1 + y - 2 y^2 + y^3 = 1 + y (1 - y)^2 is positive on the half
+    # line but decreases on (1/3, 1), so p(x) = q(x / 2^20) decreases only
+    # far beyond the search's largest rho, e^10
+    a = 2.0 ** -20
+    p = Polynomial([1.0, a, -2.0 * a * a, a ** 3])
+    cfg = SearchConfig(restarts=4, seed=0)
+    v = refute(p, 2, cfg)
+    assert isinstance(v, Refuted)
+    assert v.witness.rho > np.exp(cfg.rho_log_range[1])
+    assert v.witness.value < -0.03
+    assert confirm_witness(p, v.witness, cfg.confirm_tol)
+
+
+def test_decrease_beyond_float_range_is_not_a_crash():
+    # p' < 0 only beyond x = 5e599, where no float matrix reaches
+    p = Polynomial([1.0, 1e300, -1e-300])
+    assert _monotone_witness(p, 2, CFG) is None
+    assert isinstance(refute(p, 2, SearchConfig(restarts=1)), NoRefutationFound)
+
+
+def _sympy_decreasing(coeffs: list) -> bool:
+    """p(0) < 0, or p' negative just right of 0 or at an odd sign change."""
+    if coeffs[0] < 0:
+        return True
+    y = sympy.Symbol("y")
+    dp = sympy.Poly(list(reversed(coeffs)), y).diff(y)
+    if dp.is_zero:
+        return False
+    lowest = next(c for c in reversed(dp.all_coeffs()) if c != 0)
+    return lowest < 0 or any(r > 0 and mult % 2 == 1
+                             for r, mult in dp.real_roots(multiple=False))
+
+
+def _sympy_entry(coeffs: list, w: Witness) -> sympy.Rational:
+    """Entry (i, j) of p(rho * s), every float read as the rational it is."""
+    def rat(v: float) -> sympy.Rational:
+        return sympy.Rational(*float(v).as_integer_ratio())
+
+    n = w.s.shape[0]
+    a = sympy.Matrix(n, n, lambda i, j: rat(w.rho) * rat(w.s[i, j]))
+    acc = sympy.zeros(n, n)
+    for c in reversed(coeffs):
+        acc = acc * a + c * sympy.eye(n)
+    return acc[w.i, w.j]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(coeffs=st.lists(st.integers(-6, 6), min_size=1, max_size=7),
+       n=st.sampled_from([2, 3]))
+def test_monotone_certificate_matches_sympy(coeffs, n):
+    p = Polynomial(coeffs)
+    assume(not p.is_zero())
+    decreasing = _sympy_decreasing(coeffs)
+    q = RationalPolynomial.from_polynomial(p)
+    assert (p.coeffs[0] < 0 or
+            refute_halfline(q.derivative()) is not None) == decreasing
+    flags = necessary_conditions(p, n)
+    assert (("low_coeff", 0) in flags or ("monotone", None) in flags) == \
+        decreasing
+    w = _monotone_witness(p, n, CFG)
+    if w is not None:
+        assert decreasing and _sympy_entry(coeffs, w) < 0
+        assert np.all(w.s > 0)
+    elif decreasing:
+        # a negative leading coefficient puts x far out, where the float
+        # entry can miss confirm_witness's absolute 1e-12 agreement
+        assert p.coeffs[p.degree()] < 0
+    if decreasing:
+        assert isinstance(refute(p, n, SearchConfig(restarts=1)), Refuted)
 
 
 def test_refute_reproducible():
