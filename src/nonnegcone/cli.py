@@ -7,7 +7,8 @@ atomically (temp file then rename); a failing command leaves no partial
 artifact behind.
 
 Exit codes: 0 success / no refutation, 1 negative mathematical outcome
-(refuted, not nonnegative, missing bracket), 2 input or usage error.
+(refuted, not nonnegative, missing bracket), 2 input or usage error, or a
+polynomial proved negative only beyond the float range.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .families import (
 )
 from .membership import (
     BadBracket,
+    NoFloatWitness,
     NoUpperRefutation,
     Refuted,
     SearchConfig,
@@ -468,10 +470,7 @@ def main(argv: Optional[list] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except InvalidSpec as e:
+    except (_InputError, InvalidSpec, NoFloatWitness) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -104,11 +104,17 @@ def eval_scalar(p: Polynomial, x: float) -> float:
 
 
 def eval_matrix(p: Polynomial, a: np.ndarray) -> np.ndarray:
-    """Evaluate p at a square matrix, a^0 = identity, Horner order."""
+    """Evaluate p at a square matrix, or at each matrix of a (..., n, n)
+    stack; a^0 = identity, Horner order.
+
+    Each matrix of a stack goes through the same operations as it would
+    alone; the tests check that stacked and per-matrix results agree bit for
+    bit.
+    """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    assert a.shape == (n, n)
-    acc = np.zeros((n, n))
+    n = a.shape[-1]
+    assert a.ndim >= 2 and a.shape[-2] == n
+    acc = np.zeros(a.shape)
     eye = np.eye(n)
     for c in reversed(p.coeffs):
         acc = acc @ a
@@ -117,12 +123,18 @@ def eval_matrix(p: Polynomial, a: np.ndarray) -> np.ndarray:
     return acc
 
 
-def min_entry(m: np.ndarray) -> tuple[float, int, int]:
-    """Smallest entry and its first position in row-major order."""
+def min_entry(m: np.ndarray):
+    """Smallest entry and its first position in row-major order; for a
+    (..., n, n) stack, arrays holding these for each matrix."""
     m = np.asarray(m, dtype=float)
-    flat = int(np.argmin(m))
-    i, j = divmod(flat, m.shape[1])
-    return float(m[i, j]), i, j
+    lead, n = m.shape[:-2], m.shape[-1]
+    flat = m.reshape(-1, m.shape[-2] * n)
+    k = flat.argmin(axis=1)
+    val = flat[np.arange(len(flat)), k].reshape(lead)
+    i, j = np.divmod(k.reshape(lead), n)
+    if m.ndim == 2:
+        return float(val), int(i), int(j)
+    return val, i, j
 
 
 # Residual target for the Perron pair; row sums of s inherit this bound.

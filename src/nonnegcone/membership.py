@@ -20,7 +20,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
-from scipy import optimize
+# not called here: bench/spans.py looks up optimize.minimize on this module
+# when it is imported
+from scipy import optimize  # noqa: F401
 
 from .core import Polynomial, eval_matrix, min_entry
 from .exact import RationalPolynomial, refute_halfline
@@ -35,6 +37,11 @@ class NoUpperRefutation(RuntimeError):
 
 class BadBracket(RuntimeError):
     """Raised when a boundary bracket has no refuted upper end."""
+
+
+class NoFloatWitness(ValueError):
+    """Raised when p is proved negative on (0, inf) but no float x has both x
+    and p(x) in the float range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +164,10 @@ def confirm_witness(p: Polynomial, w: Witness, tol: float) -> bool:
     """Fresh exact re-evaluation of the claimed negative entry.
 
     The claimed value must be finite and below -tol, and rho finite and
-    positive. Checks the stochastic normalization as well; soundness of the
-    refutation itself only needs rho * s to be a positive matrix.
+    positive; the exact entry may exceed the claim by at most
+    1e-12 * max(1, |claim|). Checks the stochastic normalization as well;
+    soundness of the refutation itself only needs rho * s to be a positive
+    matrix and the exact entry to be below -tol.
     """
     if not (0.0 < w.rho < np.inf and -np.inf < w.value < -tol):
         return False
@@ -171,7 +180,8 @@ def confirm_witness(p: Polynomial, w: Witness, tol: float) -> bool:
     if np.max(np.abs(s.sum(axis=1) - 1.0)) > 1e-12:
         return False
     entry = _exact_entry(p, s, w.rho, w.i, w.j)
-    if entry > Fraction(w.value) + Fraction(1, 10**12):
+    value = Fraction(w.value)
+    if entry > value + Fraction(1, 10**12) * max(1, abs(value)):
         return False
     return entry < -Fraction(tol)
 
@@ -182,28 +192,33 @@ def confirm_witness(p: Polynomial, w: Witness, tol: float) -> bool:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _unpack(x: np.ndarray, n: int,
-            rho_log_range: tuple[float, float]) -> tuple[np.ndarray, float]:
-    free = x[: n * (n - 1)].reshape(n, n - 1)
-    logits = np.concatenate([free, np.zeros((n, 1))], axis=1)
+            rho_log_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """(s, rho) at a search point x, or at each point of a (..., n(n-1) + 1)
+    stack."""
+    lead = x.shape[:-1]
+    free = x[..., : n * (n - 1)].reshape(lead + (n, n - 1))
+    logits = np.concatenate([free, np.zeros(lead + (n, 1))], axis=-1)
     logits = np.clip(logits, -40.0, 40.0)
-    tau = float(np.clip(x[-1], *rho_log_range))
+    tau = np.clip(x[..., -1], *rho_log_range)
     return _softmax_rows(logits), np.exp(tau)
 
 
-def _witness(p: Polynomial, s: np.ndarray, rho: float,
-             cfg: SearchConfig) -> tuple[float, Optional[Witness]]:
-    """Smallest entry of p(rho * s), with the witness at it once confirmed."""
-    val, i, j = min_entry(eval_matrix(p, rho * s))
-    if not val < -cfg.confirm_tol:
-        return val, None
-    w = Witness(s, rho, i, j, val)
-    return val, (w if confirm_witness(p, w, cfg.confirm_tol) else None)
+def _witness(p: Polynomial, s: np.ndarray, rho: np.ndarray,
+             cfg: SearchConfig) -> tuple[np.ndarray, Optional[Witness]]:
+    """Smallest entry of each p(rho_k s_k) over a stack, with the first
+    witness in stack order that confirms exactly."""
+    vals, i, j = min_entry(eval_matrix(p, rho[:, None, None] * s))
+    for k in np.flatnonzero(vals < -cfg.confirm_tol):
+        w = Witness(s[k], rho[k], int(i[k]), int(j[k]), float(vals[k]))
+        if confirm_witness(p, w, cfg.confirm_tol):
+            return vals, w
+    return vals, None
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +226,21 @@ def _witness(p: Polynomial, s: np.ndarray, rho: float,
 # permutations at rho near 1, then one exact xI + cJ matrix
 
 
-def _probe_candidates(n: int):
+def _probe_candidates(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe matrices as one stack (s, rho), in the order they are
+    tried: each permutation and peak at 41 values of rho."""
     taus = np.linspace(-2.5, 2.5, 41)   # includes tau = 0, rho = 1 exactly
     perms = list(itertools.permutations(range(n))) if n <= 4 else []
     if not perms:
         rng = np.random.default_rng(0)
         perms = [tuple(rng.permutation(n)) for _ in range(48)]
-    for sigma in perms:
-        for peak in (3.0, 5.0, 8.0):
-            logits = np.zeros((n, n))
-            for r, c in enumerate(sigma):
-                logits[r, c] = peak
-            s = _softmax_rows(logits)
-            for tau in taus:
-                yield s, float(np.exp(tau))
+    peaks = (3.0, 5.0, 8.0)
+    logits = np.zeros((len(perms), len(peaks), n, n))
+    for a, sigma in enumerate(perms):
+        for b, peak in enumerate(peaks):
+            logits[a, b, range(n), sigma] = peak
+    s = _softmax_rows(logits).reshape(-1, n, n)
+    return np.repeat(s, len(taus), axis=0), np.tile(np.exp(taus), len(s))
 
 
 def _deepest_step(f: Callable[[Fraction], Fraction],
@@ -258,13 +274,16 @@ def _monotone_witness(p: Polynomial, n: int,
     rho = x + n * c
     if rho > sys.float_info.max:
         return None
-    s = np.full((n, n), float(c / rho))
-    np.fill_diagonal(s, float((x + c) / rho))
-    return _witness(p, s, float(rho), cfg)[1]
+    s = np.full((1, n, n), float(c / rho))
+    np.fill_diagonal(s[0], float((x + c) / rho))
+    return _witness(p, s, np.array([float(rho)]), cfg)[1]
 
 
-def _restart_start(p: Polynomial, n: int, cfg: SearchConfig,
-                   r: int) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Nelder-Mead multistart over (row logits, log rho)
+
+
+def _restart_start(n: int, cfg: SearchConfig, r: int) -> np.ndarray:
     rng = np.random.default_rng([cfg.seed & 0xFFFFFFFFFFFFFFFF, r])
     modes = len(cfg.concentrations) + 1
     mode = r % modes
@@ -285,23 +304,82 @@ def _restart_start(p: Polynomial, n: int, cfg: SearchConfig,
     return np.concatenate([free, [tau]])
 
 
-def _restart(p: Polynomial, n: int, cfg: SearchConfig,
-             r: int) -> tuple[float, np.ndarray]:
-    """One Nelder-Mead run; returns the lowest point it evaluated."""
-    x0 = _restart_start(p, n, cfg, r)
-    best_val, best_x = np.inf, x0
+def _sort_simplices(sim: np.ndarray,
+                    fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.arange(len(fsim))[:, None]
+    order = np.argsort(fsim, axis=1)
+    return sim[rows, order], fsim[rows, order]
 
-    def f(x: np.ndarray) -> float:
-        nonlocal best_val, best_x
+
+def _lockstep(p: Polynomial, n: int,
+              cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Nelder-Mead from every restart's seeded start, all advanced together;
+    per restart, the lowest value evaluated and the first point reaching it.
+
+    A port of scipy 1.17's adaptive Nelder-Mead (Gao and Han, Comput. Optim.
+    Appl. 51 (2012) 259-277), with xatol 1e-7, fatol 1e-13 and
+    cfg.max_iters iterations, batched over restarts: each stage of a step
+    evaluates one stack with a point for every restart that needs one, and
+    a restart stops once its simplex has converged. Each restart takes the
+    steps scipy takes from its start and sees the same values, NaN as inf.
+    """
+    x0 = np.array([_restart_start(n, cfg, r) for r in range(cfg.restarts)])
+    k, dim = x0.shape
+    chi, psi, sigma = 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    best_val, best_x = np.full(k, np.inf), x0.copy()
+
+    def f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Objective at x[m, v] for restart rows[m]; each restart's lowest
+        point is tracked in evaluation order, v ascending."""
         s, rho = _unpack(x, n, cfg.rho_log_range)
-        val, _, _ = min_entry(eval_matrix(p, rho * s))
-        if val < best_val:
-            best_val, best_x = val, np.array(x, dtype=float)
-        return np.inf if np.isnan(val) else val
+        val = min_entry(eval_matrix(p, rho[..., None, None] * s))[0]
+        for v in range(x.shape[1]):
+            lower = val[:, v] < best_val[rows]
+            best_val[rows[lower]] = val[lower, v]
+            best_x[rows[lower]] = x[lower, v]
+        return np.where(np.isnan(val), np.inf, val)
 
-    optimize.minimize(f, x0, method="Nelder-Mead",
-                      options={"maxiter": cfg.max_iters, "xatol": 1e-7,
-                               "fatol": 1e-13, "adaptive": True})
+    # scipy's initial simplex: each coordinate in turn scaled by 1.05, or
+    # set to 0.00025 where it is zero; then sorted twice
+    sim = np.repeat(x0[:, None], dim + 1, axis=1)
+    for v in range(dim):
+        y = sim[:, v + 1, v]
+        sim[:, v + 1, v] = np.where(y != 0, (1 + 0.05) * y, 0.00025)
+    fsim = f(np.arange(k), sim)
+    for _ in range(2):
+        sim, fsim = _sort_simplices(sim, fsim)
+
+    rows = np.arange(k)
+    for _ in range(1, cfg.max_iters):
+        going = ~((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= 1e-7)
+                  & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= 1e-13))
+        rows, sim, fsim = rows[going], sim[going], fsim[going]
+        if not len(rows):
+            break
+        xbar = np.add.reduce(sim[:, :-1], 1) / dim
+        worst = sim[:, -1]
+        xr = 2 * xbar - worst
+        fxr = f(rows, xr[:, None])[:, 0]
+        expand = fxr < fsim[:, 0]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
+        inside = ~(expand | reflect | outside)
+        x2 = np.where(expand[:, None], (1 + chi) * xbar - chi * worst,
+                      np.where(outside[:, None], (1 + psi) * xbar - psi * worst,
+                               (1 - psi) * xbar + psi * worst))
+        f2 = np.full(len(rows), np.inf)
+        f2[~reflect] = f(rows[~reflect], x2[~reflect, None])[:, 0]
+        take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
+                 | (inside & (f2 < fsim[:, -1])))
+        take_r = reflect | (expand & ~take2)
+        shrink = ~(take2 | take_r)
+        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
+        sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
+        if shrink.any():
+            low = sim[shrink, :1]
+            sim[shrink, 1:] = low + sigma * (sim[shrink, 1:] - low)
+            fsim[shrink, 1:] = f(rows[shrink], sim[shrink, 1:])
+        sim, fsim = _sort_simplices(sim, fsim)
     return best_val, best_x
 
 
@@ -309,31 +387,27 @@ def refute(p: Polynomial, n: int, cfg: SearchConfig) -> Verdict:
     """Search for a positive matrix showing p outside the order-n cone.
 
     n = 1 delegates to the exact oracle. For n >= 2 the order of attack is:
-    deterministic probe matrices, the exact xI + cJ certificate, then
-    Nelder-Mead multistart over (row logits, log rho). Restarts use
-    independent seeded streams and the first confirmed witness (lowest
-    restart index) wins, so results do not depend on scheduling.
+    the deterministic probe matrices, the exact xI + cJ certificate, then
+    Nelder-Mead multistart over (row logits, log rho), all restarts in
+    lockstep. Restarts use independent seeded streams and the first
+    confirmed witness (lowest restart index) wins, so results do not depend
+    on how the restarts are batched.
     """
     assert n >= 1
     if n == 1:
         return _refute_scalar(p, cfg)
-    best = np.inf
-    for s, rho in _probe_candidates(n):
-        val, w = _witness(p, s, rho, cfg)
-        best = min(best, val)
-        if w is not None:
-            return Refuted(w)
-    w = _monotone_witness(p, n, cfg)
+    probe_vals, w = _witness(p, *_probe_candidates(n), cfg)
+    if w is None:
+        w = _monotone_witness(p, n, cfg)
     if w is not None:
         return Refuted(w)
-    for r in range(cfg.restarts):
-        val, x = _restart(p, n, cfg, r)
-        best = min(best, val)
-        if val < -cfg.confirm_tol:
-            _, w = _witness(p, *_unpack(x, n, cfg.rho_log_range), cfg)
-            if w is not None:
-                return Refuted(w)
-    return NoRefutationFound(cfg.restarts, float(best))
+    _, xs = _lockstep(p, n, cfg)
+    vals, w = _witness(p, *_unpack(xs, n, cfg.rho_log_range), cfg)
+    if w is not None:
+        return Refuted(w)
+    # the lowest value seen, ignoring NaN
+    best = min([np.inf, *probe_vals.tolist(), *vals.tolist()])
+    return NoRefutationFound(cfg.restarts, best)
 
 
 def _refute_scalar(p: Polynomial, cfg: SearchConfig) -> Verdict:
@@ -344,7 +418,13 @@ def _refute_scalar(p: Polynomial, cfg: SearchConfig) -> Verdict:
     if not (x0 > 0 and q(x0) < -2 * Fraction(cfg.confirm_tol)):
         # x0 may be 0, which is no positive matrix, or barely negative
         x0 += _deepest_step(lambda h: q(x0 + h), max(x0, Fraction(1)))
-    return Refuted(Witness(np.array([[1.0]]), float(x0), 0, 0, float(q(x0))))
+    try:
+        rho, value = float(x0), float(q(x0))
+    except OverflowError:
+        raise NoFloatWitness(
+            "p is negative on (0, inf) only where x or p(x) is beyond the "
+            "float range, so no float witness exists") from None
+    return Refuted(Witness(np.array([[1.0]]), rho, 0, 0, value))
 
 
 FamilyLike = Union[Callable[[float], Polynomial], "FamilySpec"]

@@ -12,6 +12,17 @@ from nonnegcone.cli import main
 from nonnegcone.core import Polynomial
 from nonnegcone.families import loewy_general
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def src_env() -> dict:
+    """The environment with src first on PYTHONPATH, for subprocesses."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -251,6 +262,7 @@ MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
     ("family", "loewy", "--n", "2", "--m", "2", "--s", "0", "--t", "inf"),
     ("family", "alpha", "--n", "2", "--t", "1e308"),
     ("maxt", "alpha", "--n", "2", "--t-hi", "1e300"),
+    ("check", "[1,1e300,-1e-300]", "--n", "1"),
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_hostile_input_is_a_usage_error(capsys, argv):
     code, out, err = usage_exit(capsys, *argv)
@@ -262,7 +274,7 @@ def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "nonnegcone.cli", "family", "loewy",
          "--n", "1", "--m", "1", "--s", "0", "--t", "2.5"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=src_env())
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["coefficients"] == [1.0, -2.5, 1.0]
@@ -272,7 +284,8 @@ def test_console_script_help():
     exe = os.path.join(os.path.dirname(sys.executable), "nonnegcone")
     cmd = [exe, "--help"] if os.path.exists(exe) else \
         [sys.executable, "-m", "nonnegcone.cli", "--help"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                          env=src_env())
     assert proc.returncode == 0
     for name in ("check", "maxt", "volume", "compare", "slice", "family",
                  "decompose", "normalize"):

@@ -70,6 +70,28 @@ def test_eval_matrix_matches_eigendecomposition():
         assert np.allclose(eval_matrix(p, a), expect, atol=1e-8)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacks_match_single_matrices_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    # entries up to 1e80, so that high powers overflow to inf and NaN
+    a = rng.uniform(0.0, 2.0, size=(6, 50, n, n)) * \
+        10.0 ** rng.integers(-3, 80, size=(6, 50, 1, 1))
+    for deg in range(6):
+        p = Polynomial(rng.normal(size=deg + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = eval_matrix(p, a)
+        vals, i, j = min_entry(out)
+        assert out.shape == a.shape and vals.shape == i.shape == (6, 50)
+        for idx in np.ndindex(6, 50):
+            with np.errstate(over="ignore", invalid="ignore"):
+                one = eval_matrix(p, a[idx])
+            assert one.shape == (n, n)
+            assert out[idx].tobytes() == one.tobytes()
+            val, i1, j1 = min_entry(one)
+            assert np.float64(val).tobytes() == vals[idx].tobytes()
+            assert (i1, j1) == (i[idx], j[idx])
+
+
 def test_min_entry_first_position():
     m = np.array([[3.0, -1.0], [-1.0, 0.0]])
     val, i, j = min_entry(m)

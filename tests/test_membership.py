@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
-from nonnegcone.core import Polynomial, eval_matrix, sample_stochastic
+from nonnegcone.core import Polynomial, eval_matrix, min_entry, sample_stochastic
 from nonnegcone.exact import (
     RationalPolynomial,
     is_nonneg_on_halfline,
@@ -22,8 +23,12 @@ from nonnegcone.membership import (
     NoUpperRefutation,
     Refuted,
     SearchConfig,
+    NoFloatWitness,
     Witness,
+    _lockstep,
     _monotone_witness,
+    _restart_start,
+    _unpack,
     boundary_offset,
     confirm_witness,
     max_t,
@@ -127,15 +132,83 @@ def test_monotone_certificate_matches_sympy(coeffs, n):
     assert (("low_coeff", 0) in flags or ("monotone", None) in flags) == \
         decreasing
     w = _monotone_witness(p, n, CFG)
+    assert (w is not None) == decreasing
     if w is not None:
-        assert decreasing and _sympy_entry(coeffs, w) < 0
+        assert _sympy_entry(coeffs, w) < 0
         assert np.all(w.s > 0)
-    elif decreasing:
-        # a negative leading coefficient puts x far out, where the float
-        # entry can miss confirm_witness's absolute 1e-12 agreement
-        assert p.coeffs[p.degree()] < 0
     if decreasing:
         assert isinstance(refute(p, n, SearchConfig(restarts=1)), Refuted)
+
+
+def test_large_genuine_witness_is_confirmed():
+    # the float value -131132.0 is 3.6e-11 below the exact entry, more than
+    # an absolute 1e-12 but well within 1e-12 of the value's size
+    p = Polynomial([4, 6, -3, 5, -1, -1])
+    w = _monotone_witness(p, 2, CFG)
+    assert w is not None and w.value < -1e5
+    assert _sympy_entry([4, 6, -3, 5, -1, -1], w) < 0
+
+
+def test_witness_beyond_float_range_is_an_error():
+    # p < 0 only beyond x = 1e600: proved, but no float rho reaches it
+    with pytest.raises(NoFloatWitness):
+        refute(Polynomial([1.0, 1e300, -1e-300]), 1, CFG)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unpack_on_stacks_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(scale=20.0, size=(5, 40, n * (n - 1) + 1))
+    s, rho = _unpack(x, n, CFG.rho_log_range)
+    assert s.shape == (5, 40, n, n) and rho.shape == (5, 40)
+    for idx in np.ndindex(5, 40):
+        s1, rho1 = _unpack(x[idx], n, CFG.rho_log_range)
+        assert s1.shape == (n, n)
+        assert s[idx].tobytes() == s1.tobytes()
+        assert rho[idx].tobytes() == np.float64(rho1).tobytes()
+
+
+def _scipy_restart(p: Polynomial, n: int, cfg: SearchConfig,
+                   r: int) -> tuple[float, np.ndarray]:
+    """Reference: scipy's Nelder-Mead from restart r's start, recording the
+    lowest point it evaluates, one matrix at a time."""
+    x0 = _restart_start(n, cfg, r)
+    best_val, best_x = np.inf, x0
+
+    def f(x):
+        nonlocal best_val, best_x
+        s, rho = _unpack(x, n, cfg.rho_log_range)
+        val, _, _ = min_entry(eval_matrix(p, rho * s))
+        if val < best_val:
+            best_val, best_x = val, np.array(x, dtype=float)
+        return np.inf if np.isnan(val) else val
+
+    optimize.minimize(f, x0, method="Nelder-Mead",
+                      options={"maxiter": cfg.max_iters, "xatol": 1e-7,
+                               "fatol": 1e-13, "adaptive": True})
+    return best_val, best_x
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(coeffs=st.lists(st.integers(-6, 6), min_size=1, max_size=7),
+       scale=st.sampled_from([1.0, 1e150, 1e300]),
+       n=st.sampled_from([2, 3]),
+       max_iters=st.sampled_from([1, 2, 120, 200]),
+       restarts=st.integers(1, 10),
+       seed=st.integers(0, 2 ** 32))
+# overflows to inf and to NaN (inf - inf), which leaves simplices with tied
+# inf values that only shrink steps change
+@example(coeffs=[1, -1, 1, -1, 1], scale=1e300, n=2, max_iters=200,
+         restarts=10, seed=0)
+def test_lockstep_matches_scipy(coeffs, scale, n, max_iters, restarts, seed):
+    p = Polynomial([scale * c for c in coeffs])
+    cfg = SearchConfig(restarts=restarts, max_iters=max_iters, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, xs = _lockstep(p, n, cfg)
+        for r in range(restarts):
+            val, x = _scipy_restart(p, n, cfg, r)
+            assert np.float64(val).tobytes() == vals[r].tobytes()
+            assert x.tobytes() == xs[r].tobytes()
 
 
 def test_refute_reproducible():
