@@ -3,14 +3,17 @@
 For n = 1 the cone is exactly the polynomials nonnegative on [0, infinity).
 That is decidable in rational arithmetic: strip the power of x, check the
 boundary and leading signs, then ask whether the odd-multiplicity part has a
-root in (0, B] by a Sturm count. The same module produces the two kinds of
-certificate: a rational point with exactly negative value when membership
-fails, and a sum-of-squares decomposition
-p = f1^2 + f2^2 + x (g1^2 + g2^2) when it holds.
+root in (0, B] by a Sturm count. Many rows at once are cheaper to settle by
+a Bernstein subdivision certificate, proposed in floats and confirmed in
+integers, with the Sturm count left for the rows it cannot certify. The
+same module produces the two kinds of certificate: a rational point with
+exactly negative value when membership fails, and a sum-of-squares
+decomposition p = f1^2 + f2^2 + x (g1^2 + g2^2) when it holds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -251,6 +254,88 @@ def is_nonneg_on_halfline(p: RationalPolynomial) -> bool:
     return _count_roots(chain, Fraction(0), _cauchy_bound(odd)) == 0
 
 
+# ---------------------------------------------------------------------------
+# Bernstein certificate for many rows at once: float proposes, integers confirm
+#
+# With x = y / (1 - y), (1 - y)^k p(y / (1 - y)) = sum_j a_j y^j (1 - y)^(k-j),
+# whose Bernstein coefficients on [0, 1] are a_j / C(k, j). When every leaf of
+# a de Casteljau subdivision of [0, 1] has nonnegative coefficients, that
+# polynomial is nonnegative on [0, 1], hence p on [0, infinity).
+
+# subdivision depth of the certificate; deeper rows go to the exact oracle
+_CERT_DEPTH = 8
+
+
+def _halves(c: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Bernstein coefficients of both halves of [0, 1] for each row of c.
+
+    exact: c holds Python ints, scaled by 2^k first so that every average
+    below is an exact integer; the halves carry that positive factor.
+    """
+    if exact:
+        c = c << (c.shape[1] - 1)
+    left, right = [c[:, 0]], [c[:, -1]]
+    for _ in range(c.shape[1] - 1):
+        s = c[:, :-1] + c[:, 1:]
+        c = s >> 1 if exact else 0.5 * s
+        left.append(c[:, 0])
+        right.append(c[:, -1])
+    return np.stack(left, axis=1), np.stack(right[::-1], axis=1)
+
+
+def _subdivision_certifies(b: np.ndarray, exact: bool) -> np.ndarray:
+    """Mask of Bernstein rows whose leaves all have nonnegative coefficients
+    once every leaf with a negative one is halved, to depth _CERT_DEPTH."""
+    ok = np.ones(len(b), dtype=bool)
+    owner = np.arange(len(b))
+    for depth in range(_CERT_DEPTH + 1):
+        open_ = ~(b >= 0).all(axis=1)           # NaN counts as negative
+        # a negative end coefficient is a negative value: no certificate
+        ends_neg = ~((b[:, 0] >= 0) & (b[:, -1] >= 0))
+        ok[owner[open_ & (ends_neg | (depth == _CERT_DEPTH))]] = False
+        keep = open_ & ok[owner]
+        if not keep.any():
+            break
+        b = np.concatenate(_halves(b[keep], exact))
+        owner = np.tile(owner[keep], 2)
+    return ok
+
+
+def _integer_bernstein(rows: np.ndarray, binom: list[int]) -> np.ndarray:
+    """Python-int Bernstein coefficients a_j / C(k, j) of each float row,
+    times one positive integer per row: a common power of two (every float
+    denominator is one) and lcm_j C(k, j)."""
+    lcm = math.lcm(*binom)
+    out = []
+    for row in rows.tolist():
+        ratios = [v.as_integer_ratio() for v in row]
+        den = max(d for _, d in ratios)
+        out.append([num * (den // d) * (lcm // c)
+                    for (num, d), c in zip(ratios, binom)])
+    return np.array(out, dtype=object).reshape(rows.shape)
+
+
+def certify_nonneg_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask over coefficient rows (lowest degree first): True proves
+    p >= 0 on [0, infinity), False means only "not certified".
+
+    Depth 0 reads the coefficient signs, which are exact. Other rows are
+    subdivided in floats; each row the floats certify is certified again in
+    Python ints, and only that decision counts.
+    """
+    rows = np.asarray(rows, dtype=float)
+    binom = [math.comb(rows.shape[1] - 1, j) for j in range(rows.shape[1])]
+    finite = np.isfinite(rows).all(axis=1)
+    out = (rows >= 0).all(axis=1) & finite
+    todo = np.flatnonzero(~out & finite)
+    with np.errstate(over="ignore", invalid="ignore"):   # the integers decide
+        todo = todo[_subdivision_certifies(rows[todo] / binom, exact=False)]
+    if todo.size:
+        out[todo] = _subdivision_certifies(
+            _integer_bernstein(rows[todo], binom), exact=True)
+    return out
+
+
 def refute_halfline(p: RationalPolynomial) -> Optional[Fraction]:
     """Rational x0 >= 0 with p(x0) < 0 exactly, or None for members.
 
@@ -287,12 +372,14 @@ def refute_halfline(p: RationalPolynomial) -> Optional[Fraction]:
                 return verified(x)
             x *= 2
         raise AssertionError("leading-sign witness did not materialize")
-    # interior dip: bisect toward the first odd-multiplicity root, testing
-    # every probe; a probe just past that root has strictly negative value
+    # interior dip: bisect toward the first odd-multiplicity root r, testing
+    # every probe. p < 0 on some (r, r + w), so a probe lands there once
+    # hi - lo < w, however small w is against the bound, unless hi is r
     odd = _odd_multiplicity_part(q)
     chain = _sturm_chain(odd)
     lo, hi = Fraction(0), bound
-    for _ in range(200):
+    while _eval_frac(odd, hi) != 0 or \
+            _count_roots(chain, Fraction(0), hi) > 1:
         if p(hi) < 0:
             return verified(hi)
         mid = (lo + hi) / 2
@@ -302,13 +389,12 @@ def refute_halfline(p: RationalPolynomial) -> Optional[Fraction]:
             hi = mid
         else:
             lo = mid
-    # hi may sit exactly on the root; step off it toward the next one
-    step = (bound - hi) if bound > hi else Fraction(1)
-    for _ in range(20000):
+    # hi is the root r itself; step off it toward the bound
+    step = bound - hi
+    while True:
         step /= 2
         if p(hi + step) < 0:
             return verified(hi + step)
-    raise AssertionError("bisection failed to expose the negative region")
 
 
 # ---------------------------------------------------------------------------

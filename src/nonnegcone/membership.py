@@ -20,15 +20,22 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
-# not called here: bench/spans.py looks up optimize.minimize on this module
-# when it is imported
-from scipy import optimize  # noqa: F401
 
 from .core import Polynomial, eval_matrix, min_entry
 from .exact import RationalPolynomial, refute_halfline
 
 if TYPE_CHECKING:
     from .families import FamilySpec
+
+
+def __getattr__(name: str):
+    # only for bench/spans.py, which looks up optimize.minimize on this
+    # module; importing scipy on first access keeps it out of every command
+    # line call. Delete once the benchmark wraps _lockstep instead.
+    if name == "optimize":
+        from scipy import optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NoUpperRefutation(RuntimeError):
@@ -40,8 +47,9 @@ class BadBracket(RuntimeError):
 
 
 class NoFloatWitness(ValueError):
-    """Raised when p is proved negative on (0, inf) but no float x has both x
-    and p(x) in the float range."""
+    """Raised when p is proved negative on (0, inf) but the float point tried
+    gives no witness that confirms: the negative values lie beyond the float
+    range, or are no deeper than confirm_tol."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,15 +424,32 @@ def _refute_scalar(p: Polynomial, cfg: SearchConfig) -> Verdict:
     if x0 is None:
         return ExactMember()
     if not (x0 > 0 and q(x0) < -2 * Fraction(cfg.confirm_tol)):
-        # x0 may be 0, which is no positive matrix, or barely negative
-        x0 += _deepest_step(lambda h: q(x0 + h), max(x0, Fraction(1)))
+        # x0 may be 0, which is no positive matrix, or barely negative next
+        # to a root on either side: take the deepest positive point x0 +- h,
+        # h = max(x0, 1) / 2^k, k < 64; the larger step up on ties
+        steps = [max(x0, Fraction(1)) / 2 ** k for k in range(64)]
+        x0 = min([x0 + h for h in steps] + [x0 - h for h in steps if h < x0],
+                 key=q)
     try:
-        rho, value = float(x0), float(q(x0))
+        rho = float(x0)
+        w = Witness(np.array([[1.0]]), rho, 0, 0, float(q(Fraction(rho))))
     except OverflowError:
+        w = None
+    if w is None or not confirm_witness(p, w, cfg.confirm_tol):
         raise NoFloatWitness(
-            "p is negative on (0, inf) only where x or p(x) is beyond the "
-            "float range, so no float witness exists") from None
-    return Refuted(Witness(np.array([[1.0]]), rho, 0, 0, value))
+            "p is negative on (0, inf), but no float x tried has p(x) below "
+            "-confirm_tol: its negative values are beyond the float range or "
+            "too small")
+    return Refuted(w)
+
+
+def _refuted(p: Polynomial, n: int, cfg: SearchConfig) -> bool:
+    """Whether p is proved outside the order-n cone: by a confirmed witness,
+    or for n = 1 by the exact oracle alone where no float witness exists."""
+    try:
+        return isinstance(refute(p, n, cfg), Refuted)
+    except NoFloatWitness:
+        return True
 
 
 FamilyLike = Union[Callable[[float], Polynomial], "FamilySpec"]
@@ -454,7 +479,7 @@ def max_t(family: FamilyLike, n: int, cfg: SearchConfig,
         raise ValueError("family at t = 0 must have nonnegative coefficients")
 
     def probe(t: float) -> bool:
-        hit = isinstance(refute(fn(t), n, cfg), Refuted)
+        hit = _refuted(fn(t), n, cfg)
         if probe_log is not None:
             probe_log.append((t, hit))
         return hit
@@ -493,18 +518,18 @@ def boundary_offset(g: Polynomial, u: Polynomial, n: int, cfg: SearchConfig,
     when no refuted upper end exists (the whole ray may lie in the cone) or
     when g itself is refuted. Bracket width defaults to 1e-3 * mu_hi.
     """
-    if isinstance(refute(g, n, cfg), Refuted):
+    if _refuted(g, n, cfg):
         raise BadBracket("base polynomial is already refuted")
     hi = float(mu_hi)
     for _ in range(5):
-        if isinstance(refute(g + u.scale(hi), n, cfg), Refuted):
+        if _refuted(g + u.scale(hi), n, cfg):
             break
         hi *= 2.0
     else:
         raise BadBracket(f"direction never refuted up to mu = {hi / 2.0}")
     target = width if width is not None else 1e-3 * hi
-    return _bisect(lambda mu: isinstance(refute(g + u.scale(mu), n, cfg),
-                                         Refuted), hi, target)[0]
+    return _bisect(lambda mu: _refuted(g + u.scale(mu), n, cfg), hi,
+                   target)[0]
 
 
 @dataclass(frozen=True)
@@ -522,8 +547,7 @@ def trace_slice(p: Polynomial, q: Polynomial, u: Polynomial, n: int,
     line; a straight boundary face gives ~0, a curved one does not.
     """
     assert grid >= 1
-    if isinstance(refute(p, n, cfg), Refuted) or \
-       isinstance(refute(q, n, cfg), Refuted):
+    if _refuted(p, n, cfg) or _refuted(q, n, cfg):
         raise BadBracket("segment endpoints must not be refuted")
     pts: list[tuple[float, float]] = []
     missing: list[float] = []

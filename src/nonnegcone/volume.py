@@ -1,12 +1,26 @@
 """Monte-Carlo volume fractions of the cone inside the coefficient ball.
 
 Samples are uniform in the closed unit ball of coefficient space (dimension
-k+1 for degree-k polynomials). Classification runs cheapest-first: coefficient
-sign rejections, a vectorized grid scan whose negative hits are confirmed at
-a single exactly-evaluated rational point, then the exact half-line oracle,
-and for n >= 2 a budgeted refutation search. Only the last step can err, and
-only in one direction: a missed witness counts an outsider as inside, so
-n >= 2 estimates are labeled UpperBiased while n = 1 estimates are Exact.
+k+1 for degree-k polynomials). Each sample is decided by the first of these
+stages that settles it, cheapest first; the estimate counts the samples each
+stage decided:
+
+1. sign: a negative coefficient among the first or last n rejects;
+2. grid: a vectorized scan whose negative hit is confirmed at one exactly
+   evaluated rational point rejects;
+3. certificate: the batched Bernstein subdivision of every remaining row,
+   confirmed in integers, proves p >= 0 on the half-line;
+4. oracle: the exact Sturm half-line oracle decides the rows the
+   certificate leaves, rejecting ("oracle_rejected") or accepting
+   ("oracle_inside");
+5. search, n >= 2 only: a budgeted refutation search on every row that
+   passed 3 or 4 either finds a witness ("search_refuted") or exhausts its
+   budget ("search_exhausted").
+
+Only the last step can err, and only in one direction: a missed witness
+counts an outsider as inside, so n >= 2 estimates are labeled UpperBiased
+while n = 1 estimates are Exact. Projection estimates run the same stages on
+the completed polynomial; for n >= 2 they skip the grid and the certificate.
 """
 
 from __future__ import annotations
@@ -18,12 +32,25 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import Polynomial
-from .exact import RationalPolynomial, is_nonneg_on_halfline
+from .exact import (
+    RationalPolynomial,
+    certify_nonneg_rows,
+    is_nonneg_on_halfline,
+)
 from .membership import Refuted, SearchConfig, refute
 
 _CHUNK = 4096
 _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
                         np.geomspace(2.5, 1000.0, 32)])
+
+# the stage that decided a sample, in pipeline order; _classify_rows and
+# _projection_rows return one code per row
+STAGES = ("sign", "grid", "certificate", "oracle_rejected", "oracle_inside",
+          "search_refuted", "search_exhausted")
+(_SIGN, _GRID_HIT, _CERTIFIED, _ORACLE_REJECTED, _ORACLE_INSIDE,
+ _SEARCH_REFUTED, _SEARCH_EXHAUSTED) = range(len(STAGES))
+# whether a sample decided at each stage counts as inside
+_INSIDE = np.array([False, False, True, False, True, False, True])
 
 
 @dataclass(frozen=True)
@@ -41,9 +68,16 @@ class VolumeEstimate:
     bias: str                  # "Exact" or "UpperBiased"
     cfg: SearchConfig
     seed: int
+    # samples decided at each of STAGES; None under a classifier_override
+    stages: Optional[dict[str, int]] = None
 
     def __post_init__(self):
         assert self.n_inside + self.n_refuted == self.n_samples
+        if self.stages is not None:
+            assert tuple(self.stages) == STAGES
+            assert sum(self.stages.values()) == self.n_samples
+            assert sum(v for v, inside in zip(self.stages.values(), _INSIDE)
+                       if inside) == self.n_inside
         assert 0.0 <= self.ci_low <= self.fraction + 1e-15
         assert self.fraction <= self.ci_high + 1e-15 and self.ci_high <= 1.0
 
@@ -54,7 +88,7 @@ class VolumeEstimate:
             "n_refuted": self.n_refuted, "fraction": self.fraction,
             "ci_low": self.ci_low, "ci_high": self.ci_high, "z": self.z,
             "bias": self.bias, "seed": self.seed,
-            "config": self.cfg.to_json_dict(),
+            "config": self.cfg.to_json_dict(), "stages": self.stages,
         }
 
     def csv_row(self) -> str:
@@ -122,30 +156,51 @@ def _grid_refuted(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _halfline_stages(rows: np.ndarray) -> np.ndarray:
+    """_CERTIFIED, _ORACLE_INSIDE or _ORACLE_REJECTED for each coefficient
+    row: the batched certificate first, the exact oracle on what it leaves."""
+    stage = np.where(certify_nonneg_rows(rows), _CERTIFIED, _ORACLE_INSIDE)
+    for i in np.flatnonzero(stage == _ORACLE_INSIDE):
+        if not is_nonneg_on_halfline(RationalPolynomial(rows[i])):
+            stage[i] = _ORACLE_REJECTED
+    return stage
+
+
 def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
                    start_idx: int) -> np.ndarray:
-    """Boolean inside-mask for a chunk of coefficient rows (degree k)."""
-    m = rows.shape[0]
-    inside = np.zeros(m, dtype=bool)
-    undecided = np.ones(m, dtype=bool)
+    """The deciding stage of each coefficient row (degree k) of a chunk."""
+    stage = np.full(rows.shape[0], _SIGN)
     # sign rejections on the first and last n coefficient positions; these
     # are valid even when the leading coefficient vanishes, because a
     # negative entry at one of the checked positions is in-range either way
     low_bad = (rows[:, :n] < 0.0).any(axis=1)
     high_bad = (rows[:, max(0, k + 1 - n):] < 0.0).any(axis=1)
-    undecided &= ~(low_bad | high_bad)
-    sub = np.where(undecided)[0]
-    undecided[sub[_grid_refuted(rows[sub])]] = False
-    for i in np.where(undecided)[0]:
-        p = Polynomial(rows[i])
-        if not is_nonneg_on_halfline(RationalPolynomial.from_polynomial(p)):
-            continue
-        if n == 1:
-            inside[i] = True
-            continue
-        per = replace(cfg, seed=_sample_seed(cfg.seed, start_idx + int(i)))
-        inside[i] = not isinstance(refute(p, n, per), Refuted)
-    return inside
+    sub = np.flatnonzero(~(low_bad | high_bad))
+    hit = _grid_refuted(rows[sub])
+    stage[sub[hit]] = _GRID_HIT
+    sub = sub[~hit]
+    stage[sub] = _halfline_stages(rows[sub])
+    if n >= 2:
+        for i in np.flatnonzero(_INSIDE[stage]):
+            per = replace(cfg, seed=_sample_seed(cfg.seed, start_idx + int(i)))
+            refuted = isinstance(refute(Polynomial(rows[i]), n, per), Refuted)
+            stage[i] = _SEARCH_REFUTED if refuted else _SEARCH_EXHAUSTED
+    return stage
+
+
+def _estimate(classify: Callable[[np.ndarray, int], np.ndarray], n: int,
+              k: int, N: int, cfg: SearchConfig, z: float) -> VolumeEstimate:
+    """The estimate from the stage counts of classify(rows, start_idx) over
+    the sample chunks."""
+    stages = np.zeros(len(STAGES), dtype=np.int64)
+    for start, rows in _ball_chunks(k + 1, N, cfg.seed):
+        stages += np.bincount(classify(rows, start), minlength=len(STAGES))
+    n_inside = int(stages[_INSIDE].sum())
+    lo, hi = wilson_interval(n_inside, N, z)
+    bias = "Exact" if n == 1 else "UpperBiased"
+    return VolumeEstimate(n, k, k + 1, N, n_inside, N - n_inside,
+                          n_inside / N, lo, hi, z, bias, cfg, cfg.seed,
+                          dict(zip(STAGES, stages.tolist())))
 
 
 def estimate_cone_fraction(
@@ -155,53 +210,74 @@ def estimate_cone_fraction(
     """Fraction of the unit coefficient ball inside the order-n degree-k cone.
 
     classifier_override replaces the whole membership pipeline (used for
-    calibration against sets of known volume).
+    calibration against sets of known volume); its estimate has no stage
+    counts.
     """
     assert n >= 1 and k >= 0 and N >= 1
     if cfg is None:
         cfg = SearchConfig(restarts=20, max_iters=120)
-    dim = k + 1
-    n_inside = 0
-    for start, rows in _ball_chunks(dim, N, cfg.seed):
-        if classifier_override is not None:
-            n_inside += sum(bool(classifier_override(r)) for r in rows)
-        else:
-            n_inside += int(_classify_rows(rows, n, k, cfg, start).sum())
-    lo, hi = wilson_interval(n_inside, N, z)
-    fraction = n_inside / N
-    bias = "Exact" if (n == 1 or classifier_override is not None) else "UpperBiased"
-    return VolumeEstimate(n, k, dim, N, n_inside, N - n_inside, fraction,
-                          lo, hi, z, bias, cfg, cfg.seed)
+    if classifier_override is not None:
+        n_inside = sum(bool(classifier_override(r))
+                       for _, rows in _ball_chunks(k + 1, N, cfg.seed)
+                       for r in rows)
+        lo, hi = wilson_interval(n_inside, N, z)
+        return VolumeEstimate(n, k, k + 1, N, n_inside, N - n_inside,
+                              n_inside / N, lo, hi, z, "Exact", cfg, cfg.seed)
+    return _estimate(lambda rows, start: _classify_rows(rows, n, k, cfg, start),
+                     n, k, N, cfg, z)
 
 
-def _projection_inside(v: np.ndarray, n: int, k: int, cfg: SearchConfig,
-                       idx: int, c_cap: float) -> bool:
-    """Membership of v in the image of the degree-(k+1) cone after dropping
-    the top coefficient: decided by completing with c x^(k+1).
+def _projection_ladder_stage(v: np.ndarray, n: int, k: int,
+                             cfg: SearchConfig, idx: int, c_cap: float) -> int:
+    """Deciding stage, for n >= 2, of whether v lies in the image of the
+    degree-(k+1) cone after dropping the top coefficient: decided by
+    completing with c x^(k+1).
 
     Upward closure (adding c x^(k+1) with c >= 0 never leaves the cone)
-    collapses the existential over c to tests along a doubling ladder; for
-    n = 1 the top of the ladder alone is decisive and exact. For n >= 2 the
+    collapses the existential over c to tests along a doubling ladder. The
     ladder climbs only while the refutation is marginal (witness value above
     -0.05), since searching at huge c degrades witness visibility.
     """
-    ladder = [c_cap * (2.0 ** j) for j in range(5)]   # c_cap .. 16 c_cap
-    if n == 1:
-        completed = Polynomial(list(v) + [ladder[-1]])
-        q = RationalPolynomial.from_polynomial(completed)
-        return is_nonneg_on_halfline(q)
-    for c in ladder:
-        completed = Polynomial(list(v) + [c])
+    stage = _ORACLE_REJECTED
+    for j in range(5):                                # c_cap .. 16 c_cap
+        completed = Polynomial(list(v) + [c_cap * 2.0 ** j])
         q = RationalPolynomial.from_polynomial(completed)
         if not is_nonneg_on_halfline(q):
             continue    # failures below the half-line bar can heal at larger c
         per = replace(cfg, seed=_sample_seed(cfg.seed, idx))
         verdict = refute(completed, n, per)
         if not isinstance(verdict, Refuted):
-            return True
+            return _SEARCH_EXHAUSTED
+        stage = _SEARCH_REFUTED
         if verdict.witness.value <= -0.05:
-            return False
-    return False
+            break
+    return stage
+
+
+def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
+                     start_idx: int, c_cap: float) -> np.ndarray:
+    """The deciding stage of each row of a chunk for the projected cone.
+
+    For n = 1 the completion at the top of the ladder, 16 c_cap, alone is
+    decisive and exact, and goes through the grid, the certificate and the
+    oracle as one batch.
+    """
+    stage = np.full(rows.shape[0], _SIGN)
+    bad = (rows[:, :n] < 0.0).any(axis=1)
+    if n >= 2:
+        # completed high block includes positions k+2-n..k of v
+        bad |= (rows[:, k + 2 - n:] < 0.0).any(axis=1)
+        for i in np.flatnonzero(~bad):
+            stage[i] = _projection_ladder_stage(rows[i], n, k, cfg,
+                                                start_idx + int(i), c_cap)
+        return stage
+    sub = np.flatnonzero(~bad)
+    completed = np.concatenate(
+        [rows[sub], np.full((sub.size, 1), 16.0 * c_cap)], axis=1)
+    hit = _grid_refuted(completed)
+    stage[sub[hit]] = _GRID_HIT
+    stage[sub[~hit]] = _halfline_stages(completed[~hit])
+    return stage
 
 
 def estimate_projection_fraction(
@@ -211,28 +287,9 @@ def estimate_projection_fraction(
     assert n >= 1 and k >= 2 * n and N >= 1
     if cfg is None:
         cfg = SearchConfig(restarts=20, max_iters=120)
-    dim = k + 1
-    n_inside = 0
-    for start, rows in _ball_chunks(dim, N, cfg.seed):
-        m = rows.shape[0]
-        candidates = np.ones(m, dtype=bool)
-        candidates &= ~(rows[:, :n] < 0.0).any(axis=1)
-        if n >= 2:
-            # completed high block includes positions k+2-n..k of v
-            candidates &= ~(rows[:, k + 2 - n:] < 0.0).any(axis=1)
-        if n == 1:
-            # vectorized scan of the completed polynomials at the ladder top
-            sub = np.where(candidates)[0]
-            completed = np.concatenate(
-                [rows[sub], np.full((sub.size, 1), 16.0 * c_cap)], axis=1)
-            candidates[sub[_grid_refuted(completed)]] = False
-        for i in np.where(candidates)[0]:
-            if _projection_inside(rows[i], n, k, cfg, start + int(i), c_cap):
-                n_inside += 1
-    lo, hi = wilson_interval(n_inside, N, z)
-    bias = "Exact" if n == 1 else "UpperBiased"
-    return VolumeEstimate(n, k, dim, N, n_inside, N - n_inside, n_inside / N,
-                          lo, hi, z, bias, cfg, cfg.seed)
+    return _estimate(
+        lambda rows, start: _projection_rows(rows, n, k, cfg, start, c_cap),
+        n, k, N, cfg, z)
 
 
 def _separated(a: VolumeEstimate, b: VolumeEstimate) -> bool:

@@ -263,6 +263,7 @@ MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
     ("family", "alpha", "--n", "2", "--t", "1e308"),
     ("maxt", "alpha", "--n", "2", "--t-hi", "1e300"),
     ("check", "[1,1e300,-1e-300]", "--n", "1"),
+    ("check", "[0,-1,1e300]", "--n", "1"),
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_hostile_input_is_a_usage_error(capsys, argv):
     code, out, err = usage_exit(capsys, *argv)
@@ -278,6 +279,14 @@ def test_module_entrypoint_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["coefficients"] == [1.0, -2.5, 1.0]
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nonnegcone.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=src_env())
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_console_script_help():

@@ -1,14 +1,20 @@
 """Exact half-line oracle, rational witnesses, and the SOS construction."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nonnegcone.core import Polynomial, eval_scalar
 from nonnegcone.exact import (
     NotNonnegative,
     RationalPolynomial,
+    _subdivision_certifies,
+    certify_nonneg_rows,
     is_nonneg_on_halfline,
     polya_szego_decompose,
     refute_halfline,
@@ -82,6 +88,70 @@ def test_oracle_soundness_random():
             assert x0 is not None and x0 >= 0 and q(x0) < 0
         else:
             assert refute_halfline(q) is None
+
+
+def _sympy_nonneg(coeffs: list) -> bool:
+    """p >= 0 on [0, inf): its lowest and highest nonzero coefficients are
+    positive and every positive real root has even multiplicity."""
+    nonzero = [c for c in coeffs if c != 0]
+    if not nonzero:
+        return True
+    if nonzero[0] < 0 or nonzero[-1] < 0:
+        return False
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x)
+    return all(mult % 2 == 0 for r, mult in poly.real_roots(multiple=False)
+               if r > 0)
+
+
+# a float certificate that the integer stage must refuse: halving overflows
+# to inf (large) or rounds to zero (subnormal), and p is negative
+BOGUS_FLOAT_CERTIFICATES = [
+    [1.5986556870945832e+308, 1.3653776341267699e+308,
+     -1.6983672832767358e+308, 1.3965195747310622e+307],
+    [2.5e-323, -1.14e-322, -1e-323, 1.93e-322],
+]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(coeffs=st.lists(st.integers(-20, 20), min_size=1, max_size=9),
+       scale=st.sampled_from([1.0, 1e300, 8e306, 1e-300, 2.0 ** -1074]))
+@example(coeffs=[1, -1, -1, 1], scale=1.0)      # (x - 1)^2 (x + 1)
+@example(coeffs=[4, 0, -3, 1], scale=1.0)       # (x - 2)^2 (x + 1)
+@example(coeffs=[4, 0, -3, 1], scale=1e300)
+@example(coeffs=[0, 4, 0, -3, 1], scale=1.0)    # zero at a_0
+@example(coeffs=[4, 0, -3, 1, 0], scale=1e-300)  # zero at a_k
+@example(coeffs=[1, -2, 1], scale=1.0)          # (x - 1)^2, touches at y = 1/2
+@example(coeffs=[20, -20, 20, -20, 20, -20, 20, -20, 20], scale=8e306)
+def test_certificate_is_never_wrong(coeffs, scale):
+    row = [c * scale for c in coeffs]
+    certified = bool(certify_nonneg_rows(np.array([row]))[0])
+    exact = is_nonneg_on_halfline(RationalPolynomial(row))
+    assert exact or not certified
+    if all(c >= 0 for c in coeffs):
+        assert certified
+    if scale == 1.0:
+        assert _sympy_nonneg(coeffs) == exact
+
+
+def test_integer_stage_rejects_bogus_float_certificates():
+    for row in BOGUS_FLOAT_CERTIFICATES:
+        rows = np.array([row])
+        binom = [math.comb(len(row) - 1, j) for j in range(len(row))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _subdivision_certifies(rows / binom, exact=False)[0]
+        assert not certify_nonneg_rows(rows)[0]
+        assert not is_nonneg_on_halfline(RationalPolynomial(row))
+
+
+def test_certificate_batches_and_edge_shapes():
+    rows = np.array([[1.0, -1.9, 1.0], [1.0, -2.1, 1.0], [0.0, 0.0, 0.0],
+                     [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [-0.0, 0.0, 1.0]])
+    assert certify_nonneg_rows(rows).tolist() == [True, False, True, False,
+                                                  False, True]
+    assert certify_nonneg_rows(np.array([[2.0], [-2.0]])).tolist() == \
+        [True, False]
+    assert certify_nonneg_rows(np.zeros((0, 4))).shape == (0,)
 
 
 def test_json_roundtrip():

@@ -55,6 +55,11 @@ def test_refute_scalar_cases():
     # negative constant: witness must still have rho > 0
     v = refute(Polynomial([-1.0]), 1, CFG)
     assert isinstance(v, Refuted) and v.witness.rho > 0
+    # the oracle's point sits just below the upper root of a narrow dip
+    p = Polynomial([1.0, -2.000000238418579, 1.0])
+    v = refute(p, 1, CFG)
+    assert isinstance(v, Refuted)
+    assert confirm_witness(p, v.witness, CFG.confirm_tol)
 
 
 def test_refute_monomial_never():
@@ -153,6 +158,27 @@ def test_witness_beyond_float_range_is_an_error():
     # p < 0 only beyond x = 1e600: proved, but no float rho reaches it
     with pytest.raises(NoFloatWitness):
         refute(Polynomial([1.0, 1e300, -1e-300]), 1, CFG)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(coeffs=st.lists(st.integers(-6, 6) | st.sampled_from(
+           [1e300, -1e300, 1e-300, -1e-300, 1e-9, -1e-9]),
+           min_size=1, max_size=6),
+       n=st.sampled_from([1, 2, 3]))
+@example(coeffs=[0, -1, 1e300], n=1)
+@example(coeffs=[0, -1e-300, 1e300], n=1)
+@example(coeffs=[1e300, -3, 1e-300], n=1)   # negative only on ~(4e299, 3e300)
+def test_every_refuted_witness_confirms(coeffs, n):
+    p = Polynomial(coeffs)
+    assume(not p.is_zero())
+    cfg = SearchConfig(restarts=2, max_iters=40, seed=1)
+    try:
+        v = refute(p, n, cfg)
+    except NoFloatWitness:
+        assert n == 1
+        return
+    if isinstance(v, Refuted):
+        assert confirm_witness(p, v.witness, cfg.confirm_tol)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

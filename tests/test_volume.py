@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from nonnegcone.exact import RationalPolynomial, is_nonneg_on_halfline
 from nonnegcone.membership import SearchConfig
 from nonnegcone.volume import (
     CSV_HEADER,
+    STAGES,
+    VolumeEstimate,
     estimate_cone_fraction,
     estimate_projection_fraction,
     estimates_csv,
@@ -13,7 +16,12 @@ from nonnegcone.volume import (
     sample_ball,
     wilson_interval,
 )
-from nonnegcone.volume import _classify_rows, _ball_chunks, _projection_inside
+from nonnegcone.volume import (
+    _INSIDE,
+    _ball_chunks,
+    _classify_rows,
+    _projection_rows,
+)
 
 CFG = SearchConfig(restarts=10, max_iters=100, seed=13)
 
@@ -60,6 +68,7 @@ def test_calibration_hooks():
     e = estimate_cone_fraction(1, 2, 20000, CFG,
                                classifier_override=lambda v: bool(v[0] >= 0))
     assert e.ci_low <= 0.5 <= e.ci_high
+    assert e.stages is None and e.to_json_dict()["stages"] is None
 
 
 def test_cone_fraction_matches_integral_oracle():
@@ -79,10 +88,27 @@ def test_inclusion_consistency_shared_samples():
     # any sample inside the order-2 classification is inside the order-1 one
     _, rows = next(_ball_chunks(5, 400, CFG.seed))
     small = SearchConfig(restarts=4, max_iters=80, seed=CFG.seed)
-    in1 = _classify_rows(rows, 1, 4, small, 0)
-    in2 = _classify_rows(rows, 2, 4, small, 0)
+    in1 = _INSIDE[_classify_rows(rows, 1, 4, small, 0)]
+    in2 = _INSIDE[_classify_rows(rows, 2, 4, small, 0)]
     assert np.all(~in2 | in1)
     assert in2.sum() <= in1.sum()
+
+
+def _oracle_inside(rows: np.ndarray) -> list:
+    """Per-row reference: the exact half-line oracle on each float row."""
+    return [is_nonneg_on_halfline(RationalPolynomial(r)) for r in rows]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chunk_classification_matches_per_row_oracle(seed):
+    for k in (0, 1, 2, 4, 6):
+        _, rows = next(_ball_chunks(k + 1, 4096, seed))
+        stage = _classify_rows(rows, 1, k, CFG, 0)
+        assert _INSIDE[stage].tolist() == _oracle_inside(rows)
+    _, rows = next(_ball_chunks(3, 4096, seed))
+    stage = _projection_rows(rows, 1, 2, CFG, 0, 10.0)
+    completed = np.concatenate([rows, np.full((len(rows), 1), 160.0)], axis=1)
+    assert _INSIDE[stage].tolist() == _oracle_inside(completed)
 
 
 def test_projection_contains_cone_per_sample():
@@ -94,11 +120,11 @@ def test_projection_contains_cone_per_sample():
 
 def test_projection_examples():
     v = np.array([0.0, 1.0, -2.0]) / np.sqrt(5.0)
-    assert _projection_inside(v, 1, 2, CFG, 0, 10.0)
     rows = v[None, :]
-    assert not _classify_rows(rows, 1, 2, CFG, 0)[0]
+    assert _INSIDE[_projection_rows(rows, 1, 2, CFG, 0, 10.0)][0]
+    assert not _INSIDE[_classify_rows(rows, 1, 2, CFG, 0)][0]
     neg = np.array([-0.3, 0.5, 0.1])
-    assert not _classify_rows(neg[None, :], 1, 2, CFG, 0)[0]
+    assert not _INSIDE[_classify_rows(neg[None, :], 1, 2, CFG, 0)][0]
     q = np.polynomial.polynomial.polyval(np.linspace(0, 3, 50),
                                          np.append(neg, 10.0))
     assert q.min() < 0.0   # completion cannot rescue a negative constant
@@ -131,6 +157,10 @@ def test_compare_order_small():
     a, b = rep["estimates"]
     assert a["bias"] == "Exact" and b["bias"] == "UpperBiased"
     assert rep["observed_direction_holds"]
+    # only samples that pass the order-1 stages reach the search
+    searched = b["stages"]["search_refuted"] + b["stages"]["search_exhausted"]
+    assert 0 < searched <= a["n_inside"]
+    assert b["stages"]["search_exhausted"] == b["n_inside"]
 
 
 def test_csv_format():
@@ -148,3 +178,10 @@ def test_estimate_json_dict():
     d = e.to_json_dict()
     assert d["n_inside"] + d["n_refuted"] == 500
     assert d["config"]["seed"] == CFG.seed
+    stages = d["stages"]
+    assert tuple(stages) == STAGES and sum(stages.values()) == 500
+    assert stages["certificate"] + stages["oracle_inside"] == d["n_inside"]
+    assert stages["search_refuted"] == stages["search_exhausted"] == 0
+    with pytest.raises(AssertionError):
+        VolumeEstimate(**{**e.__dict__,
+                          "stages": dict(stages, sign=stages["sign"] + 1)})
