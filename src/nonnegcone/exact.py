@@ -3,10 +3,9 @@
 For n = 1 the cone is exactly the polynomials nonnegative on [0, infinity).
 That is decidable in rational arithmetic: strip the power of x, check the
 boundary and leading signs, then ask whether the odd-multiplicity part has a
-root in (0, B] by a Sturm count. Many rows at once are cheaper to settle by
-a Bernstein subdivision certificate, proposed in floats and confirmed in
-integers, with the Sturm count left for the rows it cannot certify. The
-same module produces the two kinds of certificate: a rational point with
+root in (0, B] by a Sturm count. Before that count, a Bernstein subdivision
+certificate in Python ints settles most members far more cheaply. The same
+module produces the two kinds of certificate: a rational point with
 exactly negative value when membership fails, and a sum-of-squares
 decomposition p = f1^2 + f2^2 + x (g1^2 + g2^2) when it holds.
 """
@@ -226,11 +225,62 @@ def _cauchy_bound(c: Sequence[Fraction]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Bernstein certificate: with x = y / (1 - y),
+# (1 - y)^k q(y / (1 - y)) = sum_j q_j y^j (1 - y)^(k-j), whose Bernstein
+# coefficients on [0, 1] are q_j / C(k, j). When every leaf of a de Casteljau
+# subdivision of [0, 1] has nonnegative coefficients, that polynomial is
+# nonnegative on [0, 1], hence q on [0, infinity).
+
+# subdivision depth of the certificate; deeper members go to the Sturm count
+_CERT_DEPTH = 8
+
+
+def _halves(b: list[int]) -> tuple[list[int], list[int]]:
+    """Bernstein coefficients of both halves of a leaf, times 2^k: scaling
+    by 2^k first makes every average below an exact integer."""
+    k = len(b) - 1
+    b = [v << k for v in b]
+    left, right = [b[0]], [b[-1]]
+    for _ in range(k):
+        b = [(u + v) >> 1 for u, v in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return left, right[::-1]
+
+
+def _bernstein_certifies(q: Sequence[Fraction]) -> bool:
+    """True proves q >= 0 on [0, infinity); False means only "not certified".
+
+    The coefficients q_j / C(k, j) are scaled to Python ints by one positive
+    factor, and every leaf with a negative coefficient is halved, to depth
+    _CERT_DEPTH. A negative end coefficient is a negative value of q, so a
+    leaf that has one ends the search.
+    """
+    binom = [math.comb(len(q) - 1, j) for j in range(len(q))]
+    scale = math.lcm(*binom) * math.lcm(*(v.denominator for v in q))
+    leaves = [[v.numerator * (scale // (v.denominator * c))
+               for v, c in zip(q, binom)]]
+    depth = 0
+    while True:
+        open_ = [b for b in leaves if min(b) < 0]
+        if not open_:
+            return True
+        if depth == _CERT_DEPTH or any(b[0] < 0 or b[-1] < 0 for b in open_):
+            return False
+        leaves = [half for b in open_ for half in _halves(b)]
+        depth += 1
+
+
+# ---------------------------------------------------------------------------
 # the oracle
 
 
 def is_nonneg_on_halfline(p: RationalPolynomial) -> bool:
-    """Exact test for p(x) >= 0 on all of [0, infinity). Total function."""
+    """Exact test for p(x) >= 0 on all of [0, infinity). Total function.
+
+    The Bernstein certificate settles most members; the Sturm count decides
+    what it leaves.
+    """
     c = _strip(p.coeffs)
     if not c:
         return True
@@ -245,95 +295,13 @@ def is_nonneg_on_halfline(p: RationalPolynomial) -> bool:
     q = c[v:]
     if q[0] < 0:
         return False
-    if len(q) == 1:
+    if len(q) == 1 or _bernstein_certifies(q):
         return True
     odd = _odd_multiplicity_part(q)
     if len(odd) == 1:
         return True
     chain = _sturm_chain(odd)
     return _count_roots(chain, Fraction(0), _cauchy_bound(odd)) == 0
-
-
-# ---------------------------------------------------------------------------
-# Bernstein certificate for many rows at once: float proposes, integers confirm
-#
-# With x = y / (1 - y), (1 - y)^k p(y / (1 - y)) = sum_j a_j y^j (1 - y)^(k-j),
-# whose Bernstein coefficients on [0, 1] are a_j / C(k, j). When every leaf of
-# a de Casteljau subdivision of [0, 1] has nonnegative coefficients, that
-# polynomial is nonnegative on [0, 1], hence p on [0, infinity).
-
-# subdivision depth of the certificate; deeper rows go to the exact oracle
-_CERT_DEPTH = 8
-
-
-def _halves(c: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Bernstein coefficients of both halves of [0, 1] for each row of c.
-
-    exact: c holds Python ints, scaled by 2^k first so that every average
-    below is an exact integer; the halves carry that positive factor.
-    """
-    if exact:
-        c = c << (c.shape[1] - 1)
-    left, right = [c[:, 0]], [c[:, -1]]
-    for _ in range(c.shape[1] - 1):
-        s = c[:, :-1] + c[:, 1:]
-        c = s >> 1 if exact else 0.5 * s
-        left.append(c[:, 0])
-        right.append(c[:, -1])
-    return np.stack(left, axis=1), np.stack(right[::-1], axis=1)
-
-
-def _subdivision_certifies(b: np.ndarray, exact: bool) -> np.ndarray:
-    """Mask of Bernstein rows whose leaves all have nonnegative coefficients
-    once every leaf with a negative one is halved, to depth _CERT_DEPTH."""
-    ok = np.ones(len(b), dtype=bool)
-    owner = np.arange(len(b))
-    for depth in range(_CERT_DEPTH + 1):
-        open_ = ~(b >= 0).all(axis=1)           # NaN counts as negative
-        # a negative end coefficient is a negative value: no certificate
-        ends_neg = ~((b[:, 0] >= 0) & (b[:, -1] >= 0))
-        ok[owner[open_ & (ends_neg | (depth == _CERT_DEPTH))]] = False
-        keep = open_ & ok[owner]
-        if not keep.any():
-            break
-        b = np.concatenate(_halves(b[keep], exact))
-        owner = np.tile(owner[keep], 2)
-    return ok
-
-
-def _integer_bernstein(rows: np.ndarray, binom: list[int]) -> np.ndarray:
-    """Python-int Bernstein coefficients a_j / C(k, j) of each float row,
-    times one positive integer per row: a common power of two (every float
-    denominator is one) and lcm_j C(k, j)."""
-    lcm = math.lcm(*binom)
-    out = []
-    for row in rows.tolist():
-        ratios = [v.as_integer_ratio() for v in row]
-        den = max(d for _, d in ratios)
-        out.append([num * (den // d) * (lcm // c)
-                    for (num, d), c in zip(ratios, binom)])
-    return np.array(out, dtype=object).reshape(rows.shape)
-
-
-def certify_nonneg_rows(rows: np.ndarray) -> np.ndarray:
-    """Mask over coefficient rows (lowest degree first): True proves
-    p >= 0 on [0, infinity), False means only "not certified".
-
-    Depth 0 reads the coefficient signs, which are exact. Other rows are
-    subdivided in floats; each row the floats certify is certified again in
-    Python ints, and only that decision counts.
-    """
-    rows = np.asarray(rows, dtype=float)
-    binom = [math.comb(rows.shape[1] - 1, j) for j in range(rows.shape[1])]
-    finite = np.isfinite(rows).all(axis=1)
-    out = (rows >= 0).all(axis=1) & finite
-    todo = np.flatnonzero(~out & finite)
-    with np.errstate(over="ignore", invalid="ignore"):   # the integers decide
-        todo = todo[_subdivision_certifies(rows[todo] / binom, exact=False)]
-    if todo.size:
-        out[todo] = _subdivision_certifies(
-            _integer_bernstein(rows[todo], binom), exact=True)
-    return out
 
 
 def refute_halfline(p: RationalPolynomial) -> Optional[Fraction]:

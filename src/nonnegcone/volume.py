@@ -8,19 +8,17 @@ stage decided:
 1. sign: a negative coefficient among the first or last n rejects;
 2. grid: a vectorized scan whose negative hit is confirmed at one exactly
    evaluated rational point rejects;
-3. certificate: the batched Bernstein subdivision of every remaining row,
-   confirmed in integers, proves p >= 0 on the half-line;
-4. oracle: the exact Sturm half-line oracle decides the rows the
-   certificate leaves, rejecting ("oracle_rejected") or accepting
-   ("oracle_inside");
-5. search, n >= 2 only: a budgeted refutation search on every row that
-   passed 3 or 4 either finds a witness ("search_refuted") or exhausts its
+3. oracle: the exact half-line oracle (a Bernstein certificate in integers,
+   then a Sturm count for the rows it leaves) decides every remaining row,
+   rejecting ("oracle_rejected") or accepting ("oracle_inside");
+4. search, n >= 2 only: a budgeted refutation search on every row that
+   passed 3 either finds a witness ("search_refuted") or exhausts its
    budget ("search_exhausted").
 
 Only the last step can err, and only in one direction: a missed witness
 counts an outsider as inside, so n >= 2 estimates are labeled UpperBiased
 while n = 1 estimates are Exact. Projection estimates run the same stages on
-the completed polynomial; for n >= 2 they skip the grid and the certificate.
+the completed polynomial; for n >= 2 they skip the grid.
 """
 
 from __future__ import annotations
@@ -32,11 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import Polynomial
-from .exact import (
-    RationalPolynomial,
-    certify_nonneg_rows,
-    is_nonneg_on_halfline,
-)
+from .exact import RationalPolynomial, is_nonneg_on_halfline
 from .membership import Refuted, SearchConfig, refute
 
 _CHUNK = 4096
@@ -45,12 +39,12 @@ _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
 
 # the stage that decided a sample, in pipeline order; _classify_rows and
 # _projection_rows return one code per row
-STAGES = ("sign", "grid", "certificate", "oracle_rejected", "oracle_inside",
+STAGES = ("sign", "grid", "oracle_rejected", "oracle_inside",
           "search_refuted", "search_exhausted")
-(_SIGN, _GRID_HIT, _CERTIFIED, _ORACLE_REJECTED, _ORACLE_INSIDE,
- _SEARCH_REFUTED, _SEARCH_EXHAUSTED) = range(len(STAGES))
+(_SIGN, _GRID_HIT, _ORACLE_REJECTED, _ORACLE_INSIDE, _SEARCH_REFUTED,
+ _SEARCH_EXHAUSTED) = range(len(STAGES))
 # whether a sample decided at each stage counts as inside
-_INSIDE = np.array([False, False, True, False, True, False, True])
+_INSIDE = np.array([False, False, False, True, False, True])
 
 
 @dataclass(frozen=True)
@@ -157,13 +151,10 @@ def _grid_refuted(rows: np.ndarray) -> np.ndarray:
 
 
 def _halfline_stages(rows: np.ndarray) -> np.ndarray:
-    """_CERTIFIED, _ORACLE_INSIDE or _ORACLE_REJECTED for each coefficient
-    row: the batched certificate first, the exact oracle on what it leaves."""
-    stage = np.where(certify_nonneg_rows(rows), _CERTIFIED, _ORACLE_INSIDE)
-    for i in np.flatnonzero(stage == _ORACLE_INSIDE):
-        if not is_nonneg_on_halfline(RationalPolynomial(rows[i])):
-            stage[i] = _ORACLE_REJECTED
-    return stage
+    """_ORACLE_INSIDE or _ORACLE_REJECTED for each coefficient row."""
+    return np.array([_ORACLE_INSIDE if is_nonneg_on_halfline(
+        RationalPolynomial(r)) else _ORACLE_REJECTED for r in rows.tolist()],
+        dtype=int)
 
 
 def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
@@ -259,8 +250,7 @@ def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
     """The deciding stage of each row of a chunk for the projected cone.
 
     For n = 1 the completion at the top of the ladder, 16 c_cap, alone is
-    decisive and exact, and goes through the grid, the certificate and the
-    oracle as one batch.
+    decisive and exact, and goes through the grid and the oracle.
     """
     stage = np.full(rows.shape[0], _SIGN)
     bad = (rows[:, :n] < 0.0).any(axis=1)

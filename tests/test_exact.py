@@ -1,7 +1,7 @@
 """Exact half-line oracle, rational witnesses, and the SOS construction."""
 
-import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonnegcone.core import Polynomial, eval_scalar
+from nonnegcone import exact
 from nonnegcone.exact import (
     NotNonnegative,
     RationalPolynomial,
-    _subdivision_certifies,
-    certify_nonneg_rows,
+    _bernstein_certifies,
     is_nonneg_on_halfline,
     polya_szego_decompose,
     refute_halfline,
@@ -104,13 +104,19 @@ def _sympy_nonneg(coeffs: list) -> bool:
                if r > 0)
 
 
-# a float certificate that the integer stage must refuse: halving overflows
-# to inf (large) or rounds to zero (subnormal), and p is negative
-BOGUS_FLOAT_CERTIFICATES = [
+# non-members whose Bernstein halving would overflow to inf (large) or round
+# to zero (subnormal) in floats; the certificate works in integers
+EXTREME_NON_MEMBERS = [
     [1.5986556870945832e+308, 1.3653776341267699e+308,
      -1.6983672832767358e+308, 1.3965195747310622e+307],
     [2.5e-323, -1.14e-322, -1e-323, 1.93e-322],
 ]
+
+
+def _sturm_only(q: RationalPolynomial) -> bool:
+    """The oracle with its Bernstein certificate switched off."""
+    with mock.patch.object(exact, "_bernstein_certifies", return_value=False):
+        return is_nonneg_on_halfline(q)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -124,34 +130,34 @@ BOGUS_FLOAT_CERTIFICATES = [
 @example(coeffs=[1, -2, 1], scale=1.0)          # (x - 1)^2, touches at y = 1/2
 @example(coeffs=[20, -20, 20, -20, 20, -20, 20, -20, 20], scale=8e306)
 def test_certificate_is_never_wrong(coeffs, scale):
-    row = [c * scale for c in coeffs]
-    certified = bool(certify_nonneg_rows(np.array([row]))[0])
-    exact = is_nonneg_on_halfline(RationalPolynomial(row))
-    assert exact or not certified
+    q = RationalPolynomial([c * scale for c in coeffs])
+    certified = _bernstein_certifies(q.coeffs)
+    verdict = _sturm_only(q)
+    assert verdict or not certified
+    assert is_nonneg_on_halfline(q) == verdict
     if all(c >= 0 for c in coeffs):
         assert certified
     if scale == 1.0:
-        assert _sympy_nonneg(coeffs) == exact
+        assert _sympy_nonneg(coeffs) == verdict
 
 
-def test_integer_stage_rejects_bogus_float_certificates():
-    for row in BOGUS_FLOAT_CERTIFICATES:
-        rows = np.array([row])
-        binom = [math.comb(len(row) - 1, j) for j in range(len(row))]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert _subdivision_certifies(rows / binom, exact=False)[0]
-        assert not certify_nonneg_rows(rows)[0]
-        assert not is_nonneg_on_halfline(RationalPolynomial(row))
+def test_certificate_exact_at_extreme_magnitudes():
+    for row in EXTREME_NON_MEMBERS:
+        q = RationalPolynomial(row)
+        assert not _bernstein_certifies(q.coeffs)
+        assert not is_nonneg_on_halfline(q)
 
 
-def test_certificate_batches_and_edge_shapes():
-    rows = np.array([[1.0, -1.9, 1.0], [1.0, -2.1, 1.0], [0.0, 0.0, 0.0],
-                     [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [-0.0, 0.0, 1.0]])
-    assert certify_nonneg_rows(rows).tolist() == [True, False, True, False,
-                                                  False, True]
-    assert certify_nonneg_rows(np.array([[2.0], [-2.0]])).tolist() == \
-        [True, False]
-    assert certify_nonneg_rows(np.zeros((0, 4))).shape == (0,)
+def test_certificate_edge_cases():
+    def certifies(*coeffs):
+        return _bernstein_certifies(rp(*coeffs).coeffs)
+    assert certifies(1, -1.9, 1) and not certifies(1, -2.1, 1)
+    assert certifies(0, 0, 0) and certifies(2) and not certifies(-2)
+    assert certifies(-0.0, 0, 1) and certifies(0, 1, 0)
+    # (x - 1)^2 touches zero at the dyadic y = 1/2, where one halving splits
+    # it; (x - 2)^2 touches at y = 2/3, which no depth reaches
+    assert certifies(1, -2, 1)
+    assert not certifies(4, -4, 1) and is_nonneg_on_halfline(rp(4, -4, 1))
 
 
 def test_json_roundtrip():
