@@ -9,7 +9,7 @@ reduction that lets membership searches range over (rho, S) only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -103,23 +103,40 @@ def eval_scalar(p: Polynomial, x: float) -> float:
     return acc
 
 
-def eval_matrix(p: Polynomial, a: np.ndarray) -> np.ndarray:
+def eval_matrix(p: Union[Polynomial, np.ndarray], a: np.ndarray) -> np.ndarray:
     """Evaluate p at a square matrix, or at each matrix of a (..., n, n)
     stack; a^0 = identity, Horner order.
 
-    Each matrix of a stack goes through the same operations as it would
-    alone; the tests check that stacked and per-matrix results agree bit for
-    bit.
+    p is one polynomial for every matrix, or a (..., d + 1) array holding one
+    coefficient row per matrix, lowest degree first, whose leading shape
+    broadcasts against the stack's. Each matrix goes through the same
+    operations as it would alone with its own polynomial: a zero coefficient
+    adds nothing, so zero padding at the top changes no bit. The tests check
+    that stacked and per-matrix results agree bit for bit.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
     assert a.ndim >= 2 and a.shape[-2] == n
-    acc = np.zeros(a.shape)
+    coeffs = np.asarray(p.coeffs if isinstance(p, Polynomial) else p,
+                        dtype=float)
+    acc = np.zeros(coeffs.shape[:-1] + (n, n))
     eye = np.eye(n)
-    for c in reversed(p.coeffs):
+    # per degree: the coefficient of each matrix, and whether it is nonzero
+    # for every matrix and for some; one row stays plain floats
+    if coeffs.ndim == 1:
+        cols = coeffs.tolist()
+        every = some = [c != 0.0 for c in cols]
+    else:
+        cols = np.moveaxis(coeffs, -1, 0)[..., None, None]
+        nonzero = (cols != 0.0).reshape(len(cols), -1)
+        every = nonzero.all(axis=1).tolist()
+        some = nonzero.any(axis=1).tolist()
+    for d in reversed(range(len(cols))):
         acc = acc @ a
-        if c != 0.0:
-            acc = acc + c * eye
+        if every[d]:
+            acc = acc + cols[d] * eye
+        elif some[d]:
+            acc = np.where(cols[d] != 0.0, acc + cols[d] * eye, acc)
     return acc
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -152,20 +152,25 @@ def _exact_entry(p: Polynomial, s: np.ndarray, rho: float, i: int, j: int) -> Fr
     """Entry (i, j) of p(rho * s) in exact rational arithmetic.
 
     Binary floats are exact rationals, so this is a zero-error evaluation of
-    the floating-point matrix the search actually produced.
+    the floating-point matrix the search actually produced. Every entry of
+    rho * s is m / 2^e, so the matrix is M / 2^E for one integer matrix M,
+    and every coefficient is C_d / L for one power of two L; Horner on the
+    row vector e_i^T then stays in integers, scaling by 2^E at each step.
     """
     n = s.shape[0]
-    a = [[Fraction(rho) * Fraction(float(s[r][c])) for c in range(n)]
-         for r in range(n)]
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for coef in reversed(p.coeffs):
-        nxt = [[sum(acc[r][k] * a[k][c] for k in range(n)) for c in range(n)]
-               for r in range(n)]
-        cf = Fraction(coef)
-        for r in range(n):
-            nxt[r][r] += cf
-        acc = nxt
-    return acc[i][j]
+    r_num, r_den = float(rho).as_integer_ratio()
+    ratios = [[float(v).as_integer_ratio() for v in row] for row in s]
+    big = max(den for row in ratios for _, den in row) * r_den
+    m = [[r_num * num * (big // (den * r_den)) for num, den in row]
+         for row in ratios]
+    coef = [float(c).as_integer_ratio() for c in p.coeffs]
+    lcd = max(den for _, den in coef)
+    acc, step = [0] * n, 1
+    for num, den in reversed(coef):
+        acc = [sum(acc[r] * m[r][c] for r in range(n)) for c in range(n)]
+        acc[i] += num * (lcd // den) * step
+        step *= big
+    return Fraction(acc[j], lcd * step // big)
 
 
 def confirm_witness(p: Polynomial, w: Witness, tol: float) -> bool:
@@ -319,19 +324,28 @@ def _sort_simplices(sim: np.ndarray,
     return sim[rows, order], fsim[rows, order]
 
 
-def _lockstep(p: Polynomial, n: int,
-              cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nelder-Mead from every restart's seeded start, all advanced together;
-    per restart, the lowest value evaluated and the first point reaching it.
+def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Nelder-Mead from every restart's seeded start for each of a stack of
+    polynomials, all advanced together; per polynomial and restart, the
+    lowest value evaluated and the first point reaching it.
 
+    coeffs holds one coefficient row per polynomial, zero-padded at the top,
+    and cfgs the search config of each; the configs differ at most in seed.
     A port of scipy 1.17's adaptive Nelder-Mead (Gao and Han, Comput. Optim.
-    Appl. 51 (2012) 259-277), with xatol 1e-7, fatol 1e-13 and
-    cfg.max_iters iterations, batched over restarts: each stage of a step
-    evaluates one stack with a point for every restart that needs one, and
-    a restart stops once its simplex has converged. Each restart takes the
-    steps scipy takes from its start and sees the same values, NaN as inf.
+    Appl. 51 (2012) 259-277), with xatol 1e-7, fatol 1e-13 and max_iters
+    iterations, batched over polynomials and restarts: each stage of a step
+    evaluates one stack with a point for every restart that needs one, each
+    under its own polynomial, and a restart stops once its simplex has
+    converged. Each restart takes the steps scipy takes from its start and
+    sees the same values, NaN as inf, whatever else shares the stack.
     """
-    x0 = np.array([_restart_start(n, cfg, r) for r in range(cfg.restarts)])
+    cfg = cfgs[0]
+    assert len(cfgs) == len(coeffs)
+    assert all(replace(c, seed=cfg.seed) == cfg for c in cfgs)
+    x0 = np.array([_restart_start(n, c, r)
+                   for c in cfgs for r in range(cfg.restarts)])
+    coef = np.asarray(coeffs, dtype=float)
     k, dim = x0.shape
     chi, psi, sigma = 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
     best_val, best_x = np.full(k, np.inf), x0.copy()
@@ -340,7 +354,9 @@ def _lockstep(p: Polynomial, n: int,
         """Objective at x[m, v] for restart rows[m]; each restart's lowest
         point is tracked in evaluation order, v ascending."""
         s, rho = _unpack(x, n, cfg.rho_log_range)
-        val = min_entry(eval_matrix(p, rho[..., None, None] * s))[0]
+        # a lone polynomial is one row for the whole stack
+        poly = coef[0] if len(coef) == 1 else coef[rows // cfg.restarts, None]
+        val = min_entry(eval_matrix(poly, rho[..., None, None] * s))[0]
         for v in range(x.shape[1]):
             lower = val[:, v] < best_val[rows]
             best_val[rows[lower]] = val[lower, v]
@@ -388,10 +404,12 @@ def _lockstep(p: Polynomial, n: int,
             sim[shrink, 1:] = low + sigma * (sim[shrink, 1:] - low)
             fsim[shrink, 1:] = f(rows[shrink], sim[shrink, 1:])
         sim, fsim = _sort_simplices(sim, fsim)
-    return best_val, best_x
+    shape = (len(cfgs), cfg.restarts)
+    return best_val.reshape(shape), best_x.reshape(shape + (dim,))
 
 
-def refute(p: Polynomial, n: int, cfg: SearchConfig) -> Verdict:
+def refute(p: Polynomial, n: int, cfg: SearchConfig,
+           lowest: Optional[np.ndarray] = None) -> Verdict:
     """Search for a positive matrix showing p outside the order-n cone.
 
     n = 1 delegates to the exact oracle. For n >= 2 the order of attack is:
@@ -400,6 +418,10 @@ def refute(p: Polynomial, n: int, cfg: SearchConfig) -> Verdict:
     lockstep. Restarts use independent seeded streams and the first
     confirmed witness (lowest restart index) wins, so results do not depend
     on how the restarts are batched.
+
+    lowest, when given, holds the restarts' lowest points as _lockstep finds
+    them for p and cfg; a caller that searches many polynomials runs one
+    lockstep for all of them and passes each its own.
     """
     assert n >= 1
     if n == 1:
@@ -409,8 +431,9 @@ def refute(p: Polynomial, n: int, cfg: SearchConfig) -> Verdict:
         w = _monotone_witness(p, n, cfg)
     if w is not None:
         return Refuted(w)
-    _, xs = _lockstep(p, n, cfg)
-    vals, w = _witness(p, *_unpack(xs, n, cfg.rho_log_range), cfg)
+    if lowest is None:
+        lowest = _lockstep(np.array([p.coeffs]), n, [cfg])[1][0]
+    vals, w = _witness(p, *_unpack(lowest, n, cfg.rho_log_range), cfg)
     if w is not None:
         return Refuted(w)
     # the lowest value seen, ignoring NaN

@@ -13,7 +13,9 @@ stage decided:
    rejecting ("oracle_rejected") or accepting ("oracle_inside");
 4. search, n >= 2 only: a budgeted refutation search on every row that
    passed 3 either finds a witness ("search_refuted") or exhausts its
-   budget ("search_exhausted").
+   budget ("search_exhausted"). The Nelder-Mead restarts of all these rows
+   of a chunk advance in one lockstep; each row's search still tries its
+   probes and certificate first, so its verdict is the one it gets alone.
 
 Only the last step can err, and only in one direction: a missed witness
 counts an outsider as inside, so n >= 2 estimates are labeled UpperBiased
@@ -31,7 +33,7 @@ import numpy as np
 
 from .core import Polynomial
 from .exact import RationalPolynomial, is_nonneg_on_halfline
-from .membership import Refuted, SearchConfig, refute
+from .membership import Refuted, SearchConfig, _lockstep, refute
 
 _CHUNK = 4096
 _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
@@ -171,11 +173,17 @@ def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
     stage[sub[hit]] = _GRID_HIT
     sub = sub[~hit]
     stage[sub] = _halfline_stages(rows[sub])
-    if n >= 2:
-        for i in np.flatnonzero(_INSIDE[stage]):
-            per = replace(cfg, seed=_sample_seed(cfg.seed, start_idx + int(i)))
-            refuted = isinstance(refute(Polynomial(rows[i]), n, per), Refuted)
-            stage[i] = _SEARCH_REFUTED if refuted else _SEARCH_EXHAUSTED
+    sub = np.flatnonzero(_INSIDE[stage])
+    if n >= 2 and sub.size:
+        # one lockstep for the restarts of every searched row, whose lowest
+        # points each row's refute reads after its probes and certificate
+        pers = [replace(cfg, seed=_sample_seed(cfg.seed, start_idx + int(i)))
+                for i in sub]
+        _, xs = _lockstep(rows[sub], n, pers)
+        for t, i in enumerate(sub):
+            verdict = refute(Polynomial(rows[i]), n, pers[t], lowest=xs[t])
+            stage[i] = (_SEARCH_REFUTED if isinstance(verdict, Refuted)
+                        else _SEARCH_EXHAUSTED)
     return stage
 
 

@@ -90,6 +90,21 @@ def test_stacks_match_single_matrices_bit_for_bit(n):
             val, i1, j1 = min_entry(one)
             assert np.float64(val).tobytes() == vals[idx].tobytes()
             assert (i1, j1) == (i[idx], j[idx])
+    # one coefficient row per matrix: degrees 0-5 zero-padded at the top,
+    # and about a third of the coefficients below the top zero
+    deg = rng.integers(0, 6, size=(6, 50))
+    rows = rng.normal(size=(6, 50, 6)) * (rng.random((6, 50, 6)) < 0.7)
+    rows[np.arange(6) > deg[..., None]] = 0.0
+    for coeffs in (rows, rows[:, :1]):      # the second broadcasts over axis 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = eval_matrix(coeffs, a)
+        assert out.shape == a.shape
+        for idx in np.ndindex(6, 50):
+            r = idx if coeffs.shape[1] > 1 else (idx[0], 0)
+            p = Polynomial(rows[r][: deg[r] + 1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                one = eval_matrix(p, a[idx])
+            assert out[idx].tobytes() == one.tobytes()
 
 
 def test_min_entry_first_position():

@@ -25,6 +25,7 @@ from nonnegcone.membership import (
     SearchConfig,
     NoFloatWitness,
     Witness,
+    _exact_entry,
     _lockstep,
     _monotone_witness,
     _restart_start,
@@ -230,11 +231,41 @@ def test_lockstep_matches_scipy(coeffs, scale, n, max_iters, restarts, seed):
     p = Polynomial([scale * c for c in coeffs])
     cfg = SearchConfig(restarts=restarts, max_iters=max_iters, seed=seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, xs = _lockstep(p, n, cfg)
+        vals, xs = _lockstep(np.array([p.coeffs]), n, [cfg])
         for r in range(restarts):
             val, x = _scipy_restart(p, n, cfg, r)
-            assert np.float64(val).tobytes() == vals[r].tobytes()
-            assert x.tobytes() == xs[r].tobytes()
+            assert np.float64(val).tobytes() == vals[0, r].tobytes()
+            assert x.tobytes() == xs[0, r].tobytes()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(polys=st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=7),
+                      min_size=1, max_size=5),
+       scales=st.lists(st.sampled_from([1.0, 1e150, 1e300]),
+                       min_size=5, max_size=5),
+       n=st.sampled_from([2, 3]),
+       max_iters=st.sampled_from([1, 2, 120]),
+       restarts=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32))
+@example(polys=[[1, -1, 1, -1, 1], [1, 1, -3, 1, 1], [2]],
+         scales=[1e300, 1.0, 1e150, 1.0, 1.0], n=2, max_iters=120,
+         restarts=3, seed=0)
+def test_lockstep_stack_matches_each_polynomial_alone(
+        polys, scales, n, max_iters, restarts, seed):
+    # mixed degrees, zero-padded at the top; each with its own seed
+    rows = np.zeros((len(polys), max(map(len, polys))))
+    for t, coeffs in enumerate(polys):
+        rows[t, : len(coeffs)] = [scales[t] * c for c in coeffs]
+    cfgs = [SearchConfig(restarts=restarts, max_iters=max_iters, seed=seed + t)
+            for t in range(len(polys))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, xs = _lockstep(rows, n, cfgs)
+        assert vals.shape == (len(polys), restarts)
+        for t, coeffs in enumerate(polys):
+            alone = np.array([rows[t, : len(coeffs)]])
+            val1, x1 = _lockstep(alone, n, [cfgs[t]])
+            assert val1[0].tobytes() == vals[t].tobytes()
+            assert x1[0].tobytes() == xs[t].tobytes()
 
 
 def test_refute_reproducible():
@@ -244,6 +275,45 @@ def test_refute_reproducible():
     assert a.witness.rho == b.witness.rho
     assert np.array_equal(a.witness.s, b.witness.s)
     assert a.witness.value == b.witness.value
+
+
+def _fraction_entry(p: Polynomial, s: np.ndarray, rho: float, i: int,
+                    j: int) -> Fraction:
+    """Reference: entry (i, j) of p(rho * s), whole matrices of Fractions."""
+    n = s.shape[0]
+    a = [[Fraction(rho) * Fraction(float(s[r, c])) for c in range(n)]
+         for r in range(n)]
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for coef in reversed(p.coeffs):
+        acc = [[sum(acc[r][m] * a[m][c] for m in range(n))
+                + (Fraction(coef) if r == c else 0) for c in range(n)]
+               for r in range(n)]
+    return acc[i][j]
+
+
+@st.composite
+def _entry_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    coeffs = draw(st.lists(finite, min_size=1, max_size=9))
+    # positive entries down to the smallest subnormal
+    s = draw(st.lists(st.floats(min_value=5e-324, max_value=1.0),
+                      min_size=n * n, max_size=n * n))
+    rho = draw(st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+               | st.floats(min_value=1e299, max_value=1e301))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return Polynomial(coeffs), np.array(s).reshape(n, n), rho, i, j
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_entry_cases())
+@example(case=(Polynomial([1e300, -3.0, 5e-324, 1e-300]),
+               np.array([[5e-324, 1.0], [0.5, 0.5]]), 1e300, 0, 1))
+@example(case=(Polynomial([0.0, 2.0 ** -1074, 0.0, 1.0]),
+               np.full((3, 3), 2.0 ** -1022), 9.9e299, 2, 0))
+def test_exact_entry_matches_fraction_matrices(case):
+    p, s, rho, i, j = case
+    assert _exact_entry(p, s, rho, i, j) == _fraction_entry(p, s, rho, i, j)
 
 
 def test_confirm_witness_rejections():

@@ -1,13 +1,16 @@
 """Ball sampling, Wilson intervals, volume fractions, paired experiments."""
 
+import itertools
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from nonnegcone import exact
+from nonnegcone import exact, volume
+from nonnegcone.core import Polynomial
 from nonnegcone.exact import RationalPolynomial, is_nonneg_on_halfline
-from nonnegcone.membership import SearchConfig
+from nonnegcone.membership import Refuted, SearchConfig, refute
 from nonnegcone.volume import (
     CSV_HEADER,
     STAGES,
@@ -114,6 +117,44 @@ def test_chunk_classification_matches_per_row_oracle(seed):
     stage = _projection_rows(rows, 1, 2, CFG, 0, 10.0)
     completed = np.concatenate([rows, np.full((len(rows), 1), 160.0)], axis=1)
     assert _INSIDE[stage].tolist() == _oracle_inside(completed)
+
+
+def _per_row_stages(rows: np.ndarray, n: int, k: int,
+                    cfg: SearchConfig) -> list:
+    """Per-row reference for a first chunk: sign, grid and oracle, then one
+    refute with its own search on each row that passes them."""
+    out = []
+    for idx, r in enumerate(rows):
+        if (r[:n] < 0).any() or (r[max(0, k + 1 - n):] < 0).any():
+            out.append(STAGES.index("sign"))
+        elif volume._grid_refuted(r[None])[0]:
+            out.append(STAGES.index("grid"))
+        elif not is_nonneg_on_halfline(RationalPolynomial(r)):
+            out.append(STAGES.index("oracle_rejected"))
+        else:
+            per = replace(cfg, seed=volume._sample_seed(cfg.seed, idx))
+            hit = isinstance(refute(Polynomial(r), n, per), Refuted)
+            out.append(STAGES.index("search_refuted" if hit
+                                    else "search_exhausted"))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chunk_search_matches_per_row_refute(seed):
+    cfg = SearchConfig(restarts=3, max_iters=120, seed=seed)
+    searched = 0
+    for n, k in itertools.product((2, 3), (4, 5)):
+        _, rows = next(_ball_chunks(k + 1, 300, seed))
+        with mock.patch.object(volume, "refute", wraps=volume.refute) as spy:
+            stage = _classify_rows(rows, n, k, cfg, 0)
+        assert stage.tolist() == _per_row_stages(rows, n, k, cfg)
+        # one refute per searched row, in row order, as the traced
+        # volume.stage.search_* counts assume
+        hit = np.flatnonzero(stage >= STAGES.index("search_refuted"))
+        assert [c.args[0].coeffs for c in spy.call_args_list] == \
+            [tuple(rows[i]) for i in hit]
+        searched += len(hit)
+    assert searched > 0
 
 
 def test_projection_contains_cone_per_sample():
