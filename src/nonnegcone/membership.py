@@ -17,7 +17,8 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Optional,
+                    Sequence, Union)
 
 import numpy as np
 
@@ -87,9 +88,12 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        assert self.restarts >= 1
+        if not self.restarts >= 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         lo, hi = self.rho_log_range
-        assert np.isfinite(lo) and np.isfinite(hi) and lo < hi
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError("rho_log_range must be finite with lo < hi, got "
+                             f"{self.rho_log_range}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -408,8 +412,52 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     return best_val.reshape(shape), best_x.reshape(shape + (dim,))
 
 
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """One polynomial's share of a prepare() batch, which its refute reads:
+    the smallest entry at each probe, the witness of the probes or of the
+    xI + cJ certificate, and, when neither gives one, the lowest point of
+    each of its restarts."""
+
+    probe_vals: np.ndarray
+    witness: Optional[Witness]
+    lowest: Optional[np.ndarray]
+
+
+def prepare(polys: Sequence[Polynomial], n: int,
+            cfgs: Sequence[SearchConfig]) -> list[Optional[Prepared]]:
+    """The search work of refute for a batch of polynomials, each with its
+    own config; the configs may differ only in seed.
+
+    Each polynomial gets its probes and then its xI + cJ certificate; one
+    lockstep then runs the restarts of every polynomial those leave open.
+    refute(p, n, cfg, prepared) reads its share and returns the verdict a
+    search of p alone gives. For n = 1 the exact oracle needs no search, and
+    each share is None.
+    """
+    if n == 1:
+        return [None] * len(polys)
+    candidates = _probe_candidates(n)
+    found = []
+    for p, cfg in zip(polys, cfgs):
+        vals, w = _witness(p, *candidates, cfg)
+        found.append((vals, w if w is not None else
+                      _monotone_witness(p, n, cfg)))
+    open_ = [t for t, (_, w) in enumerate(found) if w is None]
+    lowest: dict[int, np.ndarray] = {}
+    if open_:
+        size = max(len(polys[t].coeffs) for t in open_)
+        rows = np.zeros((len(open_), size))
+        for r, t in enumerate(open_):
+            rows[r, : len(polys[t].coeffs)] = polys[t].coeffs
+        xs = _lockstep(rows, n, [cfgs[t] for t in open_])[1]
+        lowest = dict(zip(open_, xs))
+    return [Prepared(vals, w, lowest.get(t))
+            for t, (vals, w) in enumerate(found)]
+
+
 def refute(p: Polynomial, n: int, cfg: SearchConfig,
-           lowest: Optional[np.ndarray] = None) -> Verdict:
+           prepared: Optional[Prepared] = None) -> Verdict:
     """Search for a positive matrix showing p outside the order-n cone.
 
     n = 1 delegates to the exact oracle. For n >= 2 the order of attack is:
@@ -419,25 +467,23 @@ def refute(p: Polynomial, n: int, cfg: SearchConfig,
     confirmed witness (lowest restart index) wins, so results do not depend
     on how the restarts are batched.
 
-    lowest, when given, holds the restarts' lowest points as _lockstep finds
-    them for p and cfg; a caller that searches many polynomials runs one
-    lockstep for all of them and passes each its own.
+    prepared is p's share of a prepare() batch, which has already run the
+    probes, the certificate and the restarts; without it p is prepared as a
+    batch of one.
     """
     assert n >= 1
     if n == 1:
         return _refute_scalar(p, cfg)
-    probe_vals, w = _witness(p, *_probe_candidates(n), cfg)
-    if w is None:
-        w = _monotone_witness(p, n, cfg)
-    if w is not None:
-        return Refuted(w)
-    if lowest is None:
-        lowest = _lockstep(np.array([p.coeffs]), n, [cfg])[1][0]
-    vals, w = _witness(p, *_unpack(lowest, n, cfg.rho_log_range), cfg)
+    if prepared is None:
+        prepared = prepare([p], n, [cfg])[0]
+    if prepared.witness is not None:
+        return Refuted(prepared.witness)
+    vals, w = _witness(p, *_unpack(prepared.lowest, n, cfg.rho_log_range),
+                       cfg)
     if w is not None:
         return Refuted(w)
     # the lowest value seen, ignoring NaN
-    best = min([np.inf, *probe_vals.tolist(), *vals.tolist()])
+    best = min([np.inf, *prepared.probe_vals.tolist(), *vals.tolist()])
     return NoRefutationFound(cfg.restarts, best)
 
 
@@ -466,13 +512,52 @@ def _refute_scalar(p: Polynomial, cfg: SearchConfig) -> Verdict:
     return Refuted(w)
 
 
-def _refuted(p: Polynomial, n: int, cfg: SearchConfig) -> bool:
-    """Whether p is proved outside the order-n cone: by a confirmed witness,
-    or for n = 1 by the exact oracle alone where no float witness exists."""
-    try:
-        return isinstance(refute(p, n, cfg), Refuted)
-    except NoFloatWitness:
-        return True
+Search = Generator[Any, Any, Any]
+
+
+def drive(searches: Sequence[Search],
+          decide: Callable[[list], list]) -> list:
+    """Run searches in shared rounds; what each search returns, in order.
+
+    A search is a generator that yields the next item it needs decided and
+    is sent the verdict. Each round hands the pending items of all searches,
+    in search order, to one decide(items), which returns their verdicts in
+    the same order. A search's items depend only on its own verdicts, so it
+    makes the decisions it makes when run alone.
+    """
+    results: list = [None] * len(searches)
+    pending: list = []
+
+    def advance(i: int, verdict) -> None:
+        try:
+            pending.append((i, searches[i].send(verdict)))
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while pending:
+        batch, pending = pending, []
+        for (i, _), verdict in zip(batch, decide([it for _, it in batch])):
+            advance(i, verdict)
+    return results
+
+
+def _run(searches: Sequence[Search], n: int, cfg: SearchConfig) -> list:
+    """drive() for searches that yield polynomials and are sent whether each
+    is proved outside the order-n cone under cfg: by a confirmed witness, or
+    for n = 1 by the exact oracle alone where no float witness exists. Each
+    round is one prepare() batch, then one refute per polynomial."""
+    def refuted(polys: list) -> list[bool]:
+        out = []
+        for p, prep in zip(polys, prepare(polys, n, [cfg] * len(polys))):
+            try:
+                out.append(isinstance(refute(p, n, cfg, prep), Refuted))
+            except NoFloatWitness:
+                out.append(True)
+        return out
+
+    return drive(searches, refuted)
 
 
 FamilyLike = Union[Callable[[float], Polynomial], "FamilySpec"]
@@ -501,20 +586,24 @@ def max_t(family: FamilyLike, n: int, cfg: SearchConfig,
     if any(c < 0.0 for c in base.coeffs):
         raise ValueError("family at t = 0 must have nonnegative coefficients")
 
-    def probe(t: float) -> bool:
-        hit = _refuted(fn(t), n, cfg)
+    def refuted_at(t: float) -> Search:
+        hit = yield fn(t)
         if probe_log is not None:
             probe_log.append((t, hit))
         return hit
 
-    if not probe(t_hi):
-        raise NoUpperRefutation(f"no witness at t = {t_hi} within budget")
-    return _bisect(probe, float(t_hi), width)
+    def search() -> Search:
+        if not (yield from refuted_at(t_hi)):
+            raise NoUpperRefutation(f"no witness at t = {t_hi} within budget")
+        return (yield from _bisect(refuted_at, float(t_hi), width))
+
+    return _run([search()], n, cfg)[0]
 
 
-def _bisect(refuted: Callable[[float], bool], hi: float,
-            width: float) -> tuple[float, float]:
-    """Shrink (0, hi], hi refuted, to (lo, hi) with hi - lo <= width.
+def _bisect(refuted_at: Callable[[float], Search], hi: float,
+            width: float) -> Search:
+    """Shrink (0, hi], hi refuted, to (lo, hi) with hi - lo <= width; a
+    search that asks refuted_at(mid), itself a search, at each midpoint.
 
     Stops early only when lo and hi are adjacent floats, so no midpoint
     exists; raises ValueError unless width and hi are positive.
@@ -526,11 +615,31 @@ def _bisect(refuted: Callable[[float], bool], hi: float,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if refuted(mid):
+        if (yield from refuted_at(mid)):
             hi = mid
         else:
             lo = mid
     return lo, hi
+
+
+def _offset_search(g: Polynomial, u: Polynomial, mu_hi: float,
+                   width: Optional[float]) -> Search:
+    """The search of boundary_offset: g itself, the doubling ladder from
+    mu_hi, then the bisection."""
+    def refuted_at(mu: float) -> Search:
+        return (yield g + u.scale(mu))
+
+    if (yield g):
+        raise BadBracket("base polynomial is already refuted")
+    hi = float(mu_hi)
+    for _ in range(5):
+        if (yield from refuted_at(hi)):
+            break
+        hi *= 2.0
+    else:
+        raise BadBracket(f"direction never refuted up to mu = {hi / 2.0}")
+    target = width if width is not None else 1e-3 * hi
+    return (yield from _bisect(refuted_at, hi, target))[0]
 
 
 def boundary_offset(g: Polynomial, u: Polynomial, n: int, cfg: SearchConfig,
@@ -541,18 +650,7 @@ def boundary_offset(g: Polynomial, u: Polynomial, n: int, cfg: SearchConfig,
     when no refuted upper end exists (the whole ray may lie in the cone) or
     when g itself is refuted. Bracket width defaults to 1e-3 * mu_hi.
     """
-    if _refuted(g, n, cfg):
-        raise BadBracket("base polynomial is already refuted")
-    hi = float(mu_hi)
-    for _ in range(5):
-        if _refuted(g + u.scale(hi), n, cfg):
-            break
-        hi *= 2.0
-    else:
-        raise BadBracket(f"direction never refuted up to mu = {hi / 2.0}")
-    target = width if width is not None else 1e-3 * hi
-    return _bisect(lambda mu: _refuted(g + u.scale(mu), n, cfg), hi,
-                   target)[0]
+    return _run([_offset_search(g, u, mu_hi, width)], n, cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -566,27 +664,34 @@ def trace_slice(p: Polynomial, q: Polynomial, u: Polynomial, n: int,
                 grid: int, cfg: SearchConfig) -> TraceResult:
     """Boundary offsets along u for the segment (1 - t) p + t q, t in (0, 1).
 
-    Residual is the max deviation of the points from their least-squares
-    line; a straight boundary face gives ~0, a curved one does not.
+    Both endpoints and the boundary_offset search of every grid point run in
+    shared rounds, each round one prepare() batch. Residual is the max
+    deviation of the points from their least-squares line; a straight
+    boundary face gives ~0, a curved one does not.
     """
-    assert grid >= 1
-    if _refuted(p, n, cfg) or _refuted(q, n, cfg):
-        raise BadBracket("segment endpoints must not be refuted")
-    pts: list[tuple[float, float]] = []
-    missing: list[float] = []
-    for i in range(1, grid + 1):
-        t = i / (grid + 1)
-        g = p.scale(1.0 - t) + q.scale(t)
+    if not grid >= 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
+
+    def endpoint(e: Polynomial) -> Search:
+        if (yield e):
+            raise BadBracket("segment endpoints must not be refuted")
+
+    def offset(g: Polynomial) -> Search:
         try:
-            mu = boundary_offset(g, u, n, cfg, mu_hi=1.0, width=5e-4)
+            return (yield from _offset_search(g, u, 1.0, 5e-4))
         except BadBracket:
-            missing.append(t)
-            continue
-        pts.append((t, mu))
+            return None
+
+    ts = [i / (grid + 1) for i in range(1, grid + 1)]
+    mus = _run([endpoint(p), endpoint(q)]
+               + [offset(p.scale(1.0 - t) + q.scale(t)) for t in ts],
+               n, cfg)[2:]
+    pts = [(t, mu) for t, mu in zip(ts, mus) if mu is not None]
+    missing = [t for t, mu in zip(ts, mus) if mu is None]
     if len(pts) < 3:
         return TraceResult(tuple(pts), tuple(missing), 0.0)
-    ts = np.array([a for a, _ in pts])
-    mus = np.array([b for _, b in pts])
-    slope, intercept = np.polyfit(ts, mus, 1)
-    residual = float(np.max(np.abs(mus - (slope * ts + intercept))))
+    ts_arr = np.array([a for a, _ in pts])
+    mus_arr = np.array([b for _, b in pts])
+    slope, intercept = np.polyfit(ts_arr, mus_arr, 1)
+    residual = float(np.max(np.abs(mus_arr - (slope * ts_arr + intercept))))
     return TraceResult(tuple(pts), tuple(missing), residual)

@@ -13,9 +13,10 @@ stage decided:
    rejecting ("oracle_rejected") or accepting ("oracle_inside");
 4. search, n >= 2 only: a budgeted refutation search on every row that
    passed 3 either finds a witness ("search_refuted") or exhausts its
-   budget ("search_exhausted"). The Nelder-Mead restarts of all these rows
-   of a chunk advance in one lockstep; each row's search still tries its
-   probes and certificate first, so its verdict is the one it gets alone.
+   budget ("search_exhausted"). The rows of a chunk are searched as one
+   membership.prepare batch: each row's probes and certificate, then one
+   Nelder-Mead lockstep for the rows those leave open, so each verdict is
+   the one a search of that row alone gives.
 
 Only the last step can err, and only in one direction: a missed witness
 counts an outsider as inside, so n >= 2 estimates are labeled UpperBiased
@@ -33,7 +34,8 @@ import numpy as np
 
 from .core import Polynomial
 from .exact import RationalPolynomial, is_nonneg_on_halfline
-from .membership import Refuted, SearchConfig, _lockstep, refute
+from .membership import (Refuted, SearchConfig, Search, Verdict, drive,
+                         prepare, refute)
 
 _CHUNK = 4096
 _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
@@ -141,6 +143,11 @@ def _sample_seed(seed: int, idx: int) -> int:
     return (seed + 0x9E3779B97F4A7C15 * (idx + 1)) & 0xFFFFFFFFFFFFFFFF
 
 
+def _sample_cfg(cfg: SearchConfig, idx: int) -> SearchConfig:
+    """The search config of sample idx: cfg with the sample's own seed."""
+    return replace(cfg, seed=_sample_seed(cfg.seed, idx))
+
+
 def _grid_refuted(rows: np.ndarray) -> np.ndarray:
     """Mask of coefficient rows exactly negative at their grid minimum."""
     vals = np.polynomial.polynomial.polyval(_GRID, rows.T)
@@ -159,6 +166,15 @@ def _halfline_stages(rows: np.ndarray) -> np.ndarray:
         dtype=int)
 
 
+def _searched(items: list[tuple[Polynomial, SearchConfig]],
+              n: int) -> list[Verdict]:
+    """The verdicts of a batch of (polynomial, config) searches, n >= 2: one
+    prepare() for all of them, then each polynomial's own refute."""
+    polys, cfgs = zip(*items)
+    return [refute(p, n, cfg, prepared)
+            for p, cfg, prepared in zip(polys, cfgs, prepare(polys, n, cfgs))]
+
+
 def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
                    start_idx: int) -> np.ndarray:
     """The deciding stage of each coefficient row (degree k) of a chunk."""
@@ -175,15 +191,11 @@ def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
     stage[sub] = _halfline_stages(rows[sub])
     sub = np.flatnonzero(_INSIDE[stage])
     if n >= 2 and sub.size:
-        # one lockstep for the restarts of every searched row, whose lowest
-        # points each row's refute reads after its probes and certificate
-        pers = [replace(cfg, seed=_sample_seed(cfg.seed, start_idx + int(i)))
-                for i in sub]
-        _, xs = _lockstep(rows[sub], n, pers)
-        for t, i in enumerate(sub):
-            verdict = refute(Polynomial(rows[i]), n, pers[t], lowest=xs[t])
-            stage[i] = (_SEARCH_REFUTED if isinstance(verdict, Refuted)
-                        else _SEARCH_EXHAUSTED)
+        verdicts = _searched([(Polynomial(rows[i]),
+                               _sample_cfg(cfg, start_idx + i))
+                              for i in sub.tolist()], n)
+        stage[sub] = [_SEARCH_REFUTED if isinstance(v, Refuted)
+                      else _SEARCH_EXHAUSTED for v in verdicts]
     return stage
 
 
@@ -226,11 +238,12 @@ def estimate_cone_fraction(
                      n, k, N, cfg, z)
 
 
-def _projection_ladder_stage(v: np.ndarray, n: int, k: int,
-                             cfg: SearchConfig, idx: int, c_cap: float) -> int:
+def _projection_ladder(v: np.ndarray, c_cap: float,
+                       cfg: SearchConfig) -> Search:
     """Deciding stage, for n >= 2, of whether v lies in the image of the
     degree-(k+1) cone after dropping the top coefficient: decided by
-    completing with c x^(k+1).
+    completing with c x^(k+1). A search for drive() that yields each
+    completion it needs searched, with cfg, and is sent its verdict.
 
     Upward closure (adding c x^(k+1) with c >= 0 never leaves the cone)
     collapses the existential over c to tests along a doubling ladder. The
@@ -243,8 +256,7 @@ def _projection_ladder_stage(v: np.ndarray, n: int, k: int,
         q = RationalPolynomial.from_polynomial(completed)
         if not is_nonneg_on_halfline(q):
             continue    # failures below the half-line bar can heal at larger c
-        per = replace(cfg, seed=_sample_seed(cfg.seed, idx))
-        verdict = refute(completed, n, per)
+        verdict = yield completed, cfg
         if not isinstance(verdict, Refuted):
             return _SEARCH_EXHAUSTED
         stage = _SEARCH_REFUTED
@@ -257,17 +269,21 @@ def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
                      start_idx: int, c_cap: float) -> np.ndarray:
     """The deciding stage of each row of a chunk for the projected cone.
 
-    For n = 1 the completion at the top of the ladder, 16 c_cap, alone is
-    decisive and exact, and goes through the grid and the oracle.
+    For n >= 2 the ladders of all rows advance in shared rounds, each round
+    one search batch. For n = 1 the completion at the top of the ladder,
+    16 c_cap, alone is decisive and exact, and goes through the grid and the
+    oracle.
     """
     stage = np.full(rows.shape[0], _SIGN)
     bad = (rows[:, :n] < 0.0).any(axis=1)
     if n >= 2:
         # completed high block includes positions k+2-n..k of v
         bad |= (rows[:, k + 2 - n:] < 0.0).any(axis=1)
-        for i in np.flatnonzero(~bad):
-            stage[i] = _projection_ladder_stage(rows[i], n, k, cfg,
-                                                start_idx + int(i), c_cap)
+        sub = np.flatnonzero(~bad).tolist()
+        stage[sub] = drive(
+            [_projection_ladder(rows[i], c_cap,
+                                _sample_cfg(cfg, start_idx + i))
+             for i in sub], lambda items: _searched(items, n))
         return stage
     sub = np.flatnonzero(~bad)
     completed = np.concatenate(
@@ -308,6 +324,9 @@ def compare_experiment(kind: str, params: dict, N: int,
     if kind == "trend":
         n = int(params["n"])
         ks = [int(k) for k in params["ks"]]
+        if len(ks) < 2 or any(a >= b for a, b in zip(ks, ks[1:])):
+            raise ValueError("trend needs at least two strictly increasing "
+                             f"degrees, got {ks}")
         ests = [estimate_cone_fraction(n, k, N, cfg) for k in ks]
         fr = [e.fraction for e in ests]
         return {"kind": kind, "params": params, "n_samples": N,

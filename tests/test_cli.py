@@ -252,6 +252,10 @@ MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
     ("volume", "--n", "1", "--k", "4", "--projection", "--c-cap", "-1"),
     ("compare", "order", '{"n_a":null,"n_b":2,"k":2}', "--samples", "10"),
     ("compare", "trend", '{"n":1,"ks":5}', "--samples", "10"),
+    ("compare", "trend", '{"n":1,"ks":[]}', "--samples", "10"),
+    ("compare", "trend", '{"n":1,"ks":[3]}', "--samples", "10"),
+    ("compare", "trend", '{"n":1,"ks":[6,2]}', "--samples", "10"),
+    ("compare", "trend", '{"n":1,"ks":[2,2]}', "--samples", "10"),
     ("slice", "[1]", "[0,0,1]", "[0,-1]", "--n", "1", "--grid", "0"),
     ("normalize", "[[NaN,1],[1,1]]"),
     MAXT + ("--width", "0"),

@@ -1,6 +1,8 @@
 """Refutation search, witness confirmation, bisection utilities."""
 
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from nonnegcone import membership
 from nonnegcone.core import Polynomial, eval_matrix, min_entry, sample_stochastic
 from nonnegcone.exact import (
     RationalPolynomial,
@@ -24,6 +27,7 @@ from nonnegcone.membership import (
     Refuted,
     SearchConfig,
     NoFloatWitness,
+    TraceResult,
     Witness,
     _exact_entry,
     _lockstep,
@@ -489,3 +493,186 @@ def test_random_members_never_refuted():
         s = sample_stochastic(2, rng)
         rho = float(np.exp(rng.uniform(-2, 2)))
         assert eval_matrix(p, rho * s).min() <= 1e300
+
+
+def test_search_config_bounds_are_value_errors():
+    # raised, not asserted, so that they hold under python -O too
+    for bad in ({"restarts": 0}, {"rho_log_range": (1.0, 1.0)},
+                {"rho_log_range": (-np.inf, 0.0)},
+                {"rho_log_range": (0.0, float("nan"))}):
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
+    with pytest.raises(ValueError):
+        trace_slice(Polynomial([1.0]), Polynomial([0.0, 0.0, 1.0]),
+                    Polynomial([0.0, -1.0]), 1, 0, CFG)
+
+
+# ---------------------------------------------------------------------------
+# sequential references: each polynomial decided by its own refute, one
+# after another, by callback bisections
+
+
+def _decision(p: Polynomial, verdict) -> tuple:
+    """A polynomial with its verdict, witness bits included."""
+    if isinstance(verdict, Refuted):
+        w = verdict.witness
+        return p.coeffs, w.s.tobytes(), w.rho, w.i, w.j, w.value
+    return p.coeffs, repr(verdict)
+
+
+def _refuted_alone(p: Polynomial, n: int, cfg: SearchConfig,
+                   decided: list) -> bool:
+    try:
+        verdict = refute(p, n, cfg)
+    except NoFloatWitness as e:
+        verdict = e
+    decided.append(_decision(p, verdict))
+    return not isinstance(verdict, (NoRefutationFound, ExactMember))
+
+
+def _bisect_ref(refuted, hi: float, width: float) -> tuple:
+    lo = 0.0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if refuted(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _max_t_ref(fn, n, cfg, t_hi, width, decided):
+    log = []
+
+    def probe(t):
+        hit = _refuted_alone(fn(t), n, cfg, decided)
+        log.append((t, hit))
+        return hit
+
+    if not probe(t_hi):
+        raise NoUpperRefutation
+    return _bisect_ref(probe, float(t_hi), width), log
+
+
+def _offset_ref(g, u, n, cfg, mu_hi, width, decided):
+    def refuted(mu):
+        return _refuted_alone(g + u.scale(mu), n, cfg, decided)
+
+    if _refuted_alone(g, n, cfg, decided):
+        raise BadBracket
+    hi = float(mu_hi)
+    for _ in range(5):
+        if refuted(hi):
+            break
+        hi *= 2.0
+    else:
+        raise BadBracket
+    return _bisect_ref(refuted, hi,
+                       width if width is not None else 1e-3 * hi)[0]
+
+
+def _trace_ref(p, q, u, n, grid, cfg, decided):
+    if (_refuted_alone(p, n, cfg, decided)
+            or _refuted_alone(q, n, cfg, decided)):
+        raise BadBracket
+    pts, missing = [], []
+    for i in range(1, grid + 1):
+        t = i / (grid + 1)
+        try:
+            pts.append((t, _offset_ref(p.scale(1.0 - t) + q.scale(t), u, n,
+                                       cfg, 1.0, 5e-4, decided)))
+        except BadBracket:
+            missing.append(t)
+    residual = 0.0
+    if len(pts) >= 3:
+        ts, mus = np.array(pts).T
+        slope, intercept = np.polyfit(ts, mus, 1)
+        residual = float(np.max(np.abs(mus - (slope * ts + intercept))))
+    return TraceResult(tuple(pts), tuple(missing), residual)
+
+
+def _spied(fn, *args, **kwargs):
+    """fn's result and the decision of every call of membership.refute,
+    each of which must get its prepared share for n >= 2."""
+    decided = []
+
+    def spy(p, n, cfg, prepared):
+        assert n == 1 or isinstance(prepared, membership.Prepared)
+        try:
+            verdict = refute(p, n, cfg, prepared)
+        except NoFloatWitness as e:
+            decided.append(_decision(p, e))
+            raise
+        decided.append(_decision(p, verdict))
+        return verdict
+
+    with mock.patch.object(membership, "refute", spy):
+        return fn(*args, **kwargs), decided
+
+
+# the benchmark's slice segment
+SLICE_SEGMENT = (Polynomial([1, 1, -1, 1, 1]), Polynomial([1, 1, -1.5, 1, 1]),
+                 Polynomial([0, 0, -1]))
+SMALL = SearchConfig(restarts=4, max_iters=100, seed=7)
+
+
+@pytest.mark.parametrize("segment,n,grid,cfg", [
+    (SLICE_SEGMENT, 2, 3, SearchConfig(restarts=10, seed=11)),
+    (SLICE_SEGMENT, 2, 5, SMALL),
+    # u is small: the offset needed passes the ladder's top, mu = 16, at
+    # t = 1/2 and 3/4, so those points are missing
+    ((Polynomial([1, 1, -1, 1, 1]), Polynomial([1, 1, 1, 1, 1]),
+      Polynomial([0, 0, -0.1])), 2, 3, SMALL),
+    ((Polynomial([1]), Polynomial([0, 0, 1]), Polynomial([0, -1])), 1, 5,
+     SMALL),
+    ((Polynomial([1, 1]), Polynomial([0, 1]), Polynomial([1])), 1, 3, SMALL),
+], ids=["bench-grid3", "bench-grid5", "missing", "n1-curved", "n1-missing"])
+def test_trace_slice_matches_sequential_reference(segment, n, grid, cfg):
+    decided: list = []
+    ref = _trace_ref(*segment, n, grid, cfg, decided)
+    got, calls = _spied(trace_slice, *segment, n, grid, cfg)
+    assert got == ref
+    assert Counter(calls) == Counter(decided)
+    if grid == 3 and n == 2 and segment is not SLICE_SEGMENT:
+        assert len(got.points) == 1 and len(got.missing) == 2
+
+
+@pytest.mark.parametrize("p,q", [
+    (Polynomial([1, 1, -3, 1, 1]), Polynomial([1, 1, -1, 1, 1])),
+    (Polynomial([1, 1, -1, 1, 1]), Polynomial([1, 1, -3, 1, 1])),
+])
+def test_trace_slice_refuted_endpoint(p, q):
+    with pytest.raises(BadBracket):
+        _trace_ref(p, q, Polynomial([0, 0, -1]), 2, 3, SMALL, [])
+    with pytest.raises(BadBracket):
+        trace_slice(p, q, Polynomial([0, 0, -1]), 2, 3, SMALL)
+
+
+@pytest.mark.parametrize("fn,n,t_hi,width", [
+    (loewy22, 2, 3.0, 0.02),
+    (lambda t: Polynomial([1.0, -t, 1.0]), 1, 4.0, 0.01),
+    # every member with t > 0 is negative only beyond the float range, so
+    # its refutation is the exact oracle's alone (NoFloatWitness)
+    (lambda t: Polynomial([1.0, 1e300, -t * 1e-300]), 1, 1.0, 0.1),
+])
+def test_max_t_matches_sequential_reference(fn, n, t_hi, width):
+    decided: list = []
+    (lo_hi, log) = _max_t_ref(fn, n, SMALL, t_hi, width, decided)
+    probes: list = []
+    got, calls = _spied(max_t, fn, n, SMALL, t_hi, width, probe_log=probes)
+    assert got == lo_hi and probes == log
+    assert calls == decided
+
+
+@pytest.mark.parametrize("g,u,n", [
+    (Polynomial([1, 1, -1.25, 1, 1]), Polynomial([0, 0, -1]), 2),
+    (Polynomial([1.0, 0.0, 1.0]), Polynomial([0.0, -1.0]), 1),
+    (Polynomial([1.0, 1e300, 0.0]), Polynomial([0.0, 0.0, -1e-300]), 1),
+])
+def test_boundary_offset_matches_sequential_reference(g, u, n):
+    decided: list = []
+    ref = _offset_ref(g, u, n, SMALL, 1.0, None, decided)
+    got, calls = _spied(boundary_offset, g, u, n, SMALL, 1.0)
+    assert got == ref and calls == decided

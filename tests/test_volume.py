@@ -157,6 +157,51 @@ def test_chunk_search_matches_per_row_refute(seed):
     assert searched > 0
 
 
+def _ladder_ref(v: np.ndarray, n: int, cfg: SearchConfig, c_cap: float,
+                decided: list) -> int:
+    """Per-row reference for the n >= 2 projection ladder: one refute with
+    its own search per completion that passes the half-line oracle."""
+    stage = STAGES.index("oracle_rejected")
+    for j in range(5):
+        completed = Polynomial(list(v) + [c_cap * 2.0 ** j])
+        if not is_nonneg_on_halfline(
+                RationalPolynomial.from_polynomial(completed)):
+            continue
+        decided.append(completed.coeffs)
+        verdict = refute(completed, n, cfg)
+        if not isinstance(verdict, Refuted):
+            return STAGES.index("search_exhausted")
+        stage = STAGES.index("search_refuted")
+        if verdict.witness.value <= -0.05:
+            break
+    return stage
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("k", [4, 5])
+def test_projection_ladder_matches_per_row_ladder(seed, k):
+    n, c_cap = 2, 10.0
+    cfg = SearchConfig(restarts=3, max_iters=120, seed=seed)
+    _, rows = next(_ball_chunks(k + 1, 200, seed))
+    start = 4096   # a later chunk: seeds come from the global sample index
+    decided: list = []
+    ref = []
+    for i, r in enumerate(rows):
+        if (r[:n] < 0).any() or (r[k + 2 - n:] < 0).any():
+            ref.append(STAGES.index("sign"))
+        else:
+            per = replace(cfg, seed=volume._sample_seed(seed, start + i))
+            ref.append(_ladder_ref(r, n, per, c_cap, decided))
+    with mock.patch.object(volume, "refute", wraps=volume.refute) as spy:
+        stage = _projection_rows(rows, n, k, cfg, start, c_cap)
+    assert stage.tolist() == ref
+    # one refute per ladder step, each on its share of a search batch
+    assert sorted(c.args[0].coeffs for c in spy.call_args_list) == \
+        sorted(decided)
+    assert all(c.args[3] is not None for c in spy.call_args_list)
+    assert len(decided) > 0
+
+
 def test_projection_contains_cone_per_sample():
     ep = estimate_projection_fraction(1, 2, 3000, CFG)
     ec = estimate_cone_fraction(1, 2, 3000, CFG)
