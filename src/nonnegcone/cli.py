@@ -264,7 +264,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _search_config(rc, max_iters=120)
     try:
         report = compare_experiment(args.kind, params, rc.samples, cfg)
-    except (KeyError, AssertionError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError) as e:
         raise _InputError(f"bad parameters for {args.kind!r}: {e}")
     _emit({"report": report}, rc)
     return 0

@@ -1,21 +1,25 @@
 """Exact membership oracle for the n = 1 cone and its constructive certificates.
 
 For n = 1 the cone is exactly the polynomials nonnegative on [0, infinity).
-That is decidable in rational arithmetic: strip the power of x, check the
-boundary and leading signs, then ask whether the odd-multiplicity part has a
-root in (0, B] by a Sturm count. Before that count, a Bernstein subdivision
-certificate in Python ints settles most members far more cheaply. The same
-module produces the two kinds of certificate: a rational point with
-exactly negative value when membership fails, and a sum-of-squares
-decomposition p = f1^2 + f2^2 + x (g1^2 + g2^2) when it holds.
+That is decidable in rational arithmetic. The oracle takes float or rational
+coefficients and scales them to Python ints by one positive factor (every
+float is a dyadic rational, so nothing is rounded). On those ints it strips
+the power of x, checks the boundary and leading signs, and tries a Bernstein
+subdivision certificate, which settles most members. Only what that leaves
+is lifted to Fractions, for a Sturm count of the roots in (0, B] of the
+odd-multiplicity part. The same module produces the two kinds of
+certificate: a rational point with exactly negative value when membership
+fails, and a sum-of-squares decomposition p = f1^2 + f2^2 + x (g1^2 + g2^2)
+when it holds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -248,18 +252,25 @@ def _halves(b: list[int]) -> tuple[list[int], list[int]]:
     return left, right[::-1]
 
 
-def _bernstein_certifies(q: Sequence[Fraction]) -> bool:
+@functools.lru_cache(maxsize=64)
+def _binomial_factors(k: int) -> tuple[int, ...]:
+    """lcm_j C(k, j) / C(k, j) for j = 0..k: multiplying q_j by these turns
+    the Bernstein coefficients q_j / C(k, j) into ints."""
+    binom = [math.comb(k, j) for j in range(k + 1)]
+    lcm = math.lcm(*binom)
+    return tuple(lcm // c for c in binom)
+
+
+def _bernstein_certifies(q: Sequence[int]) -> bool:
     """True proves q >= 0 on [0, infinity); False means only "not certified".
 
-    The coefficients q_j / C(k, j) are scaled to Python ints by one positive
-    factor, and every leaf with a negative coefficient is halved, to depth
-    _CERT_DEPTH. A negative end coefficient is a negative value of q, so a
-    leaf that has one ends the search.
+    q holds integer coefficients, lowest degree first. The Bernstein
+    coefficients q_j / C(k, j), times one positive factor, are ints, and
+    every leaf with a negative coefficient is halved, to depth _CERT_DEPTH.
+    A negative end coefficient is a negative value of q, so a leaf that has
+    one ends the search.
     """
-    binom = [math.comb(len(q) - 1, j) for j in range(len(q))]
-    scale = math.lcm(*binom) * math.lcm(*(v.denominator for v in q))
-    leaves = [[v.numerator * (scale // (v.denominator * c))
-               for v, c in zip(q, binom)]]
+    leaves = [[v * f for v, f in zip(q, _binomial_factors(len(q) - 1))]]
     depth = 0
     while True:
         open_ = [b for b in leaves if min(b) < 0]
@@ -275,18 +286,37 @@ def _bernstein_certifies(q: Sequence[Fraction]) -> bool:
 # the oracle
 
 
-def is_nonneg_on_halfline(p: RationalPolynomial) -> bool:
-    """Exact test for p(x) >= 0 on all of [0, infinity). Total function.
+def _integer_coeffs(coeffs: Sequence) -> list[int]:
+    """The coefficients (floats or Fractions) times the lcm of their
+    denominators: ints with the same signs and the same real roots.
 
-    The Bernstein certificate settles most members; the Sturm count decides
-    what it leaves.
+    Raises ValueError for a coefficient that is not finite.
     """
-    c = _strip(p.coeffs)
+    try:
+        ratios = [c.as_integer_ratio() for c in coeffs]
+    except (OverflowError, ValueError):
+        raise ValueError(f"coefficients must be finite, got {list(coeffs)}")
+    scale = math.lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios]
+
+
+def is_nonneg_on_halfline(
+        p: Union[Polynomial, RationalPolynomial]) -> bool:
+    """Exact test for p(x) >= 0 on all of [0, infinity). Total function on
+    finite coefficients.
+
+    p may have float coefficients (a core.Polynomial), each taken as the
+    dyadic rational it is: the verdict is that of the exact lift, with no
+    rounding. The decision runs on integer coefficients; the Bernstein
+    certificate settles most members, and the Sturm count decides what it
+    leaves. Raises ValueError for a coefficient that is not finite.
+    """
+    c = _integer_coeffs(p.coeffs)
+    while c and c[-1] == 0:
+        c.pop()
     if not c:
         return True
-    if c[-1] < 0:
-        return False
-    if c[0] < 0:
+    if c[-1] < 0 or c[0] < 0:
         return False
     # strip the power of x; x^v >= 0 on the half-line so only q matters
     v = 0
@@ -297,7 +327,7 @@ def is_nonneg_on_halfline(p: RationalPolynomial) -> bool:
         return False
     if len(q) == 1 or _bernstein_certifies(q):
         return True
-    odd = _odd_multiplicity_part(q)
+    odd = _odd_multiplicity_part([Fraction(n) for n in q])
     if len(odd) == 1:
         return True
     chain = _sturm_chain(odd)
@@ -394,13 +424,12 @@ def _signfix(p: Polynomial) -> Polynomial:
 def polya_szego_decompose(p: Polynomial) -> SosDecomposition:
     """Write a member of the n = 1 cone as f1^2 + f2^2 + x (g1^2 + g2^2).
 
-    Membership is checked first through the exact rational oracle on the
-    (exact) lift of p. Roots come from the companion matrix; conjugate pairs
-    and paired positive real roots enter through quadratic register factors,
-    roots at or below zero through half-line atoms, composed in increasing
-    magnitude order.
+    Membership is checked first through the exact oracle. Roots come from
+    the companion matrix; conjugate pairs and paired positive real roots
+    enter through quadratic register factors, roots at or below zero
+    through half-line atoms, composed in increasing magnitude order.
     """
-    if not is_nonneg_on_halfline(RationalPolynomial.from_polynomial(p)):
+    if not is_nonneg_on_halfline(p):
         raise NotNonnegative("input is negative somewhere on [0, infinity)")
     pt = p.trimmed()
     if pt.is_zero():

@@ -27,13 +27,12 @@ the completed polynomial; for n >= 2 they skip the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import Polynomial
-from .exact import RationalPolynomial, is_nonneg_on_halfline
+from .exact import _integer_coeffs, is_nonneg_on_halfline
 from .membership import (Refuted, SearchConfig, Search, Verdict, drive,
                          prepare, refute)
 
@@ -148,22 +147,32 @@ def _sample_cfg(cfg: SearchConfig, idx: int) -> SearchConfig:
     return replace(cfg, seed=_sample_seed(cfg.seed, idx))
 
 
+def _negative_at(row: list[float], x: float) -> bool:
+    """Whether the polynomial with float coefficients row is negative at the
+    float x, exactly: with x = a / b and D > 0 the scale of _integer_coeffs,
+    b^d D p(x) is the integer Horner sum below."""
+    a, b = x.as_integer_ratio()
+    acc, b_pow = 0, 1
+    for c in reversed(_integer_coeffs(row)):
+        acc = acc * a + c * b_pow
+        b_pow *= b
+    return acc < 0
+
+
 def _grid_refuted(rows: np.ndarray) -> np.ndarray:
     """Mask of coefficient rows exactly negative at their grid minimum."""
     vals = np.polynomial.polynomial.polyval(_GRID, rows.T)
     argmins = vals.argmin(axis=1)
     out = np.zeros(rows.shape[0], dtype=bool)
     for i in np.where(vals.min(axis=1) < 0.0)[0]:
-        x = Fraction(float(_GRID[argmins[i]]))
-        out[i] = RationalPolynomial(rows[i])(x) < 0
+        out[i] = _negative_at(rows[i].tolist(), float(_GRID[argmins[i]]))
     return out
 
 
 def _halfline_stages(rows: np.ndarray) -> np.ndarray:
     """_ORACLE_INSIDE or _ORACLE_REJECTED for each coefficient row."""
-    return np.array([_ORACLE_INSIDE if is_nonneg_on_halfline(
-        RationalPolynomial(r)) else _ORACLE_REJECTED for r in rows.tolist()],
-        dtype=int)
+    return np.array([_ORACLE_INSIDE if is_nonneg_on_halfline(Polynomial(r))
+                     else _ORACLE_REJECTED for r in rows.tolist()], dtype=int)
 
 
 def _searched(items: list[tuple[Polynomial, SearchConfig]],
@@ -224,7 +233,9 @@ def estimate_cone_fraction(
     calibration against sets of known volume); its estimate has no stage
     counts.
     """
-    assert n >= 1 and k >= 0 and N >= 1
+    if not (n >= 1 and k >= 0 and N >= 1):
+        raise ValueError(f"need n >= 1, k >= 0 and N >= 1, got n={n}, k={k}, "
+                         f"N={N}")
     if cfg is None:
         cfg = SearchConfig(restarts=20, max_iters=120)
     if classifier_override is not None:
@@ -253,8 +264,7 @@ def _projection_ladder(v: np.ndarray, c_cap: float,
     stage = _ORACLE_REJECTED
     for j in range(5):                                # c_cap .. 16 c_cap
         completed = Polynomial(list(v) + [c_cap * 2.0 ** j])
-        q = RationalPolynomial.from_polynomial(completed)
-        if not is_nonneg_on_halfline(q):
+        if not is_nonneg_on_halfline(completed):
             continue    # failures below the half-line bar can heal at larger c
         verdict = yield completed, cfg
         if not isinstance(verdict, Refuted):
@@ -298,7 +308,9 @@ def estimate_projection_fraction(
         n: int, k: int, N: int, cfg: Optional[SearchConfig] = None,
         c_cap: float = 10.0, z: float = 3.0) -> VolumeEstimate:
     """Fraction of the ball whose points extend to one-degree-higher members."""
-    assert n >= 1 and k >= 2 * n and N >= 1
+    if not (n >= 1 and k >= 2 * n and N >= 1):
+        raise ValueError(f"need n >= 1, k >= 2 n and N >= 1, got n={n}, "
+                         f"k={k}, N={N}")
     if cfg is None:
         cfg = SearchConfig(restarts=20, max_iters=120)
     return _estimate(
@@ -336,7 +348,8 @@ def compare_experiment(kind: str, params: dict, N: int,
                 "note": "reported as data; a finite sweep cannot settle a limit"}
     if kind == "order":
         n_a, n_b, k = int(params["n_a"]), int(params["n_b"]), int(params["k"])
-        assert n_a < n_b
+        if not n_a < n_b:
+            raise ValueError(f"order needs n_a < n_b, got {n_a} and {n_b}")
         a = estimate_cone_fraction(n_a, k, N, cfg)
         b = estimate_cone_fraction(n_b, k, N, cfg)
         expected = "fraction decreases when the matrix order increases"
@@ -349,7 +362,8 @@ def compare_experiment(kind: str, params: dict, N: int,
     elif kind == "degree":
         n = int(params["n"])
         k_a, k_b = int(params["k_a"]), int(params["k_b"])
-        assert k_a < k_b
+        if not k_a < k_b:
+            raise ValueError(f"degree needs k_a < k_b, got {k_a} and {k_b}")
         a = estimate_cone_fraction(n, k_a, N, cfg)
         b = estimate_cone_fraction(n, k_b, N, cfg)
         expected = "fraction decreases as the degree grows"

@@ -209,6 +209,21 @@ def test_compare_bad_params(capsys):
     assert code == 2 and doc is None
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("order", '{"n_a":2,"n_b":1,"k":2}'),
+    ("degree", '{"n":1,"k_a":3,"k_b":2}'),
+    ("projection", '{"n":1,"k":1}'),
+])
+def test_compare_bad_params_rejected_under_optimize(kind, params):
+    # python -O strips assert statements; the parameter checks must stay
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "nonnegcone.cli", "compare", kind,
+         params, "--samples", "5", "--restarts", "1"],
+        capture_output=True, text=True, timeout=60, env=src_env())
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
 def test_no_partial_output_on_error(capsys, tmp_path):
     out = tmp_path / "never.json"
     code, _, _ = run_cli(capsys, "check", "[oops", "--n", "1",

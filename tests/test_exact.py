@@ -1,5 +1,6 @@
 """Exact half-line oracle, rational witnesses, and the SOS construction."""
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,7 @@ from nonnegcone.exact import (
     NotNonnegative,
     RationalPolynomial,
     _bernstein_certifies,
+    _integer_coeffs,
     is_nonneg_on_halfline,
     polya_szego_decompose,
     refute_halfline,
@@ -131,7 +133,7 @@ def _sturm_only(q: RationalPolynomial) -> bool:
 @example(coeffs=[20, -20, 20, -20, 20, -20, 20, -20, 20], scale=8e306)
 def test_certificate_is_never_wrong(coeffs, scale):
     q = RationalPolynomial([c * scale for c in coeffs])
-    certified = _bernstein_certifies(q.coeffs)
+    certified = _bernstein_certifies(_integer_coeffs(q.coeffs))
     verdict = _sturm_only(q)
     assert verdict or not certified
     assert is_nonneg_on_halfline(q) == verdict
@@ -144,13 +146,14 @@ def test_certificate_is_never_wrong(coeffs, scale):
 def test_certificate_exact_at_extreme_magnitudes():
     for row in EXTREME_NON_MEMBERS:
         q = RationalPolynomial(row)
-        assert not _bernstein_certifies(q.coeffs)
+        assert not _bernstein_certifies(_integer_coeffs(q.coeffs))
         assert not is_nonneg_on_halfline(q)
+        assert not is_nonneg_on_halfline(Polynomial(row))
 
 
 def test_certificate_edge_cases():
     def certifies(*coeffs):
-        return _bernstein_certifies(rp(*coeffs).coeffs)
+        return _bernstein_certifies(_integer_coeffs(rp(*coeffs).coeffs))
     assert certifies(1, -1.9, 1) and not certifies(1, -2.1, 1)
     assert certifies(0, 0, 0) and certifies(2) and not certifies(-2)
     assert certifies(-0.0, 0, 1) and certifies(0, 1, 0)
@@ -158,6 +161,55 @@ def test_certificate_edge_cases():
     # it; (x - 2)^2 touches at y = 2/3, which no depth reaches
     assert certifies(1, -2, 1)
     assert not certifies(4, -4, 1) and is_nonneg_on_halfline(rp(4, -4, 1))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(coeffs=st.lists(st.integers(-20, 20) | st.just(-0.0),
+                       min_size=1, max_size=9),
+       scale=st.sampled_from([1.0, 1e300, 8e306, 1e-300, 2.0 ** -1074]))
+@example(coeffs=[-0.0, 1, -2, 1], scale=1.0)    # -0.0 at a_0
+@example(coeffs=[0, 0, 4, -4, 1], scale=1e300)  # zeros at a_0, a_1
+@example(coeffs=[4, -4, 1, 0, -0.0], scale=2.0 ** -1074)  # trailing zeros
+@example(coeffs=[1, -3, 3, -1], scale=1e-300)   # -(x - 1)^3
+def test_float_rows_decided_as_their_rational_lift(coeffs, scale):
+    row = [c * scale for c in coeffs]
+    verdict = is_nonneg_on_halfline(Polynomial(row))
+    assert verdict == is_nonneg_on_halfline(RationalPolynomial(row))
+    if scale == 1.0:
+        assert _sympy_nonneg(coeffs) == verdict
+
+
+def test_integer_coeffs_keep_ratios():
+    row = [0.1, -0.0, 2.0 ** -1074, -3.0, 1e300]
+    ints = _integer_coeffs(row)
+    assert all(isinstance(v, int) for v in ints)
+    # one positive scale: every int is its coefficient times the same D
+    scale = Fraction(ints[0]) / Fraction(row[0])
+    assert scale > 0
+    assert [Fraction(v) for v in ints] == [Fraction(c) * scale for c in row]
+    assert _integer_coeffs([Fraction(1, 6), Fraction(-3, 4), 0]) == [2, -9, 0]
+
+
+def test_certified_float_row_builds_no_fraction():
+    never = mock.Mock(side_effect=AssertionError("Fraction built"))
+    with mock.patch.object(exact, "Fraction", never):
+        assert is_nonneg_on_halfline(Polynomial([1.0, -1.9, 1.0]))
+        assert is_nonneg_on_halfline(Polynomial([0.0, 0.0, 2.0, -1.0, 1.0]))
+        assert not is_nonneg_on_halfline(Polynomial([1.0, 0.0, -1.0]))
+        assert not is_nonneg_on_halfline(Polynomial([0.0, -1.0, 1.0]))
+        # (x - 2)^2 is left to the Sturm count, which works on Fractions
+        with pytest.raises(AssertionError, match="Fraction built"):
+            is_nonneg_on_halfline(Polynomial([4.0, -4.0, 1.0]))
+    never.assert_called()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_oracle_rejects_non_finite_coefficients(bad, where):
+    row = [1.0, -1.0, 1.0]
+    row[where] = bad
+    with pytest.raises(ValueError, match="finite"):
+        is_nonneg_on_halfline(Polynomial(row))
 
 
 def test_json_roundtrip():

@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -24,8 +25,11 @@ from nonnegcone.volume import (
 )
 from nonnegcone.volume import (
     _INSIDE,
+    _GRID,
     _ball_chunks,
     _classify_rows,
+    _grid_refuted,
+    _negative_at,
     _projection_rows,
 )
 
@@ -98,6 +102,23 @@ def test_inclusion_consistency_shared_samples():
     in2 = _INSIDE[_classify_rows(rows, 2, 4, small, 0)]
     assert np.all(~in2 | in1)
     assert in2.sum() <= in1.sum()
+
+
+def test_integer_grid_sign_matches_fraction_evaluation():
+    rng = np.random.default_rng(8)
+    rows = [rng.standard_normal(int(rng.integers(1, 8))) * scale
+            for scale in (1.0, 1e300, 1e-300, 1e-315) for _ in range(25)]
+    rows += [[5e-324, -5e-324, 0.0], [-0.0, -5e-324], [-5e-324, 1.0],
+             [0.0], [-0.0, 0.0, 1e-320]]
+    grid = _GRID.tolist()
+    assert grid[0] == 0.0
+    for row in rows:
+        row = [float(c) for c in row]
+        rational = RationalPolynomial(row)
+        for x in grid:
+            assert _negative_at(row, x) == (rational(Fraction(x)) < 0)
+    # a row negative only at x = 0 of the grid is refuted there
+    assert _grid_refuted(np.array([[-1e-300, 1.0, 1.0]])).tolist() == [True]
 
 
 def _oracle_inside(rows: np.ndarray) -> list:
