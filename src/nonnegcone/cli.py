@@ -14,7 +14,6 @@ polynomial proved negative only beyond the float range.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -58,22 +57,9 @@ from .volume import (
 )
 
 ENV_SEED = "NONNEG_CONE_SEED"
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to replay a command, echoed into every artifact."""
-
-    command: str
-    seed: int
-    restarts: int
-    samples: int
-    tol: float
-    out: Optional[str]
-    params: dict
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
+# the options that subcommands share, in run_config order; each subcommand
+# defines only those it reads
+_OPTIONS = ("seed", "restarts", "samples", "tol", "out")
 
 
 def _resolve_seed(arg_seed: Optional[int]) -> int:
@@ -83,23 +69,27 @@ def _resolve_seed(arg_seed: Optional[int]) -> int:
     if env is not None:
         try:
             return int(env)
-        except ValueError as e:
-            raise SystemExit(f"error: {ENV_SEED} is not an integer: {env!r}")
+        except ValueError:
+            raise _InputError(f"{ENV_SEED} is not an integer: {env!r}")
     return 0
 
 
-def _run_config(args: argparse.Namespace, command: str, params: dict,
-                default_restarts: int) -> RunConfig:
-    seed = _resolve_seed(args.seed)
-    restarts = args.restarts if args.restarts is not None else default_restarts
-    return RunConfig(command=command, seed=seed, restarts=restarts,
-                     samples=args.samples, tol=args.tol, out=args.out,
-                     params=params)
+def _run_config(args: argparse.Namespace, command: str, params: dict) -> dict:
+    """Everything needed to replay a command, echoed into every artifact:
+    the command, the shared options it defines, the seed resolved, and
+    params."""
+    given = vars(args)
+    rc = {"command": command,
+          **{name: given[name] for name in _OPTIONS if name in given},
+          "params": params}
+    if "seed" in rc:
+        rc["seed"] = _resolve_seed(rc["seed"])
+    return rc
 
 
-def _search_config(rc: RunConfig, max_iters: int = 200) -> SearchConfig:
-    return SearchConfig(restarts=rc.restarts, max_iters=max_iters,
-                        confirm_tol=rc.tol, seed=rc.seed)
+def _search_config(rc: dict, max_iters: int = 200) -> SearchConfig:
+    return SearchConfig(restarts=rc["restarts"], max_iters=max_iters,
+                        confirm_tol=rc["tol"], seed=rc["seed"])
 
 
 def _parse_json_arg(text: str, what: str):
@@ -116,11 +106,16 @@ def _parse_json_arg(text: str, what: str):
         raise _InputError(f"malformed {what} JSON: {e}")
 
 
+def _is_number(v) -> bool:
+    """Whether a parsed JSON value is a number (bool is not)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_poly(text: str) -> Polynomial:
     data = _parse_json_arg(text, "polynomial")
     if not isinstance(data, list) or not data or \
-            not all(isinstance(c, (int, float)) and
-                    abs(c) <= sys.float_info.max for c in data):
+            not all(_is_number(c) and abs(c) <= sys.float_info.max
+                    for c in data):
         raise _InputError("polynomial must be a nonempty JSON array of "
                           "finite numbers, constant term first")
     return Polynomial(data)
@@ -129,8 +124,12 @@ def _parse_poly(text: str) -> Polynomial:
 def _parse_matrix(text: str) -> np.ndarray:
     data = _parse_json_arg(text, "matrix")
     try:
+        if not (isinstance(data, list) and
+                all(isinstance(row, list) and all(map(_is_number, row))
+                    for row in data)):
+            raise ValueError
         a = np.array(data, dtype=float)
-    except (ValueError, TypeError, OverflowError):
+    except (ValueError, OverflowError):
         raise _InputError("matrix must be a JSON array of equal-length "
                           "numeric rows")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -174,12 +173,12 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(payload: dict, rc: RunConfig, extra_files: Optional[dict] = None) -> None:
+def _emit(payload: dict, rc: dict, extra_files: Optional[dict] = None) -> None:
     """Print the artifact and persist it (plus side files) atomically."""
-    payload = {"run_config": rc.to_json_dict(), **payload}
+    payload = {"run_config": rc, **payload}
     text = json.dumps(payload, indent=2) + "\n"
-    if rc.out:
-        _write_atomic(rc.out, text)
+    if rc["out"]:
+        _write_atomic(rc["out"], text)
     for path, body in (extra_files or {}).items():
         _write_atomic(path, body)
     sys.stdout.write(text)
@@ -193,8 +192,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     p = _parse_poly(args.poly)
     if p.is_zero():
         raise _InputError("check needs a nonzero polynomial")
-    rc = _run_config(args, "check", {"poly": list(p.coeffs), "n": args.n},
-                     default_restarts=50)
+    rc = _run_config(args, "check", {"poly": list(p.coeffs), "n": args.n})
     cfg = _search_config(rc)
     flags = [{"kind": kind, "degree": deg}
              for kind, deg in necessary_conditions(p, args.n)]
@@ -211,8 +209,7 @@ def cmd_maxt(args: argparse.Namespace) -> int:
     spec = _family_spec(args)
     rc = _run_config(args, "maxt",
                      {"family": spec_to_json_dict(spec), "t_hi": args.t_hi,
-                      "width": args.width, "n": spec.n},
-                     default_restarts=50)
+                      "width": args.width, "n": spec.n})
     cfg = _search_config(rc)
     probes: list = []
     try:
@@ -224,8 +221,8 @@ def cmd_maxt(args: argparse.Namespace) -> int:
     trace_rows = "\n".join(["t,refuted"] +
                            [f"{t!r},{int(hit)}" for t, hit in probes]) + "\n"
     extra = {}
-    if rc.out:
-        extra[os.path.splitext(rc.out)[0] + ".trace.csv"] = trace_rows
+    if rc["out"]:
+        extra[os.path.splitext(rc["out"])[0] + ".trace.csv"] = trace_rows
     payload = {
         "interval": [lo, hi],
         "width": hi - lo,
@@ -238,19 +235,19 @@ def cmd_maxt(args: argparse.Namespace) -> int:
 def cmd_volume(args: argparse.Namespace) -> int:
     rc = _run_config(args, "volume",
                      {"n": args.n, "k": args.k, "projection": args.projection,
-                      "c_cap": args.c_cap, "z": args.z},
-                     default_restarts=20)
+                      "c_cap": args.c_cap, "z": args.z})
     cfg = _search_config(rc, max_iters=120)
     if args.projection:
         if args.k < 2 * args.n:
             raise _InputError("--projection needs --k >= 2 n")
-        est = estimate_projection_fraction(args.n, args.k, rc.samples, cfg,
+        est = estimate_projection_fraction(args.n, args.k, rc["samples"], cfg,
                                            c_cap=args.c_cap, z=args.z)
     else:
-        est = estimate_cone_fraction(args.n, args.k, rc.samples, cfg, z=args.z)
+        est = estimate_cone_fraction(args.n, args.k, rc["samples"], cfg,
+                                     z=args.z)
     extra = {}
-    if rc.out:
-        extra[os.path.splitext(rc.out)[0] + ".csv"] = estimates_csv([est])
+    if rc["out"]:
+        extra[os.path.splitext(rc["out"])[0] + ".csv"] = estimates_csv([est])
     _emit({"estimate": est.to_json_dict()}, rc, extra)
     return 0
 
@@ -259,11 +256,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     params = _parse_json_arg(args.params, "experiment parameters")
     if not isinstance(params, dict):
         raise _InputError("experiment parameters must be a JSON object")
-    rc = _run_config(args, "compare", {"kind": args.kind, **params},
-                     default_restarts=20)
+    rc = _run_config(args, "compare", {"kind": args.kind, **params})
     cfg = _search_config(rc, max_iters=120)
     try:
-        report = compare_experiment(args.kind, params, rc.samples, cfg)
+        report = compare_experiment(args.kind, params, rc["samples"], cfg)
     except (KeyError, ValueError, TypeError) as e:
         raise _InputError(f"bad parameters for {args.kind!r}: {e}")
     _emit({"report": report}, rc)
@@ -276,8 +272,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
     u = _parse_poly(args.u)
     rc = _run_config(args, "slice",
                      {"p": list(p.coeffs), "q": list(q.coeffs),
-                      "u": list(u.coeffs), "n": args.n, "grid": args.grid},
-                     default_restarts=50)
+                      "u": list(u.coeffs), "n": args.n, "grid": args.grid})
     cfg = _search_config(rc)
     try:
         tr = trace_slice(p, q, u, args.n, args.grid, cfg)
@@ -295,8 +290,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 def cmd_family(args: argparse.Namespace) -> int:
     spec = _family_spec(args)
-    rc = _run_config(args, "family", {"family": spec_to_json_dict(spec)},
-                     default_restarts=50)
+    rc = _run_config(args, "family", {"family": spec_to_json_dict(spec)})
     p = build(spec)
     _emit({"coefficients": list(p.coeffs), "degree": p.degree()}, rc)
     return 0
@@ -304,8 +298,7 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     p = _parse_poly(args.poly)
-    rc = _run_config(args, "decompose", {"poly": list(p.coeffs)},
-                     default_restarts=50)
+    rc = _run_config(args, "decompose", {"poly": list(p.coeffs)})
     try:
         dec = polya_szego_decompose(p)
     except NotNonnegative as e:
@@ -327,8 +320,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     a = _parse_matrix(args.matrix)
-    rc = _run_config(args, "normalize", {"matrix": a.tolist()},
-                     default_restarts=50)
+    rc = _run_config(args, "normalize", {"matrix": a.tolist()})
     try:
         dec = perron_normalize(a)
     except NonPositiveInput as e:
@@ -372,15 +364,21 @@ _NONNEG_FLOAT = _checked(float, lambda v: 0.0 <= v < math.inf,
                          "a finite number >= 0")
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"RNG seed (fallback: ${ENV_SEED}, then 0)")
-    sp.add_argument("--restarts", type=_POS_INT, default=None,
-                    help="search restarts per membership query")
-    sp.add_argument("--samples", type=_POS_INT, default=10000,
-                    help="Monte Carlo sample count")
-    sp.add_argument("--tol", type=_NONNEG_FLOAT, default=1e-9,
-                    help="witness confirmation threshold")
+def _add_options(sp: argparse.ArgumentParser, restarts: Optional[int] = None,
+                 samples: bool = False) -> None:
+    """--out; given a restarts default, the search options --seed,
+    --restarts and --tol; with samples, --samples."""
+    if restarts is not None:
+        sp.add_argument("--seed", type=int, default=None,
+                        help=f"RNG seed (fallback: ${ENV_SEED}, then 0)")
+        sp.add_argument("--restarts", type=_POS_INT, default=restarts,
+                        help="search restarts per membership query "
+                             "(default: %(default)s)")
+        sp.add_argument("--tol", type=_NONNEG_FLOAT, default=1e-9,
+                        help="witness confirmation threshold")
+    if samples:
+        sp.add_argument("--samples", type=_POS_INT, default=10000,
+                        help="Monte Carlo sample count")
     sp.add_argument("--out", type=str, default=None,
                     help="write the JSON artifact here (atomically)")
 
@@ -402,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="test one polynomial for membership")
     sp.add_argument("poly", help="JSON coefficient array or @file")
     sp.add_argument("--n", type=_POS_INT, required=True, help="matrix order")
-    _add_common(sp)
+    _add_options(sp, restarts=50)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("maxt", help="bisect the largest safe family weight")
@@ -411,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="upper end of the bisection bracket")
     sp.add_argument("--width", type=_POS_FLOAT, default=0.01,
                     help="target bracket width")
-    _add_common(sp)
+    _add_options(sp, restarts=50)
     # t comes from the bisection; the spec is built at the default weight
     sp.set_defaults(fn=cmd_maxt, t=2.0)
 
@@ -424,14 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c-cap", type=_POS_FLOAT, default=10.0,
                     help="projection completion coefficient cap")
     sp.add_argument("--z", type=_POS_FLOAT, default=3.0, help="CI z level")
-    _add_common(sp)
+    _add_options(sp, restarts=20, samples=True)
     sp.set_defaults(fn=cmd_volume)
 
     sp = sub.add_parser("compare", help="paired fraction experiments")
     sp.add_argument("kind", choices=["order", "projection", "degree", "trend"])
     sp.add_argument("params", help="JSON parameter object, e.g. "
                     '\'{"n_a":1,"n_b":2,"k":4}\'')
-    _add_common(sp)
+    _add_options(sp, restarts=20, samples=True)
     sp.set_defaults(fn=cmd_compare)
 
     sp = sub.add_parser("slice", help="trace the boundary along a segment")
@@ -441,25 +439,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_POS_INT, required=True, help="matrix order")
     sp.add_argument("--grid", type=_POS_INT, default=9,
                     help="number of interior segment points")
-    _add_common(sp)
+    _add_options(sp, restarts=50)
     sp.set_defaults(fn=cmd_slice)
 
     sp = sub.add_parser("family", help="print family coefficients")
     _add_family_args(sp)
     sp.add_argument("--t", type=float, default=2.0, help="center weight")
-    _add_common(sp)
+    _add_options(sp)
     sp.set_defaults(fn=cmd_family)
 
     sp = sub.add_parser("decompose",
                         help="two-square certificate for a half-line member")
     sp.add_argument("poly", help="JSON coefficient array or @file")
-    _add_common(sp)
+    _add_options(sp)
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("normalize",
                         help="Perron scaling of a positive matrix")
     sp.add_argument("matrix", help="JSON row-major square matrix or @file")
-    _add_common(sp)
+    _add_options(sp)
     sp.set_defaults(fn=cmd_normalize)
 
     return ap

@@ -67,14 +67,6 @@ class RationalPolynomial:
         """Exact lift: every binary float is a rational, no rounding occurs."""
         return RationalPolynomial([Fraction(c) for c in p.coeffs])
 
-    def to_json_list(self) -> list[str]:
-        """Serialized as "num/den" strings, lowest degree first."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @staticmethod
-    def from_json_list(items: Sequence[str]) -> "RationalPolynomial":
-        return RationalPolynomial([Fraction(s) for s in items])
-
 
 @dataclass(frozen=True)
 class SosDecomposition:

@@ -78,29 +78,27 @@ class Witness:
                        int(d["i"]), int(d["j"]), float(d["value"]))
 
 
+# the range of log rho that the search clips to, and the Dirichlet
+# concentrations of the restart start modes before the permutation mode
+_RHO_LOG_RANGE = (-10.0, 10.0)
+_CONCENTRATIONS = (0.05, 0.3, 1.0)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 50
     max_iters: int = 200
-    rho_log_range: tuple[float, float] = (-10.0, 10.0)
-    concentrations: tuple[float, ...] = (0.05, 0.3, 1.0)
     confirm_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if not self.restarts >= 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        lo, hi = self.rho_log_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError("rho_log_range must be finite with lo < hi, got "
-                             f"{self.rho_log_range}")
 
     def to_json_dict(self) -> dict:
         return {
             "restarts": self.restarts,
             "max_iters": self.max_iters,
-            "rho_log_range": list(self.rho_log_range),
-            "concentrations": list(self.concentrations),
             "confirm_tol": self.confirm_tol,
             "seed": self.seed,
         }
@@ -110,8 +108,6 @@ class SearchConfig:
         return SearchConfig(
             restarts=int(d["restarts"]),
             max_iters=int(d["max_iters"]),
-            rho_log_range=tuple(d["rho_log_range"]),
-            concentrations=tuple(d["concentrations"]),
             confirm_tol=float(d["confirm_tol"]),
             seed=int(d["seed"]),
         )
@@ -214,15 +210,14 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _unpack(x: np.ndarray, n: int,
-            rho_log_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(s, rho) at a search point x, or at each point of a (..., n(n-1) + 1)
     stack."""
     lead = x.shape[:-1]
     free = x[..., : n * (n - 1)].reshape(lead + (n, n - 1))
     logits = np.concatenate([free, np.zeros(lead + (n, 1))], axis=-1)
     logits = np.clip(logits, -40.0, 40.0)
-    tau = np.clip(x[..., -1], *rho_log_range)
+    tau = np.clip(x[..., -1], *_RHO_LOG_RANGE)
     return _softmax_rows(logits), np.exp(tau)
 
 
@@ -302,10 +297,9 @@ def _monotone_witness(p: Polynomial, n: int,
 
 def _restart_start(n: int, cfg: SearchConfig, r: int) -> np.ndarray:
     rng = np.random.default_rng([cfg.seed & 0xFFFFFFFFFFFFFFFF, r])
-    modes = len(cfg.concentrations) + 1
-    mode = r % modes
-    if mode < len(cfg.concentrations):
-        conc = cfg.concentrations[mode]
+    mode = r % (len(_CONCENTRATIONS) + 1)
+    if mode < len(_CONCENTRATIONS):
+        conc = _CONCENTRATIONS[mode]
         rows = rng.dirichlet(np.full(n, conc), size=n)
         rows = np.clip(rows, 1e-12, None)
         logits = np.log(rows)
@@ -357,7 +351,7 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     def f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Objective at x[m, v] for restart rows[m]; each restart's lowest
         point is tracked in evaluation order, v ascending."""
-        s, rho = _unpack(x, n, cfg.rho_log_range)
+        s, rho = _unpack(x, n)
         # a lone polynomial is one row for the whole stack
         poly = coef[0] if len(coef) == 1 else coef[rows // cfg.restarts, None]
         val = min_entry(eval_matrix(poly, rho[..., None, None] * s))[0]
@@ -478,8 +472,7 @@ def refute(p: Polynomial, n: int, cfg: SearchConfig,
         prepared = prepare([p], n, [cfg])[0]
     if prepared.witness is not None:
         return Refuted(prepared.witness)
-    vals, w = _witness(p, *_unpack(prepared.lowest, n, cfg.rho_log_range),
-                       cfg)
+    vals, w = _witness(p, *_unpack(prepared.lowest, n), cfg)
     if w is not None:
         return Refuted(w)
     # the lowest value seen, ignoring NaN

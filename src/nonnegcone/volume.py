@@ -37,6 +37,8 @@ from .membership import (Refuted, SearchConfig, Search, Verdict, drive,
                          prepare, refute)
 
 _CHUNK = 4096
+# the search budget of an estimate given no config
+_DEFAULT_CFG = SearchConfig(restarts=20, max_iters=120)
 _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
                         np.geomspace(2.5, 1000.0, 32)])
 
@@ -65,16 +67,14 @@ class VolumeEstimate:
     bias: str                  # "Exact" or "UpperBiased"
     cfg: SearchConfig
     seed: int
-    # samples decided at each of STAGES; None under a classifier_override
-    stages: Optional[dict[str, int]] = None
+    stages: dict[str, int]     # samples decided at each of STAGES
 
     def __post_init__(self):
         assert self.n_inside + self.n_refuted == self.n_samples
-        if self.stages is not None:
-            assert tuple(self.stages) == STAGES
-            assert sum(self.stages.values()) == self.n_samples
-            assert sum(v for v, inside in zip(self.stages.values(), _INSIDE)
-                       if inside) == self.n_inside
+        assert tuple(self.stages) == STAGES
+        assert sum(self.stages.values()) == self.n_samples
+        assert sum(v for v, inside in zip(self.stages.values(), _INSIDE)
+                   if inside) == self.n_inside
         assert 0.0 <= self.ci_low <= self.fraction + 1e-15
         assert self.fraction <= self.ci_high + 1e-15 and self.ci_high <= 1.0
 
@@ -112,20 +112,10 @@ def wilson_interval(inside: int, total: int, z: float) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def sample_ball(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform point in the closed unit ball: Gaussian direction, U^(1/dim)."""
-    assert dim >= 1
-    g = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0:
-        return np.zeros(dim)
-    r = float(rng.random()) ** (1.0 / dim)
-    return (r / norm) * g
-
-
 def _ball_chunks(dim: int, total: int, seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Deterministic chunked sample stream; chunk c depends only on (seed, c),
-    so a given sample index yields the same point for any total."""
+    """Deterministic chunked stream of points uniform in the closed unit
+    ball (Gaussian direction, radius U^(1/dim)); chunk c depends only on
+    (seed, c), so a given sample index yields the same point for any total."""
     n_chunks = -(-total // _CHUNK)
     for c in range(n_chunks):
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, c])
@@ -169,12 +159,6 @@ def _grid_refuted(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _halfline_stages(rows: np.ndarray) -> np.ndarray:
-    """_ORACLE_INSIDE or _ORACLE_REJECTED for each coefficient row."""
-    return np.array([_ORACLE_INSIDE if is_nonneg_on_halfline(Polynomial(r))
-                     else _ORACLE_REJECTED for r in rows.tolist()], dtype=int)
-
-
 def _searched(items: list[tuple[Polynomial, SearchConfig]],
               n: int) -> list[Verdict]:
     """The verdicts of a batch of (polynomial, config) searches, n >= 2: one
@@ -197,7 +181,8 @@ def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
     hit = _grid_refuted(rows[sub])
     stage[sub[hit]] = _GRID_HIT
     sub = sub[~hit]
-    stage[sub] = _halfline_stages(rows[sub])
+    stage[sub] = [_ORACLE_INSIDE if is_nonneg_on_halfline(Polynomial(r))
+                  else _ORACLE_REJECTED for r in rows[sub].tolist()]
     sub = np.flatnonzero(_INSIDE[stage])
     if n >= 2 and sub.size:
         verdicts = _searched([(Polynomial(rows[i]),
@@ -225,26 +210,13 @@ def _estimate(classify: Callable[[np.ndarray, int], np.ndarray], n: int,
 
 def estimate_cone_fraction(
         n: int, k: int, N: int, cfg: Optional[SearchConfig] = None,
-        classifier_override: Optional[Callable[[np.ndarray], bool]] = None,
         z: float = 3.0) -> VolumeEstimate:
-    """Fraction of the unit coefficient ball inside the order-n degree-k cone.
-
-    classifier_override replaces the whole membership pipeline (used for
-    calibration against sets of known volume); its estimate has no stage
-    counts.
-    """
+    """Fraction of the unit coefficient ball inside the order-n degree-k cone."""
     if not (n >= 1 and k >= 0 and N >= 1):
         raise ValueError(f"need n >= 1, k >= 0 and N >= 1, got n={n}, k={k}, "
                          f"N={N}")
     if cfg is None:
-        cfg = SearchConfig(restarts=20, max_iters=120)
-    if classifier_override is not None:
-        n_inside = sum(bool(classifier_override(r))
-                       for _, rows in _ball_chunks(k + 1, N, cfg.seed)
-                       for r in rows)
-        lo, hi = wilson_interval(n_inside, N, z)
-        return VolumeEstimate(n, k, k + 1, N, n_inside, N - n_inside,
-                              n_inside / N, lo, hi, z, "Exact", cfg, cfg.seed)
+        cfg = _DEFAULT_CFG
     return _estimate(lambda rows, start: _classify_rows(rows, n, k, cfg, start),
                      n, k, N, cfg, z)
 
@@ -281,26 +253,21 @@ def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
 
     For n >= 2 the ladders of all rows advance in shared rounds, each round
     one search batch. For n = 1 the completion at the top of the ladder,
-    16 c_cap, alone is decisive and exact, and goes through the grid and the
-    oracle.
+    16 c_cap, alone is decisive and exact, and is classified as a
+    degree-(k+1) row.
     """
+    if n == 1:
+        return _classify_rows(
+            np.concatenate([rows, np.full((rows.shape[0], 1), 16.0 * c_cap)],
+                           axis=1), 1, k + 1, cfg, start_idx)
+    # completed high block includes positions k+2-n..k of v
+    bad = ((rows[:, :n] < 0.0).any(axis=1)
+           | (rows[:, k + 2 - n:] < 0.0).any(axis=1))
     stage = np.full(rows.shape[0], _SIGN)
-    bad = (rows[:, :n] < 0.0).any(axis=1)
-    if n >= 2:
-        # completed high block includes positions k+2-n..k of v
-        bad |= (rows[:, k + 2 - n:] < 0.0).any(axis=1)
-        sub = np.flatnonzero(~bad).tolist()
-        stage[sub] = drive(
-            [_projection_ladder(rows[i], c_cap,
-                                _sample_cfg(cfg, start_idx + i))
-             for i in sub], lambda items: _searched(items, n))
-        return stage
-    sub = np.flatnonzero(~bad)
-    completed = np.concatenate(
-        [rows[sub], np.full((sub.size, 1), 16.0 * c_cap)], axis=1)
-    hit = _grid_refuted(completed)
-    stage[sub[hit]] = _GRID_HIT
-    stage[sub[~hit]] = _halfline_stages(completed[~hit])
+    sub = np.flatnonzero(~bad).tolist()
+    stage[sub] = drive(
+        [_projection_ladder(rows[i], c_cap, _sample_cfg(cfg, start_idx + i))
+         for i in sub], lambda items: _searched(items, n))
     return stage
 
 
@@ -312,7 +279,7 @@ def estimate_projection_fraction(
         raise ValueError(f"need n >= 1, k >= 2 n and N >= 1, got n={n}, "
                          f"k={k}, N={N}")
     if cfg is None:
-        cfg = SearchConfig(restarts=20, max_iters=120)
+        cfg = _DEFAULT_CFG
     return _estimate(
         lambda rows, start: _projection_rows(rows, n, k, cfg, start, c_cap),
         n, k, N, cfg, z)
@@ -332,7 +299,7 @@ def compare_experiment(kind: str, params: dict, N: int,
     the intervals overlap.
     """
     if cfg is None:
-        cfg = SearchConfig(restarts=20, max_iters=120)
+        cfg = _DEFAULT_CFG
     if kind == "trend":
         n = int(params["n"])
         ks = [int(k) for k in params["ks"]]

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nonnegcone import volume
 from nonnegcone.cli import main as cli_main
 from nonnegcone.core import Polynomial, perron_normalize
 from nonnegcone.exact import (
@@ -290,12 +291,18 @@ def test_acceptance_07_perron_normalization():
 def test_acceptance_08_volume_calibration():
     cfg = SearchConfig(restarts=20, max_iters=120, seed=0)
 
-    full = estimate_cone_fraction(1, 3, 100000, cfg,
-                                  classifier_override=lambda v: True)
+    def inside_where(mask_of_rows):
+        return lambda rows, start: np.where(
+            mask_of_rows(rows), volume._ORACLE_INSIDE, volume._SIGN)
+
+    full = volume._estimate(
+        inside_where(lambda rows: np.ones(len(rows), bool)),
+        1, 3, 100000, cfg, 3.0)
     assert full.fraction == 1.0
 
-    orthant = estimate_cone_fraction(
-        1, 3, 100000, cfg, classifier_override=lambda v: bool((v >= 0).all()))
+    orthant = volume._estimate(
+        inside_where(lambda rows: (rows >= 0).all(axis=1)),
+        1, 3, 100000, cfg, 3.0)
     p = 2.0 ** (-4)
     sigma = np.sqrt(p * (1 - p) / 100000)
     assert abs(orthant.fraction - p) <= 3 * sigma

@@ -97,6 +97,13 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert doc["run_config"]["seed"] == 5
 
 
+def test_seed_env_not_an_integer_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NONNEG_CONE_SEED", "abc")
+    code, doc, err = run_cli(capsys, "check", "[1,1]", "--n", "1")
+    assert code == 2 and doc is None
+    assert "NONNEG_CONE_SEED" in err
+
+
 def test_volume_artifacts(capsys, tmp_path):
     out = tmp_path / "vol.json"
     code, doc, _ = run_cli(capsys, "volume", "--n", "1", "--k", "2",
@@ -283,11 +290,52 @@ MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
     ("maxt", "alpha", "--n", "2", "--t-hi", "1e300"),
     ("check", "[1,1e300,-1e-300]", "--n", "1"),
     ("check", "[0,-1,1e300]", "--n", "1"),
+    ("check", "[true,false,1]", "--n", "1"),
+    ("normalize", '[["1","2"],[true,4]]'),
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_hostile_input_is_a_usage_error(capsys, argv):
     code, out, err = usage_exit(capsys, *argv)
     assert code == 2 and out == ""
     assert err and "Traceback" not in err
+
+
+# a short call of each subcommand, and the shared options it reads, in
+# run_config order
+SUBCOMMANDS = {
+    "check": (("check", "[1,1]", "--n", "1"),
+              ("seed", "restarts", "tol", "out")),
+    "maxt": (MAXT + ("--width", "0.5"), ("seed", "restarts", "tol", "out")),
+    "volume": (("volume", "--n", "1", "--k", "2", "--samples", "50"),
+               ("seed", "restarts", "samples", "tol", "out")),
+    "compare": (("compare", "degree", '{"n":1,"k_a":2,"k_b":3}',
+                 "--samples", "50"),
+                ("seed", "restarts", "samples", "tol", "out")),
+    "slice": (("slice", "[1]", "[1]", "[0,1]", "--n", "1", "--grid", "1"),
+              ("seed", "restarts", "tol", "out")),
+    "family": (("family", "loewy", "--n", "1", "--m", "1", "--s", "0"),
+               ("out",)),
+    "decompose": (("decompose", "[1,0,1]"), ("out",)),
+    "normalize": (("normalize", "[[1,2],[3,4]]"), ("out",)),
+}
+SHARED_OPTIONS = {"seed": "9", "restarts": "3", "samples": "5", "tol": "0.5",
+                  "out": "never.json"}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_run_config_holds_the_options_read(capsys, command):
+    argv, read = SUBCOMMANDS[command]
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert list(doc["run_config"]) == ["command", *read, "params"]
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command, (_, read) in sorted(SUBCOMMANDS.items())
+    for option in SHARED_OPTIONS if option not in read])
+def test_option_not_read_is_rejected(capsys, command, option):
+    argv = SUBCOMMANDS[command][0] + (f"--{option}", SHARED_OPTIONS[option])
+    code, out, _ = usage_exit(capsys, *argv)
+    assert code == 2 and out == ""
 
 
 def test_module_entrypoint_subprocess():

@@ -212,13 +212,6 @@ def test_oracle_rejects_non_finite_coefficients(bad, where):
         is_nonneg_on_halfline(Polynomial(row))
 
 
-def test_json_roundtrip():
-    q = rp(1, Fraction(-5, 2), 0, 3)
-    items = q.to_json_list()
-    assert items == ["1/1", "-5/2", "0/1", "3/1"]
-    assert RationalPolynomial.from_json_list(items) == q
-
-
 def test_polya_szego_examples():
     d = polya_szego_decompose(Polynomial([0.0, 1.0]))
     assert d.f1.is_zero() and d.f2.is_zero() and d.g2.is_zero()

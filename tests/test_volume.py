@@ -20,14 +20,16 @@ from nonnegcone.volume import (
     estimate_projection_fraction,
     estimates_csv,
     compare_experiment,
-    sample_ball,
     wilson_interval,
 )
 from nonnegcone.volume import (
     _INSIDE,
     _GRID,
+    _ORACLE_INSIDE,
+    _SIGN,
     _ball_chunks,
     _classify_rows,
+    _estimate,
     _grid_refuted,
     _negative_at,
     _projection_rows,
@@ -36,19 +38,18 @@ from nonnegcone.volume import (
 CFG = SearchConfig(restarts=10, max_iters=100, seed=13)
 
 
-def test_sample_ball_dim1():
-    rng = np.random.default_rng(1)
-    xs = np.array([sample_ball(1, rng)[0] for _ in range(4000)])
+def test_ball_chunks_dim1():
+    _, rows = next(_ball_chunks(1, 4000, 1))
+    xs = rows[:, 0]
     assert np.all(np.abs(xs) <= 1.0)
     assert abs(xs.mean()) < 3.0 / np.sqrt(12.0) / np.sqrt(4000) * 3.0
     frac_half = np.mean(np.abs(xs) <= 0.5)
     assert frac_half == pytest.approx(0.5, abs=3 * 0.5 / np.sqrt(4000))
 
 
-def test_sample_ball_radius_scaling():
-    rng = np.random.default_rng(2)
+def test_ball_chunks_radius_scaling():
     dim = 3
-    pts = np.array([sample_ball(dim, rng) for _ in range(4000)])
+    _, pts = next(_ball_chunks(dim, 4000, 2))
     norms = np.linalg.norm(pts, axis=1)
     assert np.all(norms <= 1.0 + 1e-12)
     got = np.mean(norms <= 0.5)
@@ -60,6 +61,17 @@ def test_sample_ball_radius_scaling():
         assert abs(pts[:, d].mean()) <= 3 * pts[:, d].std() / np.sqrt(4000)
 
 
+def test_ball_chunks_index_is_independent_of_total():
+    dim, seed = 3, 5
+    full = np.concatenate([rows for _, rows in _ball_chunks(dim, 10000, seed)])
+    for total in (1, 4095, 4096, 4097, 10000):
+        chunks = list(_ball_chunks(dim, total, seed))
+        assert [start for start, _ in chunks] == list(range(0, total, 4096))
+        rows = np.concatenate([rows for _, rows in chunks])
+        assert rows.shape == (total, dim)
+        assert rows.tobytes() == full[:total].tobytes()
+
+
 def test_wilson_interval_basic():
     lo, hi = wilson_interval(0, 100, 3.0)
     assert lo == 0.0 and hi > 0.0
@@ -69,16 +81,25 @@ def test_wilson_interval_basic():
     assert 0.0 <= lo <= 0.3 <= hi <= 1.0
 
 
+def inside_where(mask_of_rows):
+    """A classifier for volume._estimate: the rows in mask_of_rows(rows)
+    count as inside."""
+    return lambda rows, start: np.where(mask_of_rows(rows), _ORACLE_INSIDE,
+                                        _SIGN)
+
+
 def test_calibration_hooks():
-    e = estimate_cone_fraction(1, 3, 1500, CFG, classifier_override=lambda v: True)
+    e = _estimate(inside_where(lambda rows: np.ones(len(rows), bool)),
+                  1, 3, 1500, CFG, 3.0)
     assert e.fraction == 1.0 and e.n_inside == 1500
-    e = estimate_cone_fraction(1, 3, 20000, CFG,
-                               classifier_override=lambda v: bool((v >= 0).all()))
+    e = _estimate(inside_where(lambda rows: (rows >= 0).all(axis=1)),
+                  1, 3, 20000, CFG, 3.0)
     assert e.ci_low <= 2.0 ** (-4) <= e.ci_high
-    e = estimate_cone_fraction(1, 2, 20000, CFG,
-                               classifier_override=lambda v: bool(v[0] >= 0))
+    e = _estimate(inside_where(lambda rows: rows[:, 0] >= 0),
+                  1, 2, 20000, CFG, 3.0)
     assert e.ci_low <= 0.5 <= e.ci_high
-    assert e.stages is None and e.to_json_dict()["stages"] is None
+    assert e.stages["oracle_inside"] == e.n_inside
+    assert e.stages["sign"] == e.n_refuted
 
 
 def test_cone_fraction_matches_integral_oracle():
