@@ -1,10 +1,11 @@
 """The exact half-line oracle: no floating point, no false verdicts.
 
 For 1x1 matrices membership is just nonnegativity of p on [0, infinity).
-That question is decidable in rational arithmetic: strip the vanishing
-order at 0, check the end signs, remove even-multiplicity roots, and
-count remaining sign changes with a Sturm chain. Witnesses come back as
-exact fractions.
+That question is decidable in integer arithmetic: strip the vanishing
+order at 0, check the end signs, try a Bernstein certificate, and
+otherwise isolate the roots of the square-free part by Descartes' rule on
+Bernstein coefficients, testing the sign of p between them. Witnesses
+come back as exact fractions.
 """
 
 from fractions import Fraction

@@ -7,8 +7,9 @@ atomically (temp file then rename); a failing command leaves no partial
 artifact behind.
 
 Exit codes: 0 success / no refutation, 1 negative mathematical outcome
-(refuted, not nonnegative, missing bracket), 2 input or usage error, or a
-polynomial proved negative only beyond the float range.
+(refuted, not nonnegative, missing bracket), 2 input or usage error, an
+output file that cannot be written, or a polynomial proved negative only
+beyond the float range.
 """
 
 from __future__ import annotations
@@ -167,10 +168,10 @@ def _write_atomic(path: str, text: str) -> None:
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except OSError:
+    except OSError as e:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+        raise _InputError(f"cannot write {path!r}: {e.strerror}")
 
 
 def _emit(payload: dict, rc: dict, extra_files: Optional[dict] = None) -> None:

@@ -1,13 +1,14 @@
 """Exact membership oracle for the n = 1 cone and its constructive certificates.
 
 For n = 1 the cone is exactly the polynomials nonnegative on [0, infinity).
-That is decidable in rational arithmetic. The oracle takes float or rational
+That is decidable in integer arithmetic. The oracle takes float or rational
 coefficients and scales them to Python ints by one positive factor (every
 float is a dyadic rational, so nothing is rounded). On those ints it strips
 the power of x, checks the boundary and leading signs, and tries a Bernstein
-subdivision certificate, which settles most members. Only what that leaves
-is lifted to Fractions, for a Sturm count of the roots in (0, B] of the
-odd-multiplicity part. The same module produces the two kinds of
+subdivision certificate, which settles most members. What that leaves goes
+to root isolation on the same Bernstein coefficients: Descartes' rule
+separates the roots of the square-free part, and the sign of p at one point
+between each two of them decides. The same module produces the two kinds of
 certificate: a rational point with exactly negative value when membership
 fails, and a sum-of-squares decomposition p = f1^2 + f2^2 + x (g1^2 + g2^2)
 when it holds.
@@ -85,111 +86,12 @@ class SosDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial arithmetic on tuples of Fractions, lowest degree first
-
-def _strip(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    d = len(c) - 1
-    while d >= 0 and c[d] == 0:
-        d -= 1
-    return tuple(c[: d + 1])
+# polynomial arithmetic, lowest degree first: Fractions for RationalPolynomial,
+# ints for the oracle
 
 
-def _deriv(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(d) * c[d] for d in range(1, len(c)))
-
-
-def _sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _strip(out)
-
-
-def _divmod(a: Sequence[Fraction],
-            b: Sequence[Fraction]) -> tuple[tuple, tuple]:
-    # exact long division, b nonzero
-    a = list(_strip(a))
-    b = _strip(b)
-    assert b, "division by zero polynomial"
-    db = len(b) - 1
-    lead = b[-1]
-    quo = [Fraction(0)] * max(0, len(a) - db)
-    while len(a) - 1 >= db and any(v != 0 for v in a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] / lead
-        quo[da - db] = f
-        for i in range(db + 1):
-            a[da - db + i] -= f * b[i]
-        a.pop()
-    return _strip(quo), _strip(a)
-
-
-def _gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    # monic gcd; returns (1,) for coprime inputs
-    a, b = _strip(a), _strip(b)
-    while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-        if a:
-            lead = a[-1]
-            a = tuple(v / lead for v in a)
-    return a if a else (Fraction(0),)
-
-
-def _odd_multiplicity_part(q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Monic product of the irreducible factors of odd multiplicity.
-
-    Yun square-free decomposition: q = prod a_k^k with the a_k square-free
-    and pairwise coprime; the odd part is prod over odd k.
-    """
-    q = _strip(q)
-    assert q and len(q) > 1
-    f = tuple(v / q[-1] for v in q)
-    g = _gcd(f, _deriv(f))
-    if len(g) == 1:
-        return f
-    w, _ = _divmod(f, g)
-    y, _ = _divmod(_deriv(f), g)
-    z = _sub(y, _deriv(w))
-    parts: list[tuple[int, tuple[Fraction, ...]]] = []
-    k = 1
-    while len(w) > 1:
-        a = _gcd(w, z)
-        if len(a) > 1:
-            parts.append((k, a))
-        w, _ = _divmod(w, a)
-        y, _ = _divmod(z, a)
-        z = _sub(y, _deriv(w))
-        k += 1
-    out: tuple[Fraction, ...] = (Fraction(1),)
-    for k, a in parts:
-        if k % 2 == 1:
-            prod = [Fraction(0)] * (len(out) + len(a) - 1)
-            for i, u in enumerate(out):
-                for j, v in enumerate(a):
-                    prod[i + j] += u * v
-            out = _strip(prod)
-    return out
-
-
-def _sturm_chain(p: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    chain = [_strip(p)]
-    d = _strip(_deriv(p))
-    if d:
-        chain.append(d)
-        while len(chain[-1]) > 1:
-            _, r = _divmod(chain[-2], chain[-1])
-            if not r:
-                break
-            lead = abs(r[-1])
-            chain.append(tuple(-v / lead for v in r))
-    return chain
+def _deriv(c: Sequence) -> tuple:
+    return tuple(d * c[d] for d in range(1, len(c)))
 
 
 def _eval_frac(c: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -199,35 +101,65 @@ def _eval_frac(c: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _variations(chain, x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = _eval_frac(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _scaled_value(c: Sequence[int], a: int, b: int) -> int:
+    """b^d c(a / b), d = len(c) - 1, an int with the sign of c at a / b for
+    b > 0: one Horner sum on ints."""
+    acc, b_pow = 0, 1
+    for v in reversed(c):
+        acc = acc * a + v * b_pow
+        b_pow *= b
+    return acc
 
 
-def _count_roots(chain, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of chain[0] in the half-open interval (a, b]."""
-    return _variations(chain, a) - _variations(chain, b)
+def _primitive(c: list[int]) -> list[int]:
+    """c without its top zeros, divided by the gcd of its coefficients."""
+    while c and c[-1] == 0:
+        c = c[:-1]
+    g = math.gcd(*c)
+    return [v // g for v in c]
 
 
-def _cauchy_bound(c: Sequence[Fraction]) -> Fraction:
-    # all roots lie strictly inside |x| < 1 + max|a_i| / |lead|
-    lead = abs(c[-1])
-    rest = max((abs(v) for v in c[:-1]), default=Fraction(0))
-    return 1 + rest / lead
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lead(b)^e a by b over Z, for some e >= 0."""
+    while len(a) >= len(b):
+        f, shift = a[-1], len(a) - len(b)
+        a = [v * b[-1] for v in a[:-1]]
+        for i, v in enumerate(b[:-1]):
+            a[shift + i] -= f * v
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _squarefree(q: list[int]) -> list[int]:
+    """q / gcd(q, q'), with the real roots of q, each simple.
+
+    The gcd is the last term of a primitive remainder sequence over Z; it is
+    primitive, so (Gauss's lemma) q divides by it exactly in ints.
+    """
+    g, r = _primitive(q), _primitive(list(_deriv(q)))
+    while r:
+        g, r = r, _primitive(_prem(g, r))
+    quo, rest = [], list(q)
+    while len(rest) >= len(g):
+        f, shift = rest[-1] // g[-1], len(rest) - len(g)
+        for i, v in enumerate(g):
+            rest[shift + i] -= f * v
+        rest.pop()
+        quo.append(f)
+    return quo[::-1]
 
 
 # ---------------------------------------------------------------------------
-# Bernstein certificate: with x = y / (1 - y),
+# Bernstein coefficients: with x = y / (1 - y),
 # (1 - y)^k q(y / (1 - y)) = sum_j q_j y^j (1 - y)^(k-j), whose Bernstein
-# coefficients on [0, 1] are q_j / C(k, j). When every leaf of a de Casteljau
-# subdivision of [0, 1] has nonnegative coefficients, that polynomial is
-# nonnegative on [0, 1], hence q on [0, infinity).
+# coefficients on [0, 1] are q_j / C(k, j). A de Casteljau subdivision of
+# [0, 1] gives those of every leaf. When every leaf has nonnegative
+# coefficients, that polynomial is nonnegative on [0, 1], hence q on
+# [0, infinity). The sign changes of a leaf's coefficients bound the number
+# of roots inside it, and equal it when they are 0 or 1 (Descartes' rule).
 
-# subdivision depth of the certificate; deeper members go to the Sturm count
+# subdivision depth of the certificate; deeper members go to the isolation
 _CERT_DEPTH = 8
 
 
@@ -253,16 +185,20 @@ def _binomial_factors(k: int) -> tuple[int, ...]:
     return tuple(lcm // c for c in binom)
 
 
+def _bernstein(q: Sequence[int]) -> list[int]:
+    """The Bernstein coefficients of q on [0, 1], times one positive int."""
+    return [v * f for v, f in zip(q, _binomial_factors(len(q) - 1))]
+
+
 def _bernstein_certifies(q: Sequence[int]) -> bool:
     """True proves q >= 0 on [0, infinity); False means only "not certified".
 
-    q holds integer coefficients, lowest degree first. The Bernstein
-    coefficients q_j / C(k, j), times one positive factor, are ints, and
-    every leaf with a negative coefficient is halved, to depth _CERT_DEPTH.
-    A negative end coefficient is a negative value of q, so a leaf that has
+    q holds integer coefficients, lowest degree first. Every leaf with a
+    negative Bernstein coefficient is halved, to depth _CERT_DEPTH. A
+    negative end coefficient is a negative value of q, so a leaf that has
     one ends the search.
     """
-    leaves = [[v * f for v, f in zip(q, _binomial_factors(len(q) - 1))]]
+    leaves = [_bernstein(q)]
     depth = 0
     while True:
         open_ = [b for b in leaves if min(b) < 0]
@@ -272,6 +208,41 @@ def _bernstein_certifies(q: Sequence[int]) -> bool:
             return False
         leaves = [half for b in open_ for half in _halves(b)]
         depth += 1
+
+
+def _sign_changes(b: Sequence[int]) -> int:
+    signs = [v > 0 for v in b if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _isolate(q: list[int]) -> Optional[tuple[int, int]]:
+    """(a, b) with b > 0 and q(a / b) < 0, or None when q >= 0 on [0, inf).
+
+    q holds integer coefficients with q(0) != 0. The Bernstein coefficients
+    of its square-free part are halved, left leaf first, until each leaf
+    holds no root, or one root with nonzero end coefficients and touches
+    neither y = 0 nor y = 1 (Collins-Akritas). Between two consecutive roots,
+    and before the first and after the last, lies the left end of a leaf or
+    the midpoint of a root-free one; q keeps one sign there, so it is tested
+    at those points, in increasing order, and the first negative one is
+    returned.
+    """
+    todo = [(0, 0, _bernstein(_squarefree(q)))]
+    while todo:
+        i, depth, b = todo.pop()      # the leaf [i, i + 1] / 2^depth
+        m = 1 << depth
+        roots = _sign_changes(b)
+        if roots > 1 or roots == 1 and not (b[0] and b[-1] and 0 < i < m - 1):
+            left, right = _halves(b)
+            todo += [(2 * i + 1, depth + 1, right), (2 * i, depth + 1, left)]
+            continue
+        ys = [(i, m)] if i else []
+        if roots == 0:
+            ys.append((2 * i + 1, 2 * m))
+        for a, d in ys:                # y = a / d is x = a / (d - a)
+            if _scaled_value(q, a, d - a) < 0:
+                return a, d - a
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +263,32 @@ def _integer_coeffs(coeffs: Sequence) -> list[int]:
     return [n * (scale // d) for n, d in ratios]
 
 
+def _negative_point(
+        p: Union[Polynomial, RationalPolynomial]) -> Optional[tuple[int, int]]:
+    """(a, b) with b > 0 and p(a / b) < 0 exactly, or None when p >= 0 on
+    [0, infinity), decided on integer coefficients."""
+    c = _integer_coeffs(p.coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        return None
+    if c[0] < 0:
+        return 0, 1
+    # strip the power of x; x^v >= 0 on the half-line so only q matters
+    v = 0
+    while c[v] == 0:
+        v += 1
+    q = c[v:]
+    if q[-1] < 0:
+        # Cauchy: every root has |x| < 1 + max|q_i| / |q_k|, past which the
+        # leading term outweighs the rest
+        lead = -q[-1]
+        return lead + max(map(abs, q[:-1]), default=0), lead
+    if len(q) == 1 or _bernstein_certifies(q):
+        return None
+    return _isolate(q)
+
+
 def is_nonneg_on_halfline(
         p: Union[Polynomial, RationalPolynomial]) -> bool:
     """Exact test for p(x) >= 0 on all of [0, infinity). Total function on
@@ -300,91 +297,25 @@ def is_nonneg_on_halfline(
     p may have float coefficients (a core.Polynomial), each taken as the
     dyadic rational it is: the verdict is that of the exact lift, with no
     rounding. The decision runs on integer coefficients; the Bernstein
-    certificate settles most members, and the Sturm count decides what it
+    certificate settles most members, and root isolation decides what it
     leaves. Raises ValueError for a coefficient that is not finite.
     """
-    c = _integer_coeffs(p.coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
-        return True
-    if c[-1] < 0 or c[0] < 0:
-        return False
-    # strip the power of x; x^v >= 0 on the half-line so only q matters
-    v = 0
-    while c[v] == 0:
-        v += 1
-    q = c[v:]
-    if q[0] < 0:
-        return False
-    if len(q) == 1 or _bernstein_certifies(q):
-        return True
-    odd = _odd_multiplicity_part([Fraction(n) for n in q])
-    if len(odd) == 1:
-        return True
-    chain = _sturm_chain(odd)
-    return _count_roots(chain, Fraction(0), _cauchy_bound(odd)) == 0
+    return _negative_point(p) is None
 
 
 def refute_halfline(p: RationalPolynomial) -> Optional[Fraction]:
     """Rational x0 >= 0 with p(x0) < 0 exactly, or None for members.
 
-    The witness sign is re-verified in rational arithmetic before return.
+    The witness sign is re-verified in rational arithmetic before return;
+    ArithmeticError means the oracle is wrong.
     """
-    if is_nonneg_on_halfline(p):
+    point = _negative_point(p)
+    if point is None:
         return None
-    c = _strip(p.coeffs)
-    if c[0] < 0:
-        return Fraction(0)
-    v = 0
-    while c[v] == 0:
-        v += 1
-    q = c[v:]
-
-    def verified(x: Fraction) -> Fraction:
-        assert x >= 0 and p(x) < 0
-        return x
-
-    if q[0] < 0:
-        # negative just right of the origin; halve until the sign shows
-        x = Fraction(1)
-        for _ in range(20000):
-            if p(x) < 0:
-                return verified(x)
-            x /= 2
-        raise AssertionError("sign near zero did not materialize")
-    bound = _cauchy_bound(q)
-    if q[-1] < 0:
-        # beyond every root the leading sign wins
-        x = bound
-        for _ in range(200):
-            if p(x) < 0:
-                return verified(x)
-            x *= 2
-        raise AssertionError("leading-sign witness did not materialize")
-    # interior dip: bisect toward the first odd-multiplicity root r, testing
-    # every probe. p < 0 on some (r, r + w), so a probe lands there once
-    # hi - lo < w, however small w is against the bound, unless hi is r
-    odd = _odd_multiplicity_part(q)
-    chain = _sturm_chain(odd)
-    lo, hi = Fraction(0), bound
-    while _eval_frac(odd, hi) != 0 or \
-            _count_roots(chain, Fraction(0), hi) > 1:
-        if p(hi) < 0:
-            return verified(hi)
-        mid = (lo + hi) / 2
-        if p(mid) < 0:
-            return verified(mid)
-        if _count_roots(chain, Fraction(0), mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    # hi is the root r itself; step off it toward the bound
-    step = bound - hi
-    while True:
-        step /= 2
-        if p(hi + step) < 0:
-            return verified(hi + step)
+    x = Fraction(*point)
+    if x < 0 or p(x) >= 0:
+        raise ArithmeticError(f"refute_halfline: p({x}) is not negative")
+    return x
 
 
 # ---------------------------------------------------------------------------

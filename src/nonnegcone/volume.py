@@ -8,8 +8,8 @@ stage decided:
 1. sign: a negative coefficient among the first or last n rejects;
 2. grid: a vectorized scan whose negative hit is confirmed at one exactly
    evaluated rational point rejects;
-3. oracle: the exact half-line oracle (a Bernstein certificate in integers,
-   then a Sturm count for the rows it leaves) decides every remaining row,
+3. oracle: the exact half-line oracle (a Bernstein certificate, then root
+   isolation for the rows it leaves, both in integers) decides every row left,
    rejecting ("oracle_rejected") or accepting ("oracle_inside");
 4. search, n >= 2 only: a budgeted refutation search on every row that
    passed 3 either finds a witness ("search_refuted") or exhausts its
@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import Polynomial
-from .exact import _integer_coeffs, is_nonneg_on_halfline
+from .exact import _integer_coeffs, _scaled_value, is_nonneg_on_halfline
 from .membership import (Refuted, SearchConfig, Search, Verdict, drive,
                          prepare, refute)
 
@@ -139,14 +139,8 @@ def _sample_cfg(cfg: SearchConfig, idx: int) -> SearchConfig:
 
 def _negative_at(row: list[float], x: float) -> bool:
     """Whether the polynomial with float coefficients row is negative at the
-    float x, exactly: with x = a / b and D > 0 the scale of _integer_coeffs,
-    b^d D p(x) is the integer Horner sum below."""
-    a, b = x.as_integer_ratio()
-    acc, b_pow = 0, 1
-    for c in reversed(_integer_coeffs(row)):
-        acc = acc * a + c * b_pow
-        b_pow *= b
-    return acc < 0
+    float x, exactly: in integers, at the dyadic ratio of x."""
+    return _scaled_value(_integer_coeffs(row), *x.as_integer_ratio()) < 0
 
 
 def _grid_refuted(rows: np.ndarray) -> np.ndarray:
@@ -289,6 +283,11 @@ def _separated(a: VolumeEstimate, b: VolumeEstimate) -> bool:
     return a.ci_low > b.ci_high or b.ci_low > a.ci_high
 
 
+# the parameters each compare_experiment kind reads
+_PARAM_KEYS = {"trend": {"n", "ks"}, "order": {"n_a", "n_b", "k"},
+               "projection": {"n", "k"}, "degree": {"n", "k_a", "k_b"}}
+
+
 def compare_experiment(kind: str, params: dict, N: int,
                        cfg: Optional[SearchConfig] = None) -> dict:
     """Paired comparison experiments on a shared seed and sample budget.
@@ -300,6 +299,12 @@ def compare_experiment(kind: str, params: dict, N: int,
     """
     if cfg is None:
         cfg = _DEFAULT_CFG
+    if kind not in _PARAM_KEYS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    unread = sorted(set(params) - _PARAM_KEYS[kind])
+    if unread:
+        raise ValueError(f"{kind} reads only {sorted(_PARAM_KEYS[kind])}, "
+                         f"not {unread}")
     if kind == "trend":
         n = int(params["n"])
         ks = [int(k) for k in params["ks"]]
@@ -326,7 +331,7 @@ def compare_experiment(kind: str, params: dict, N: int,
         b = estimate_cone_fraction(n, k, N, cfg)
         expected = ("the projected higher-degree cone fills more of the ball "
                     "than the same-degree cone")
-    elif kind == "degree":
+    else:                              # degree
         n = int(params["n"])
         k_a, k_b = int(params["k_a"]), int(params["k_b"])
         if not k_a < k_b:
@@ -334,8 +339,6 @@ def compare_experiment(kind: str, params: dict, N: int,
         a = estimate_cone_fraction(n, k_a, N, cfg)
         b = estimate_cone_fraction(n, k_b, N, cfg)
         expected = "fraction decreases as the degree grows"
-    else:
-        raise ValueError(f"unknown experiment kind {kind!r}")
     holds = b.fraction < a.fraction    # each pair expects a above b
     sep = _separated(a, b)
     return {"kind": kind, "params": params, "n_samples": N,

@@ -240,6 +240,17 @@ def test_no_partial_output_on_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_write_exits_2_and_leaves_no_temp_file(capsys, tmp_path):
+    # --out names a directory: the temp file is written, the rename fails
+    out = tmp_path / "taken"
+    out.mkdir()
+    code, doc, err = run_cli(capsys, "family", "loewy", "--n", "1", "--m",
+                             "1", "--s", "0", "--out", str(out))
+    assert code == 2 and doc is None
+    assert err.startswith("error: cannot write")
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
 def usage_exit(capsys, *argv):
     """Exit code of main, counting argparse's SystemExit, and the output."""
     try:
@@ -292,6 +303,11 @@ MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
     ("check", "[0,-1,1e300]", "--n", "1"),
     ("check", "[true,false,1]", "--n", "1"),
     ("normalize", '[["1","2"],[true,4]]'),
+    ("family", "loewy", "--n", "1", "--m", "1", "--s", "0",
+     "--out", "/missing-dir/x.json"),
+    ("compare", "degree", '{"n":1,"k_a":2,"k_b":3,"extra":1}',
+     "--samples", "10"),
+    ("compare", "trend", '{"n":1,"ks":[2,3],"k":9}', "--samples", "10"),
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_hostile_input_is_a_usage_error(capsys, argv):
     code, out, err = usage_exit(capsys, *argv)

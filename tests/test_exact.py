@@ -1,6 +1,10 @@
 """Exact half-line oracle, rational witnesses, and the SOS construction."""
 
+import inspect
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -115,8 +119,9 @@ EXTREME_NON_MEMBERS = [
 ]
 
 
-def _sturm_only(q: RationalPolynomial) -> bool:
-    """The oracle with its Bernstein certificate switched off."""
+def _isolation_only(q: RationalPolynomial) -> bool:
+    """The oracle with its Bernstein certificate switched off: root isolation
+    alone decides."""
     with mock.patch.object(exact, "_bernstein_certifies", return_value=False):
         return is_nonneg_on_halfline(q)
 
@@ -134,7 +139,7 @@ def _sturm_only(q: RationalPolynomial) -> bool:
 def test_certificate_is_never_wrong(coeffs, scale):
     q = RationalPolynomial([c * scale for c in coeffs])
     certified = _bernstein_certifies(_integer_coeffs(q.coeffs))
-    verdict = _sturm_only(q)
+    verdict = _isolation_only(q)
     assert verdict or not certified
     assert is_nonneg_on_halfline(q) == verdict
     if all(c >= 0 for c in coeffs):
@@ -197,10 +202,93 @@ def test_certified_float_row_builds_no_fraction():
         assert is_nonneg_on_halfline(Polynomial([0.0, 0.0, 2.0, -1.0, 1.0]))
         assert not is_nonneg_on_halfline(Polynomial([1.0, 0.0, -1.0]))
         assert not is_nonneg_on_halfline(Polynomial([0.0, -1.0, 1.0]))
-        # (x - 2)^2 is left to the Sturm count, which works on Fractions
-        with pytest.raises(AssertionError, match="Fraction built"):
-            is_nonneg_on_halfline(Polynomial([4.0, -4.0, 1.0]))
-    never.assert_called()
+        # rows the certificate leaves to root isolation, which works on ints
+        assert is_nonneg_on_halfline(Polynomial([4.0, -4.0, 1.0]))  # (x-2)^2
+        assert is_nonneg_on_halfline(Polynomial([4.0, 0.0, -4.0, 0.0, 1.0]))
+        assert is_nonneg_on_halfline(Polynomial([4.0, 0.0, -3.0, 1.0]))
+        assert not is_nonneg_on_halfline(Polynomial([1.0, -2.5, 1.0]))
+        assert not is_nonneg_on_halfline(Polynomial([0.0, 0.0, -1.0, 1.0]))
+        assert not is_nonneg_on_halfline(
+            Polynomial([1e300, -3.0, 1e-300]))
+    never.assert_not_called()
+
+
+def _times(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(factors=st.lists(st.tuples(
+           st.sampled_from([0, Fraction(1, 2), 1, 2, 3, -1]),
+           st.integers(1, 4)), min_size=1, max_size=3),
+       sqrt2_power=st.sampled_from([0, 2, 3]),
+       scale=st.sampled_from([1.0, 1e300, 2.0 ** -1074]))
+@example(factors=[(2, 2)], sqrt2_power=2, scale=1.0)
+@example(factors=[(1, 1), (3, 1)], sqrt2_power=3, scale=2.0 ** -1074)
+@example(factors=[(Fraction(1, 2), 4), (0, 3)], sqrt2_power=0, scale=1e300)
+def test_isolation_decides_multiple_roots(factors, sqrt2_power, scale):
+    """Products of (x - r)^m, times (x^2 - 2)^2 or ^3: root isolation alone
+    decides as sympy does, and refutes with an exactly negative point."""
+    coeffs = [Fraction(1)]
+    for r, m in factors:
+        for _ in range(m):
+            coeffs = _times(coeffs, [-r, 1])
+    for _ in range(sqrt2_power):
+        coeffs = _times(coeffs, [-2, 0, 1])
+    # a positive scale moves no root and no sign
+    expected = _sympy_nonneg(coeffs)
+    q = RationalPolynomial([c * Fraction(scale) for c in coeffs])
+    assert is_nonneg_on_halfline(q) == expected
+    with mock.patch.object(exact, "_bernstein_certifies", return_value=False):
+        assert is_nonneg_on_halfline(q) == expected
+        x0 = refute_halfline(q)
+    if expected:
+        assert x0 is None
+    else:
+        x = sympy.Symbol("x")
+        poly = sympy.Poly([sympy.Rational(c) for c in reversed(q.coeffs)], x)
+        assert x0 is not None and x0 >= 0
+        assert poly.eval(sympy.Rational(x0.numerator, x0.denominator)) < 0
+
+
+def test_refute_far_dip():
+    # negative only on about (4e299, 3e300), under a root bound of 1e600
+    q = rp(1e300, -3, 1e-300)
+    x0 = refute_halfline(q)
+    assert x0 is not None and x0 > 0 and q(x0) < 0
+
+
+def test_refute_checks_its_point_under_optimize():
+    # python -O strips assert statements; the check of the point must stay
+    code = "\n".join([
+        "from unittest import mock",
+        "from nonnegcone import exact",
+        "assert False, 'assert statements ran'",
+        "q = exact.RationalPolynomial([1, -3, 1])",
+        "with mock.patch.object(exact, '_isolate', return_value=(0, 1)):",
+        "    try:",
+        "        exact.refute_halfline(q)",
+        "    except ArithmeticError as e:",
+        "        print(type(e).__name__, e)",
+    ])
+    # the package the test imported, not an installed one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exact.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ArithmeticError refute_halfline: p(0)")
+
+
+def test_oracle_has_no_capped_loop_or_assertion():
+    assert "AssertionError" not in inspect.getsource(exact)
+    for f in (exact._negative_point, exact._isolate, exact.refute_halfline):
+        body = inspect.getsource(f)
+        assert "range(" not in body and "assert " not in body
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

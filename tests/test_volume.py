@@ -142,8 +142,8 @@ def test_integer_grid_sign_matches_fraction_evaluation():
     assert _grid_refuted(np.array([[-1e-300, 1.0, 1.0]])).tolist() == [True]
 
 
-def _oracle_inside(rows: np.ndarray) -> list:
-    """Per-row reference: the Sturm count alone on each float row, with the
+def _isolation_inside(rows: np.ndarray) -> list:
+    """Per-row reference: root isolation alone on each float row, with the
     oracle's Bernstein certificate switched off."""
     with mock.patch.object(exact, "_bernstein_certifies", return_value=False):
         return [is_nonneg_on_halfline(RationalPolynomial(r)) for r in rows]
@@ -154,11 +154,11 @@ def test_chunk_classification_matches_per_row_oracle(seed):
     for k in (0, 1, 2, 4, 6):
         _, rows = next(_ball_chunks(k + 1, 4096, seed))
         stage = _classify_rows(rows, 1, k, CFG, 0)
-        assert _INSIDE[stage].tolist() == _oracle_inside(rows)
+        assert _INSIDE[stage].tolist() == _isolation_inside(rows)
     _, rows = next(_ball_chunks(3, 4096, seed))
     stage = _projection_rows(rows, 1, 2, CFG, 0, 10.0)
     completed = np.concatenate([rows, np.full((len(rows), 1), 160.0)], axis=1)
-    assert _INSIDE[stage].tolist() == _oracle_inside(completed)
+    assert _INSIDE[stage].tolist() == _isolation_inside(completed)
 
 
 def _per_row_stages(rows: np.ndarray, n: int, k: int,
