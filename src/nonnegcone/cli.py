@@ -175,13 +175,23 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit(payload: dict, rc: dict, extra_files: Optional[dict] = None) -> None:
-    """Print the artifact and persist it (plus side files) atomically."""
+    """Print the artifact and persist it (plus side files) atomically: the
+    side files first and --out last; if one cannot be written, those
+    already written are removed."""
     payload = {"run_config": rc, **payload}
     text = json.dumps(payload, indent=2) + "\n"
+    files = dict(extra_files or {})
     if rc["out"]:
-        _write_atomic(rc["out"], text)
-    for path, body in (extra_files or {}).items():
-        _write_atomic(path, body)
+        files[rc["out"]] = text
+    written = []
+    try:
+        for path, body in files.items():
+            _write_atomic(path, body)
+            written.append(path)
+    except _InputError:
+        for path in written:
+            os.unlink(path)
+        raise
     sys.stdout.write(text)
 
 

@@ -9,6 +9,7 @@ reduction that lets membership searches range over (rho, S) only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -103,6 +104,14 @@ def eval_scalar(p: Polynomial, x: float) -> float:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, shared and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def eval_matrix(p: Union[Polynomial, np.ndarray], a: np.ndarray) -> np.ndarray:
     """Evaluate p at a square matrix, or at each matrix of a (..., n, n)
     stack; a^0 = identity, Horner order.
@@ -120,23 +129,25 @@ def eval_matrix(p: Union[Polynomial, np.ndarray], a: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(p.coeffs if isinstance(p, Polynomial) else p,
                         dtype=float)
     acc = np.zeros(coeffs.shape[:-1] + (n, n))
-    eye = np.eye(n)
+    eye = _eye(n)
     # per degree: the coefficient of each matrix, and whether it is nonzero
     # for every matrix and for some; one row stays plain floats
     if coeffs.ndim == 1:
         cols = coeffs.tolist()
         every = some = [c != 0.0 for c in cols]
     else:
-        cols = np.moveaxis(coeffs, -1, 0)[..., None, None]
-        nonzero = (cols != 0.0).reshape(len(cols), -1)
-        every = nonzero.all(axis=1).tolist()
-        some = nonzero.any(axis=1).tolist()
+        # degree first, as a view: cols[d] holds each matrix's coefficient
+        cols = coeffs.transpose(-1, *range(coeffs.ndim - 1))[..., None, None]
+        nonzero = cols != 0.0
+        flat = nonzero.reshape(len(cols), -1)
+        every = flat.all(axis=1).tolist()
+        some = flat.any(axis=1).tolist()
     for d in reversed(range(len(cols))):
         acc = acc @ a
         if every[d]:
             acc = acc + cols[d] * eye
         elif some[d]:
-            acc = np.where(cols[d] != 0.0, acc + cols[d] * eye, acc)
+            acc = np.where(nonzero[d], acc + cols[d] * eye, acc)
     return acc
 
 

@@ -126,7 +126,8 @@ class NoRefutationFound:
 
 @dataclass(frozen=True)
 class ExactMember:
-    """Membership certified by the exact half-line oracle; n = 1 only."""
+    """Membership proved exactly: by the half-line oracle for n = 1, or, in
+    volume estimates, by coefficients that are all >= 0."""
 
 
 Verdict = Union[Refuted, NoRefutationFound, ExactMember]
@@ -204,8 +205,18 @@ def confirm_witness(p: Polynomial, w: Witness, tol: float) -> bool:
 # logit of each row pinned to zero; rho = e^tau with tau clipped to the range
 
 
+def _fold(op: np.ufunc, m: np.ndarray) -> np.ndarray:
+    """np.minimum or np.maximum over the last axis, NaN if any entry is NaN,
+    one column at a time: on these short axes that costs less than
+    op.reduce, and gives the same value."""
+    out = m[..., 0]
+    for j in range(1, m.shape[-1]):
+        out = op(out, m[..., j])
+    return out
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - _fold(np.maximum, logits)[..., None]
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -214,18 +225,22 @@ def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(s, rho) at a search point x, or at each point of a (..., n(n-1) + 1)
     stack."""
     lead = x.shape[:-1]
-    free = x[..., : n * (n - 1)].reshape(lead + (n, n - 1))
-    logits = np.concatenate([free, np.zeros(lead + (n, 1))], axis=-1)
-    logits = np.clip(logits, -40.0, 40.0)
-    tau = np.clip(x[..., -1], *_RHO_LOG_RANGE)
+    logits = np.zeros(lead + (n, n))
+    logits[..., :-1] = x[..., : n * (n - 1)].reshape(lead + (n, n - 1))
+    logits = np.minimum(np.maximum(logits, -40.0), 40.0)
+    tau = np.minimum(np.maximum(x[..., -1], _RHO_LOG_RANGE[0]),
+                     _RHO_LOG_RANGE[1])
     return _softmax_rows(logits), np.exp(tau)
 
 
 def _witness(p: Polynomial, s: np.ndarray, rho: np.ndarray,
              cfg: SearchConfig) -> tuple[np.ndarray, Optional[Witness]]:
     """Smallest entry of each p(rho_k s_k) over a stack, with the first
-    witness in stack order that confirms exactly."""
-    vals, i, j = min_entry(eval_matrix(p, rho[:, None, None] * s))
+    witness in stack order that confirms exactly. Overflow to inf or NaN is
+    expected here and harmless: NaN is never below -confirm_tol, and
+    confirm_witness rejects -inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, i, j = min_entry(eval_matrix(p, rho[:, None, None] * s))
     for k in np.flatnonzero(vals < -cfg.confirm_tol):
         w = Witness(s[k], rho[k], int(i[k]), int(j[k]), float(vals[k]))
         if confirm_witness(p, w, cfg.confirm_tol):
@@ -332,11 +347,13 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     and cfgs the search config of each; the configs differ at most in seed.
     A port of scipy 1.17's adaptive Nelder-Mead (Gao and Han, Comput. Optim.
     Appl. 51 (2012) 259-277), with xatol 1e-7, fatol 1e-13 and max_iters
-    iterations, batched over polynomials and restarts: each stage of a step
-    evaluates one stack with a point for every restart that needs one, each
-    under its own polynomial, and a restart stops once its simplex has
-    converged. Each restart takes the steps scipy takes from its start and
-    sees the same values, NaN as inf, whatever else shares the stack.
+    iterations, batched over polynomials and restarts: each step evaluates
+    one stack holding the reflection, the expansion and both contractions of
+    every running simplex, each under its own polynomial, and a second stack
+    with the shrink points of the simplices that shrink; a restart stops once
+    its simplex has converged. Each restart takes the steps scipy takes from
+    its start and sees the same values, NaN as inf, whatever else shares the
+    stack; its lowest point is kept over the points scipy evaluates only.
     """
     cfg = cfgs[0]
     assert len(cfgs) == len(coeffs)
@@ -346,20 +363,33 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     coef = np.asarray(coeffs, dtype=float)
     k, dim = x0.shape
     chi, psi, sigma = 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    # the candidates of a step are a * xbar - b * worst: the reflection, the
+    # expansion, the outside and the inside contraction, each as scipy
+    # computes it (x - (-psi) w is the same float as x + psi w)
+    cand_a = np.array([2.0, 1 + chi, 1 + psi, 1 - psi])[:, None]
+    cand_b = np.array([1.0, chi, psi, -psi])[:, None]
+    cand_col = np.arange(4)
     best_val, best_x = np.full(k, np.inf), x0.copy()
 
     def f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Objective at x[m, v] for restart rows[m]; each restart's lowest
-        point is tracked in evaluation order, v ascending."""
+        """Objective at x[m, v] for restart rows[m], NaN as inf; overflow is
+        expected there and maps to inf or NaN."""
         s, rho = _unpack(x, n)
         # a lone polynomial is one row for the whole stack
         poly = coef[0] if len(coef) == 1 else coef[rows // cfg.restarts, None]
-        val = min_entry(eval_matrix(poly, rho[..., None, None] * s))[0]
-        for v in range(x.shape[1]):
-            lower = val[:, v] < best_val[rows]
-            best_val[rows[lower]] = val[lower, v]
-            best_x[rows[lower]] = x[lower, v]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pa = eval_matrix(poly, rho[..., None, None] * s)
+        val = _fold(np.minimum, _fold(np.minimum, pa))
         return np.where(np.isnan(val), np.inf, val)
+
+    def track(rows: np.ndarray, x: np.ndarray, val: np.ndarray) -> None:
+        """Keep the lowest of each restart's points x[m, v], the first in v
+        order on ties; val is inf at the points scipy does not evaluate."""
+        v = val.argmin(axis=1)
+        low = val[np.arange(len(v)), v]
+        lower = low < best_val[rows]
+        best_val[rows[lower]] = low[lower]
+        best_x[rows[lower]] = x[lower, v[lower]]
 
     # scipy's initial simplex: each coordinate in turn scaled by 1.05, or
     # set to 0.00025 where it is zero; then sorted twice
@@ -367,40 +397,45 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     for v in range(dim):
         y = sim[:, v + 1, v]
         sim[:, v + 1, v] = np.where(y != 0, (1 + 0.05) * y, 0.00025)
-    fsim = f(np.arange(k), sim)
+    rows = np.arange(k)
+    fsim = f(rows, sim)
+    track(rows, sim, fsim)
     for _ in range(2):
         sim, fsim = _sort_simplices(sim, fsim)
 
-    rows = np.arange(k)
     for _ in range(1, cfg.max_iters):
         going = ~((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= 1e-7)
                   & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= 1e-13))
-        rows, sim, fsim = rows[going], sim[going], fsim[going]
-        if not len(rows):
-            break
+        if not going.all():
+            rows, sim, fsim = rows[going], sim[going], fsim[going]
+            if not len(rows):
+                break
         xbar = np.add.reduce(sim[:, :-1], 1) / dim
-        worst = sim[:, -1]
-        xr = 2 * xbar - worst
-        fxr = f(rows, xr[:, None])[:, 0]
+        cand = cand_a * xbar[:, None] - cand_b * sim[:, -1:]
+        fcand = f(rows, cand)
+        fxr = fcand[:, 0]
         expand = fxr < fsim[:, 0]
         reflect = ~expand & (fxr < fsim[:, -2])
         outside = ~expand & ~reflect & (fxr < fsim[:, -1])
         inside = ~(expand | reflect | outside)
-        x2 = np.where(expand[:, None], (1 + chi) * xbar - chi * worst,
-                      np.where(outside[:, None], (1 + psi) * xbar - psi * worst,
-                               (1 - psi) * xbar + psi * worst))
-        f2 = np.full(len(rows), np.inf)
-        f2[~reflect] = f(rows[~reflect], x2[~reflect, None])[:, 0]
+        # scipy evaluates xr, then x2 = cand[pick] unless it reflects
+        pick = np.where(expand, 1,
+                        np.where(outside, 2, np.where(inside, 3, 0)))
+        m = np.arange(len(rows))
+        x2, f2 = cand[m, pick], fcand[m, pick]
+        seen = (cand_col == 0) | (cand_col == pick[:, None])
+        track(rows, cand, np.where(seen, fcand, np.inf))
         take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
                  | (inside & (f2 < fsim[:, -1])))
         take_r = reflect | (expand & ~take2)
         shrink = ~(take2 | take_r)
-        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
+        sim[take_r, -1], fsim[take_r, -1] = cand[take_r, 0], fxr[take_r]
         sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
         if shrink.any():
             low = sim[shrink, :1]
             sim[shrink, 1:] = low + sigma * (sim[shrink, 1:] - low)
             fsim[shrink, 1:] = f(rows[shrink], sim[shrink, 1:])
+            track(rows[shrink], sim[shrink, 1:], fsim[shrink, 1:])
         sim, fsim = _sort_simplices(sim, fsim)
     shape = (len(cfgs), cfg.restarts)
     return best_val.reshape(shape), best_x.reshape(shape + (dim,))

@@ -11,12 +11,16 @@ stage decided:
 3. oracle: the exact half-line oracle (a Bernstein certificate, then root
    isolation for the rows it leaves, both in integers) decides every row left,
    rejecting ("oracle_rejected") or accepting ("oracle_inside");
-4. search, n >= 2 only: a budgeted refutation search on every row that
-   passed 3 either finds a witness ("search_refuted") or exhausts its
+4. coefficients, n >= 2 only: a row that passed 3 with every coefficient
+   >= 0 is proved inside ("coeffs_nonneg"), since sum c_k A^k >= 0 for
+   every nonnegative A; it is never searched;
+5. search, n >= 2 only: a budgeted refutation search on every other row
+   that passed 3 either finds a witness ("search_refuted") or exhausts its
    budget ("search_exhausted"). The rows of a chunk are searched as one
    membership.prepare batch: each row's probes and certificate, then one
-   Nelder-Mead lockstep for the rows those leave open, so each verdict is
-   the one a search of that row alone gives.
+   Nelder-Mead lockstep for the rows those leave open, one stacked
+   evaluation per step, so each verdict is the one a search of that row
+   alone gives.
 
 Only the last step can err, and only in one direction: a missed witness
 counts an outsider as inside, so n >= 2 estimates are labeled UpperBiased
@@ -33,8 +37,9 @@ import numpy as np
 
 from .core import Polynomial
 from .exact import _integer_coeffs, _scaled_value, is_nonneg_on_halfline
-from .membership import (Refuted, SearchConfig, Search, Verdict, drive,
-                         prepare, refute)
+from .membership import (ExactMember, NoRefutationFound, Refuted,
+                         SearchConfig, Search, Verdict, drive, prepare,
+                         refute)
 
 _CHUNK = 4096
 # the search budget of an estimate given no config
@@ -45,11 +50,14 @@ _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
 # the stage that decided a sample, in pipeline order; _classify_rows and
 # _projection_rows return one code per row
 STAGES = ("sign", "grid", "oracle_rejected", "oracle_inside",
-          "search_refuted", "search_exhausted")
-(_SIGN, _GRID_HIT, _ORACLE_REJECTED, _ORACLE_INSIDE, _SEARCH_REFUTED,
- _SEARCH_EXHAUSTED) = range(len(STAGES))
+          "coeffs_nonneg", "search_refuted", "search_exhausted")
+(_SIGN, _GRID_HIT, _ORACLE_REJECTED, _ORACLE_INSIDE, _COEFFS_NONNEG,
+ _SEARCH_REFUTED, _SEARCH_EXHAUSTED) = range(len(STAGES))
 # whether a sample decided at each stage counts as inside
-_INSIDE = np.array([False, False, False, True, False, True])
+_INSIDE = np.array([False, False, False, True, True, False, True])
+# the stage of a searched sample, by the type of its verdict
+_SEARCH_STAGE = {ExactMember: _COEFFS_NONNEG, Refuted: _SEARCH_REFUTED,
+                 NoRefutationFound: _SEARCH_EXHAUSTED}
 
 
 @dataclass(frozen=True)
@@ -155,11 +163,21 @@ def _grid_refuted(rows: np.ndarray) -> np.ndarray:
 
 def _searched(items: list[tuple[Polynomial, SearchConfig]],
               n: int) -> list[Verdict]:
-    """The verdicts of a batch of (polynomial, config) searches, n >= 2: one
-    prepare() for all of them, then each polynomial's own refute."""
-    polys, cfgs = zip(*items)
-    return [refute(p, n, cfg, prepared)
-            for p, cfg, prepared in zip(polys, cfgs, prepare(polys, n, cfgs))]
+    """The verdicts of a batch of (polynomial, config) searches, n >= 2.
+
+    A polynomial with every coefficient >= 0 sends each nonnegative matrix
+    A to sum c_k A^k >= 0, so it is an ExactMember with no search (floats
+    are exact rationals, so the sign test is exact). The rest share one
+    prepare(), then each gets its own refute.
+    """
+    verdicts: list[Verdict] = [ExactMember()] * len(items)
+    todo = [t for t, (p, _) in enumerate(items) if min(p.coeffs) < 0.0]
+    if todo:
+        polys, cfgs = zip(*(items[t] for t in todo))
+        for t, p, cfg, prepared in zip(todo, polys, cfgs,
+                                       prepare(polys, n, cfgs)):
+            verdicts[t] = refute(p, n, cfg, prepared)
+    return verdicts
 
 
 def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
@@ -182,8 +200,7 @@ def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
         verdicts = _searched([(Polynomial(rows[i]),
                                _sample_cfg(cfg, start_idx + i))
                               for i in sub.tolist()], n)
-        stage[sub] = [_SEARCH_REFUTED if isinstance(v, Refuted)
-                      else _SEARCH_EXHAUSTED for v in verdicts]
+        stage[sub] = [_SEARCH_STAGE[type(v)] for v in verdicts]
     return stage
 
 
@@ -234,7 +251,7 @@ def _projection_ladder(v: np.ndarray, c_cap: float,
             continue    # failures below the half-line bar can heal at larger c
         verdict = yield completed, cfg
         if not isinstance(verdict, Refuted):
-            return _SEARCH_EXHAUSTED
+            return _SEARCH_STAGE[type(verdict)]
         stage = _SEARCH_REFUTED
         if verdict.witness.value <= -0.05:
             break

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,32 @@ def test_failed_write_exits_2_and_leaves_no_temp_file(capsys, tmp_path):
     assert code == 2 and doc is None
     assert err.startswith("error: cannot write")
     assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+def test_failed_side_file_leaves_no_artifact(capsys, tmp_path):
+    # the trace side file cannot be written: --out must not stay behind
+    (tmp_path / "x.trace.csv").mkdir()
+    out = tmp_path / "x.json"
+    code, doc, err = run_cli(capsys, "maxt", "loewy", "--n", "1", "--m", "1",
+                             "--s", "0", "--width", "0.5", "--out", str(out))
+    assert code == 2 and doc is None
+    assert err.startswith("error: cannot write")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.trace.csv"]
+    assert list((tmp_path / "x.trace.csv").iterdir()) == []
+
+
+@pytest.mark.parametrize("poly", ["[1e300,0,0,0,0,0,0,0,1e300]",
+                                  "[1e300,1e300,-3e300,1e300,1e300]"])
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_check_near_float_range_prints_no_warning(capsys, poly, n):
+    # the probes and the restarts overflow to inf and NaN, which the search
+    # maps or rejects; that is no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, _ = run_cli(capsys, "check", poly, "--n", n,
+                               "--restarts", "4")
+    assert code == (0 if "-" not in poly else 1)
+    assert doc["verdict"]["kind"] in ("refuted", "no_refutation_found")
 
 
 def usage_exit(capsys, *argv):

@@ -231,6 +231,15 @@ def _scipy_restart(p: Polynomial, n: int, cfg: SearchConfig,
 # inf values that only shrink steps change
 @example(coeffs=[1, -1, 1, -1, 1], scale=1e300, n=2, max_iters=200,
          restarts=10, seed=0)
+# zero coefficients below the top
+@example(coeffs=[1, 0, -3, 0, 1], scale=1.0, n=2, max_iters=120, restarts=4,
+         seed=1)
+# a flat objective: every step of every restart shrinks
+@example(coeffs=[2], scale=1.0, n=2, max_iters=120, restarts=3, seed=2)
+# expansions that overflow where scipy reflects or contracts instead, so
+# only the stacked step evaluates them
+@example(coeffs=[1, -1, 1, -1, 1], scale=1e300, n=3, max_iters=120,
+         restarts=3, seed=0)
 def test_lockstep_matches_scipy(coeffs, scale, n, max_iters, restarts, seed):
     p = Polynomial([scale * c for c in coeffs])
     cfg = SearchConfig(restarts=restarts, max_iters=max_iters, seed=seed)
@@ -254,6 +263,17 @@ def test_lockstep_matches_scipy(coeffs, scale, n, max_iters, restarts, seed):
 @example(polys=[[1, -1, 1, -1, 1], [1, 1, -3, 1, 1], [2]],
          scales=[1e300, 1.0, 1e150, 1.0, 1.0], n=2, max_iters=120,
          restarts=3, seed=0)
+# degrees 1 and 3 are zero in some rows of the stack but not in all
+@example(polys=[[1, 0, -3, 0, 1], [1, 2, -3, 1, 1], [2, 0, 1]],
+         scales=[1.0, 1.0, 1.0, 1.0, 1.0], n=2, max_iters=120, restarts=3,
+         seed=1)
+# flat objectives, which shrink at every step, next to one that does not
+@example(polys=[[2], [1, 1, -3, 1, 1], [0]], scales=[1.0] * 5, n=3,
+         max_iters=120, restarts=2, seed=2)
+# expansions that overflow where scipy does not evaluate them
+@example(polys=[[1, -1, 1, -1, 1], [0, 0, 0, 1], [1, -1, 1, -1, 1]],
+         scales=[1e300, 1e300, 1.0, 1.0, 1.0], n=3, max_iters=120,
+         restarts=3, seed=0)
 def test_lockstep_stack_matches_each_polynomial_alone(
         polys, scales, n, max_iters, restarts, seed):
     # mixed degrees, zero-padded at the top; each with its own seed
@@ -270,6 +290,46 @@ def test_lockstep_stack_matches_each_polynomial_alone(
             val1, x1 = _lockstep(alone, n, [cfgs[t]])
             assert val1[0].tobytes() == vals[t].tobytes()
             assert x1[0].tobytes() == xs[t].tobytes()
+
+
+def _scipy_step_evals(p: Polynomial, n: int, cfg: SearchConfig,
+                      r: int) -> list[int]:
+    """The evaluations scipy's Nelder-Mead makes at each iteration from
+    restart r's start: 1 or 2, or more where the simplex shrinks."""
+    calls, ends = [0], []
+
+    def f(x):
+        calls[0] += 1
+        s, rho = _unpack(x, n)
+        val = min_entry(eval_matrix(p, rho * s))[0]
+        return np.inf if np.isnan(val) else val
+
+    optimize.minimize(f, _restart_start(n, cfg, r), method="Nelder-Mead",
+                      callback=lambda xk: ends.append(calls[0]),
+                      options={"maxiter": cfg.max_iters, "xatol": 1e-7,
+                               "fatol": 1e-13, "adaptive": True})
+    return np.diff([n * (n - 1) + 2] + ends).tolist()
+
+
+@pytest.mark.parametrize("coeffs, n", [([2.0], 2), ([1, 1, -3, 1, 1], 2),
+                                       ([1, -1, 1, -1, 1], 3)])
+def test_lockstep_evaluates_one_stack_per_step(coeffs, n):
+    # the initial simplices, then per step one stack with the candidates of
+    # every running simplex, and one more where some simplex shrinks
+    p = Polynomial(coeffs)
+    cfg = SearchConfig(restarts=3, max_iters=30, seed=5)
+    steps = [_scipy_step_evals(p, n, cfg, r) for r in range(cfg.restarts)]
+    shrinks = [any(len(ev) > t and ev[t] > 2 for ev in steps)
+               for t in range(max(map(len, steps)))]
+    with mock.patch.object(membership, "eval_matrix",
+                           wraps=eval_matrix) as spy:
+        _lockstep(np.array([p.coeffs]), n, [cfg])
+    assert spy.call_count == 1 + len(shrinks) + sum(shrinks)
+    assert spy.call_count <= 1 + 2 * (cfg.max_iters - 1)
+    if coeffs == [2.0]:     # flat: every step of every restart shrinks
+        assert spy.call_count == 1 + 2 * (cfg.max_iters - 1)
+    else:                   # some steps with one stack only
+        assert not all(shrinks)
 
 
 def test_refute_reproducible():

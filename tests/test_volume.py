@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonnegcone import exact, volume
 from nonnegcone.core import Polynomial
@@ -163,8 +165,9 @@ def test_chunk_classification_matches_per_row_oracle(seed):
 
 def _per_row_stages(rows: np.ndarray, n: int, k: int,
                     cfg: SearchConfig) -> list:
-    """Per-row reference for a first chunk: sign, grid and oracle, then one
-    refute with its own search on each row that passes them."""
+    """Per-row reference for a first chunk: sign, grid and oracle, then the
+    coefficient signs, then one refute with its own search on each row that
+    passes them."""
     out = []
     for idx, r in enumerate(rows):
         if (r[:n] < 0).any() or (r[max(0, k + 1 - n):] < 0).any():
@@ -173,6 +176,8 @@ def _per_row_stages(rows: np.ndarray, n: int, k: int,
             out.append(STAGES.index("grid"))
         elif not is_nonneg_on_halfline(RationalPolynomial(r)):
             out.append(STAGES.index("oracle_rejected"))
+        elif (r >= 0).all():
+            out.append(STAGES.index("coeffs_nonneg"))
         else:
             per = replace(cfg, seed=volume._sample_seed(cfg.seed, idx))
             hit = isinstance(refute(Polynomial(r), n, per), Refuted)
@@ -184,7 +189,7 @@ def _per_row_stages(rows: np.ndarray, n: int, k: int,
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_chunk_search_matches_per_row_refute(seed):
     cfg = SearchConfig(restarts=3, max_iters=120, seed=seed)
-    searched = 0
+    searched = nonneg = 0
     for n, k in itertools.product((2, 3), (4, 5)):
         _, rows = next(_ball_chunks(k + 1, 300, seed))
         with mock.patch.object(volume, "refute", wraps=volume.refute) as spy:
@@ -195,20 +200,37 @@ def test_chunk_search_matches_per_row_refute(seed):
         hit = np.flatnonzero(stage >= STAGES.index("search_refuted"))
         assert [c.args[0].coeffs for c in spy.call_args_list] == \
             [tuple(rows[i]) for i in hit]
+        # and none on a row whose coefficients are all >= 0
+        assert all(min(c.args[0].coeffs) < 0 for c in spy.call_args_list)
         searched += len(hit)
-    assert searched > 0
+        nonneg += int((stage == STAGES.index("coeffs_nonneg")).sum())
+    assert searched > 0 and nonneg > 0
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(coeffs=st.lists(st.integers(0, 6) | st.sampled_from([1e-300, 1e300]),
+                       min_size=1, max_size=7),
+       n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32))
+def test_nonnegative_coefficients_are_never_refuted(coeffs, n, seed):
+    # what lets coeffs_nonneg skip the search: sum c_k A^k >= 0 for every
+    # nonnegative A, so no search finds a witness
+    cfg = SearchConfig(restarts=4, max_iters=80, seed=seed)
+    assert not isinstance(refute(Polynomial(coeffs), n, cfg), Refuted)
 
 
 def _ladder_ref(v: np.ndarray, n: int, cfg: SearchConfig, c_cap: float,
                 decided: list) -> int:
     """Per-row reference for the n >= 2 projection ladder: one refute with
-    its own search per completion that passes the half-line oracle."""
+    its own search per completion that passes the half-line oracle and has
+    a negative coefficient."""
     stage = STAGES.index("oracle_rejected")
     for j in range(5):
         completed = Polynomial(list(v) + [c_cap * 2.0 ** j])
         if not is_nonneg_on_halfline(
                 RationalPolynomial.from_polynomial(completed)):
             continue
+        if min(completed.coeffs) >= 0:
+            return STAGES.index("coeffs_nonneg")
         decided.append(completed.coeffs)
         verdict = refute(completed, n, cfg)
         if not isinstance(verdict, Refuted):
@@ -241,7 +263,7 @@ def test_projection_ladder_matches_per_row_ladder(seed, k):
     assert sorted(c.args[0].coeffs for c in spy.call_args_list) == \
         sorted(decided)
     assert all(c.args[3] is not None for c in spy.call_args_list)
-    assert len(decided) > 0
+    assert len(decided) > 0 and STAGES.index("coeffs_nonneg") in ref
 
 
 def test_projection_contains_cone_per_sample():
@@ -293,7 +315,9 @@ def test_compare_order_small():
     # only samples that pass the order-1 stages reach the search
     searched = b["stages"]["search_refuted"] + b["stages"]["search_exhausted"]
     assert 0 < searched <= a["n_inside"]
-    assert b["stages"]["search_exhausted"] == b["n_inside"]
+    assert b["stages"]["coeffs_nonneg"] > 0
+    assert (b["stages"]["search_exhausted"] + b["stages"]["coeffs_nonneg"]
+            == b["n_inside"])
 
 
 def test_csv_format():
