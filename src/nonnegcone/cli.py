@@ -23,7 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import NoConvergence, NonPositiveInput, Polynomial, perron_normalize
+from .core import (BeyondFloatRange, NoConvergence, NonPositiveInput,
+                   Polynomial, perron_normalize)
 from .exact import (
     IllConditioned,
     NotNonnegative,
@@ -334,7 +335,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     rc = _run_config(args, "normalize", {"matrix": a.tolist()})
     try:
         dec = perron_normalize(a)
-    except NonPositiveInput as e:
+    except (NonPositiveInput, BeyondFloatRange) as e:
         raise _InputError(str(e))
     except NoConvergence as e:
         _emit({"error": "no_convergence", "detail": str(e)}, rc)

@@ -8,6 +8,7 @@ reduction that lets membership searches range over (rho, S) only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
@@ -21,6 +22,10 @@ class NonPositiveInput(ValueError):
 
 class NoConvergence(RuntimeError):
     """Raised when power iteration fails to reach the residual target."""
+
+
+class BeyondFloatRange(ValueError):
+    """Raised when a result is too large for a float."""
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,10 @@ def perron_normalize(a: np.ndarray) -> StochasticDecomposition:
     """Factor a positive matrix as rho * D S D^{-1} with S row-stochastic.
 
     Power iteration from the all-ones vector; positivity guarantees
-    convergence to the dominant pair. The iteration cap is 100 * n.
+    convergence to the dominant pair. The iteration cap is 100 * n. It runs
+    on a scaled by the power of two that brings its largest entry into
+    [1/2, 1), so that no sum overflows, and rho is scaled back;
+    BeyondFloatRange when rho is too large for a float.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -184,17 +192,23 @@ def perron_normalize(a: np.ndarray) -> StochasticDecomposition:
     if n == 1:
         rho = float(a[0, 0])
         return StochasticDecomposition(rho, np.array([[1.0]]), np.array([1.0]))
+    e = math.frexp(float(a.max()))[1]
+    scaled = np.ldexp(a, -e)
     v = np.ones(n)
     for _ in range(100 * n):
-        w = a @ v
+        w = scaled @ v
         ratios = w / v
         hi = float(ratios.max())
         lo = float(ratios.min())
         if hi - lo <= _PERRON_TOL * hi:
-            rho = 0.5 * (hi + lo)
-            d = v
-            s = (a * d[None, :]) / (rho * d[:, None])
-            return StochasticDecomposition(rho, s, d)
+            try:
+                rho = math.ldexp(0.5 * (hi + lo), e)
+            except OverflowError:
+                raise BeyondFloatRange(
+                    f"the Perron root is about 2^{math.log2(hi) + e:.1f}, "
+                    "beyond the float range") from None
+            s = (a * v[None, :]) / (rho * v[:, None])
+            return StochasticDecomposition(rho, s, v)
         v = w / w.sum()
     raise NoConvergence("power iteration did not reach the residual target")
 

@@ -82,6 +82,14 @@ class Witness:
 # concentrations of the restart start modes before the permutation mode
 _RHO_LOG_RANGE = (-10.0, 10.0)
 _CONCENTRATIONS = (0.05, 0.3, 1.0)
+# the most shrink points (running simplices times the search dimension)
+# whose evaluation a lockstep step folds into its stack of candidates. Small
+# stacks cost per call, large ones per matrix: on a 2-core x86-64 VM, volume
+# estimates at 20 restarts (n = 2, k = 4, 4,096 samples; n = 3, k = 6, 8,192
+# samples) took x0.98 and x0.98 of the time of a lockstep that never folds
+# (that lockstep against a copy of itself: x0.99, x1.01), and x1.12 and
+# x2.03 when every step folds (medians of 15 interleaved pairs)
+_FOLD_SHRINK_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -349,11 +357,16 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     Appl. 51 (2012) 259-277), with xatol 1e-7, fatol 1e-13 and max_iters
     iterations, batched over polynomials and restarts: each step evaluates
     one stack holding the reflection, the expansion and both contractions of
-    every running simplex, each under its own polynomial, and a second stack
-    with the shrink points of the simplices that shrink; a restart stops once
-    its simplex has converged. Each restart takes the steps scipy takes from
-    its start and sees the same values, NaN as inf, whatever else shares the
-    stack; its lowest point is kept over the points scipy evaluates only.
+    every running simplex, each under its own polynomial. While the running
+    simplices have at most _FOLD_SHRINK_POINTS shrink points, the same stack
+    also holds the shrink points of every simplex, which are read back only
+    where it shrinks (a simplex that shrinks was not changed earlier in the
+    step, so they are the floats scipy evaluates); above that, the shrink
+    points of the simplices that shrink are a second stack. A restart stops
+    once its simplex has converged. Each restart takes the steps scipy takes
+    from its start and sees the same values, NaN as inf, whatever else
+    shares the stack; its lowest point is kept over the points scipy
+    evaluates only.
     """
     cfg = cfgs[0]
     assert len(cfgs) == len(coeffs)
@@ -365,18 +378,21 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     chi, psi, sigma = 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
     # the candidates of a step are a * xbar - b * worst: the reflection, the
     # expansion, the outside and the inside contraction, each as scipy
-    # computes it (x - (-psi) w is the same float as x + psi w)
+    # computes it (x - (-psi) w is the same float as x + psi w); the shrink
+    # points follow them in a step's points
     cand_a = np.array([2.0, 1 + chi, 1 + psi, 1 - psi])[:, None]
     cand_b = np.array([1.0, chi, psi, -psi])[:, None]
-    cand_col = np.arange(4)
+    col = np.arange(4 + dim)
     best_val, best_x = np.full(k, np.inf), x0.copy()
+    # each running restart's coefficient row; a lone polynomial is one row
+    # for the whole stack
+    lone = len(coef) == 1
+    poly = coef[0] if lone else coef[np.arange(k) // cfg.restarts, None]
 
-    def f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Objective at x[m, v] for restart rows[m], NaN as inf; overflow is
-        expected there and maps to inf or NaN."""
+    def f(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Objective at each x[m, v] under poly's row m, NaN as inf; overflow
+        is expected there and maps to inf or NaN."""
         s, rho = _unpack(x, n)
-        # a lone polynomial is one row for the whole stack
-        poly = coef[0] if len(coef) == 1 else coef[rows // cfg.restarts, None]
         with np.errstate(over="ignore", invalid="ignore"):
             pa = eval_matrix(poly, rho[..., None, None] * s)
         val = _fold(np.minimum, _fold(np.minimum, pa))
@@ -398,7 +414,7 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
         y = sim[:, v + 1, v]
         sim[:, v + 1, v] = np.where(y != 0, (1 + 0.05) * y, 0.00025)
     rows = np.arange(k)
-    fsim = f(rows, sim)
+    fsim = f(poly, sim)
     track(rows, sim, fsim)
     for _ in range(2):
         sim, fsim = _sort_simplices(sim, fsim)
@@ -410,32 +426,45 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
             rows, sim, fsim = rows[going], sim[going], fsim[going]
             if not len(rows):
                 break
+            if not lone:
+                poly = poly[going]
         xbar = np.add.reduce(sim[:, :-1], 1) / dim
-        cand = cand_a * xbar[:, None] - cand_b * sim[:, -1:]
-        fcand = f(rows, cand)
-        fxr = fcand[:, 0]
+        pts = cand_a * xbar[:, None] - cand_b * sim[:, -1:]
+        low = sim[:, :1]
+        fold = len(rows) * dim <= _FOLD_SHRINK_POINTS
+        if fold:
+            pts = np.concatenate([pts, low + sigma * (sim[:, 1:] - low)], 1)
+        fpts = f(poly, pts)
+        fxr = fpts[:, 0]
         expand = fxr < fsim[:, 0]
         reflect = ~expand & (fxr < fsim[:, -2])
         outside = ~expand & ~reflect & (fxr < fsim[:, -1])
         inside = ~(expand | reflect | outside)
-        # scipy evaluates xr, then x2 = cand[pick] unless it reflects
+        # scipy evaluates xr, then x2 = pts[pick] unless it reflects
         pick = np.where(expand, 1,
                         np.where(outside, 2, np.where(inside, 3, 0)))
         m = np.arange(len(rows))
-        x2, f2 = cand[m, pick], fcand[m, pick]
-        seen = (cand_col == 0) | (cand_col == pick[:, None])
-        track(rows, cand, np.where(seen, fcand, np.inf))
+        f2 = fpts[m, pick]
         take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
                  | (inside & (f2 < fsim[:, -1])))
-        take_r = reflect | (expand & ~take2)
-        shrink = ~(take2 | take_r)
-        sim[take_r, -1], fsim[take_r, -1] = cand[take_r, 0], fxr[take_r]
-        sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
-        if shrink.any():
-            low = sim[shrink, :1]
-            sim[shrink, 1:] = low + sigma * (sim[shrink, 1:] - low)
-            fsim[shrink, 1:] = f(rows[shrink], sim[shrink, 1:])
-            track(rows[shrink], sim[shrink, 1:], fsim[shrink, 1:])
+        shrink = ~(take2 | reflect | expand)
+        shrinks = shrink.any()
+        c = col[: pts.shape[1]]
+        seen = (c == 0) | (c == pick[:, None]) | ((c >= 4) & shrink[:, None])
+        track(rows, pts, np.where(seen, fpts, np.inf))
+        if shrinks and fold:
+            spts, fs = pts[shrink, 4:], fpts[shrink, 4:]
+        elif shrinks:
+            low = low[shrink]
+            spts = low + sigma * (sim[shrink, 1:] - low)
+            fs = f(poly if lone else poly[shrink], spts)
+            track(rows[shrink], spts, fs)
+        # the worst vertex takes the accepted candidate, xr or x2; where the
+        # simplex shrinks, every vertex but the best takes its shrink point
+        keep = np.where(take2, pick, 0)
+        sim[:, -1], fsim[:, -1] = pts[m, keep], fpts[m, keep]
+        if shrinks:
+            sim[shrink, 1:], fsim[shrink, 1:] = spts, fs
         sim, fsim = _sort_simplices(sim, fsim)
     shape = (len(cfgs), cfg.restarts)
     return best_val.reshape(shape), best_x.reshape(shape + (dim,))

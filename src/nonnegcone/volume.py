@@ -305,6 +305,16 @@ _PARAM_KEYS = {"trend": {"n", "ks"}, "order": {"n_a", "n_b", "k"},
                "projection": {"n", "k"}, "degree": {"n", "k_a", "k_b"}}
 
 
+def _whole(v) -> int:
+    """A parameter as an int: an int, or a float with no fractional part;
+    ValueError for anything else, booleans included."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
 def compare_experiment(kind: str, params: dict, N: int,
                        cfg: Optional[SearchConfig] = None) -> dict:
     """Paired comparison experiments on a shared seed and sample budget.
@@ -323,8 +333,8 @@ def compare_experiment(kind: str, params: dict, N: int,
         raise ValueError(f"{kind} reads only {sorted(_PARAM_KEYS[kind])}, "
                          f"not {unread}")
     if kind == "trend":
-        n = int(params["n"])
-        ks = [int(k) for k in params["ks"]]
+        n = _whole(params["n"])
+        ks = [_whole(k) for k in params["ks"]]
         if len(ks) < 2 or any(a >= b for a, b in zip(ks, ks[1:])):
             raise ValueError("trend needs at least two strictly increasing "
                              f"degrees, got {ks}")
@@ -336,21 +346,20 @@ def compare_experiment(kind: str, params: dict, N: int,
                 "monotone_decreasing": all(x > y for x, y in zip(fr, fr[1:])),
                 "note": "reported as data; a finite sweep cannot settle a limit"}
     if kind == "order":
-        n_a, n_b, k = int(params["n_a"]), int(params["n_b"]), int(params["k"])
+        n_a, n_b, k = (_whole(params[key]) for key in ("n_a", "n_b", "k"))
         if not n_a < n_b:
             raise ValueError(f"order needs n_a < n_b, got {n_a} and {n_b}")
         a = estimate_cone_fraction(n_a, k, N, cfg)
         b = estimate_cone_fraction(n_b, k, N, cfg)
         expected = "fraction decreases when the matrix order increases"
     elif kind == "projection":
-        n, k = int(params["n"]), int(params["k"])
+        n, k = _whole(params["n"]), _whole(params["k"])
         a = estimate_projection_fraction(n, k, N, cfg)
         b = estimate_cone_fraction(n, k, N, cfg)
         expected = ("the projected higher-degree cone fills more of the ball "
                     "than the same-degree cone")
     else:                              # degree
-        n = int(params["n"])
-        k_a, k_b = int(params["k_a"]), int(params["k_b"])
+        n, k_a, k_b = (_whole(params[key]) for key in ("n", "k_a", "k_b"))
         if not k_a < k_b:
             raise ValueError(f"degree needs k_a < k_b, got {k_a} and {k_b}")
         a = estimate_cone_fraction(n, k_a, N, cfg)

@@ -179,6 +179,51 @@ def test_normalize_rejects_nonpositive(capsys):
     assert code == 2 and "square" in err
 
 
+def _strict_json(text: str):
+    """json.loads that rejects Infinity and NaN, which JSON does not have."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_normalize_near_float_range_writes_valid_json(capsys, tmp_path):
+    out = tmp_path / "n.json"
+    code, _, _ = run_cli(capsys, "normalize", "[[1e308,1],[1,1]]",
+                         "--out", str(out))
+    assert code == 0
+    doc = _strict_json(out.read_text())
+    assert doc["rho"] == pytest.approx(1e308, rel=1e-12)
+    s = np.array(doc["stochastic"])
+    assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.isfinite(doc["roundtrip_error"])
+    # rho beyond the float range is a usage error, with nothing written
+    code, _, err = run_cli(capsys, "normalize", "[[1e308,1e308],[1e308,1e308]]",
+                           "--out", str(tmp_path / "never.json"))
+    assert code == 2 and "float range" in err
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("params", [
+    '{"n":true,"k_a":2,"k_b":6}',
+    '{"n":1,"k_a":2.5,"k_b":6}',
+    '{"n":1,"k_a":2,"k_b":"6"}',
+])
+def test_compare_rejects_non_integer_parameters(capsys, params):
+    # int() would read true as 1 and 2.5 as 2 and run that, while the
+    # artifact records the values given
+    code, doc, err = run_cli(capsys, "compare", "degree", params,
+                             "--samples", "5")
+    assert code == 2 and doc is None
+    assert "expected an integer" in err
+
+
+def test_compare_reads_integral_floats(capsys):
+    code, doc, _ = run_cli(capsys, "compare", "degree",
+                           '{"n":1,"k_a":2.0,"k_b":6}', "--samples", "5")
+    assert code == 0
+    assert doc["report"]["estimates"][0]["k"] == 2
+
+
 def test_slice_curved_boundary(capsys):
     code, doc, _ = run_cli(capsys, "slice", "[1]", "[0,0,1]", "[0,-1]",
                            "--n", "1", "--grid", "3")
@@ -335,6 +380,9 @@ MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
     ("compare", "degree", '{"n":1,"k_a":2,"k_b":3,"extra":1}',
      "--samples", "10"),
     ("compare", "trend", '{"n":1,"ks":[2,3],"k":9}', "--samples", "10"),
+    ("compare", "trend", '{"n":1,"ks":[2,3.5]}', "--samples", "10"),
+    ("compare", "order", '{"n_a":1,"n_b":2,"k":false}', "--samples", "10"),
+    ("normalize", "[[1e308,1e308],[1e308,1e308]]"),
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_hostile_input_is_a_usage_error(capsys, argv):
     code, out, err = usage_exit(capsys, *argv)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nonnegcone.core import (
+    BeyondFloatRange,
     NonPositiveInput,
     Polynomial,
     eval_matrix,
@@ -145,6 +146,33 @@ def test_perron_roundtrip_random():
         assert np.all(dec.s > 0.0) and np.all(dec.d > 0.0) and dec.rho > 0.0
         back = dec.reconstruct()
         assert np.max(np.abs(back - a)) <= 1e-10 * np.max(np.abs(a))
+
+
+def test_perron_near_the_float_range():
+    # 0.5 (hi + lo) used to overflow although rho fits in a float
+    dec = perron_normalize(np.array([[1e308, 1.0], [1.0, 1.0]]))
+    assert dec.rho == pytest.approx(1e308, rel=1e-12)
+    assert np.all(np.isfinite(dec.s)) and np.all(dec.d > 0.0)
+    assert np.max(np.abs(dec.s.sum(axis=1) - 1.0)) <= 1e-12
+    # rank one, rho = 9e307 + 1
+    dec = perron_normalize(np.array([[9e307, 9e307], [1.0, 1.0]]))
+    assert dec.rho == pytest.approx(9e307, rel=1e-12)
+    assert np.max(np.abs(dec.s.sum(axis=1) - 1.0)) <= 1e-12
+    with pytest.raises(BeyondFloatRange):
+        perron_normalize(np.full((2, 2), 1e308))
+
+
+@pytest.mark.parametrize("k", [-1000, -1, 1, 1000])
+def test_perron_power_of_two_scaling_changes_no_bit(k):
+    # scaling a by 2^k scales rho by 2^k and leaves s and d as they are
+    rng = np.random.default_rng(k % 97)
+    for _ in range(50):
+        n = int(rng.integers(2, 6))
+        a = rng.uniform(0.05, 5.0, size=(n, n))
+        dec, big = perron_normalize(a), perron_normalize(np.ldexp(a, k))
+        assert big.rho == np.ldexp(dec.rho, k)
+        assert big.s.tobytes() == dec.s.tobytes()
+        assert big.d.tobytes() == dec.d.tobytes()
 
 
 def test_sample_stochastic_rows():

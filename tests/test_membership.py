@@ -311,25 +311,83 @@ def _scipy_step_evals(p: Polynomial, n: int, cfg: SearchConfig,
     return np.diff([n * (n - 1) + 2] + ends).tolist()
 
 
-@pytest.mark.parametrize("coeffs, n", [([2.0], 2), ([1, 1, -3, 1, 1], 2),
-                                       ([1, -1, 1, -1, 1], 3)])
-def test_lockstep_evaluates_one_stack_per_step(coeffs, n):
-    # the initial simplices, then per step one stack with the candidates of
-    # every running simplex, and one more where some simplex shrinks
+def _lockstep_calls(coeffs: list, n: int, cfg: SearchConfig
+                    ) -> tuple[int, list[bool]]:
+    """The eval_matrix calls of one lockstep of p = coeffs, and per step
+    whether scipy's own runs of some restart shrink in it."""
     p = Polynomial(coeffs)
-    cfg = SearchConfig(restarts=3, max_iters=30, seed=5)
     steps = [_scipy_step_evals(p, n, cfg, r) for r in range(cfg.restarts)]
     shrinks = [any(len(ev) > t and ev[t] > 2 for ev in steps)
                for t in range(max(map(len, steps)))]
     with mock.patch.object(membership, "eval_matrix",
                            wraps=eval_matrix) as spy:
         _lockstep(np.array([p.coeffs]), n, [cfg])
-    assert spy.call_count == 1 + len(shrinks) + sum(shrinks)
-    assert spy.call_count <= 1 + 2 * (cfg.max_iters - 1)
+    return spy.call_count, shrinks
+
+
+_STEP_CASES = [([2.0], 2), ([1, 1, -3, 1, 1], 2), ([1, -1, 1, -1, 1], 3)]
+
+
+@pytest.mark.parametrize("coeffs, n", _STEP_CASES)
+def test_lockstep_evaluates_one_stack_per_step(coeffs, n):
+    # below _FOLD_SHRINK_POINTS: the initial simplices, then per step one
+    # stack with the candidates and the shrink points of every running
+    # simplex, whether or not some simplex shrinks
+    cfg = SearchConfig(restarts=3, max_iters=30, seed=5)
+    assert cfg.restarts * (n * (n - 1) + 1) <= membership._FOLD_SHRINK_POINTS
+    calls, shrinks = _lockstep_calls(coeffs, n, cfg)
+    assert calls == 1 + len(shrinks)
     if coeffs == [2.0]:     # flat: every step of every restart shrinks
-        assert spy.call_count == 1 + 2 * (cfg.max_iters - 1)
-    else:                   # some steps with one stack only
+        assert calls == 1 + (cfg.max_iters - 1)
+    else:
         assert not all(shrinks)
+
+
+@pytest.mark.parametrize("coeffs, n", _STEP_CASES)
+def test_lockstep_above_the_fold_evaluates_shrinks_apart(coeffs, n):
+    # above _FOLD_SHRINK_POINTS: one stack with the candidates per step, and
+    # one more only in the steps where some simplex shrinks
+    cfg = SearchConfig(restarts=3, max_iters=60, seed=5)
+    with mock.patch.object(membership, "_FOLD_SHRINK_POINTS", 0):
+        calls, shrinks = _lockstep_calls(coeffs, n, cfg)
+    assert calls == 1 + len(shrinks) + sum(shrinks)
+    if coeffs == [2.0]:     # flat: every step shrinks
+        assert all(shrinks)
+    else:
+        # the n = 2 case shrinks in some steps, the n = 3 one in none
+        assert not all(shrinks) and (n == 3 or any(shrinks))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(polys=st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=7),
+                      min_size=1, max_size=5),
+       scales=st.lists(st.sampled_from([1.0, 1e150, 1e300]),
+                       min_size=5, max_size=5),
+       n=st.sampled_from([2, 3]),
+       max_iters=st.sampled_from([1, 2, 120]),
+       restarts=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32))
+# 5 x 4 simplices of dimension 7, 140 shrink points, start above the fold
+# at its default and converge below it
+@example(polys=[[1, -1, 1, -1, 1], [1, 1, -3, 1, 1], [2], [1, 0, -3, 0, 1],
+                [1, 2, -3, 1, 1]],
+         scales=[1e300, 1.0, 1.0, 1e150, 1.0], n=3, max_iters=120,
+         restarts=4, seed=0)
+def test_lockstep_fold_changes_no_bit(polys, scales, n, max_iters, restarts,
+                                      seed):
+    # the shrink points of simplices that do not shrink are evaluated only
+    # when folded, and at 1e300 scales some overflow; no output may change
+    rows = np.zeros((len(polys), max(map(len, polys))))
+    for t, coeffs in enumerate(polys):
+        rows[t, : len(coeffs)] = [scales[t] * c for c in coeffs]
+    cfgs = [SearchConfig(restarts=restarts, max_iters=max_iters, seed=seed + t)
+            for t in range(len(polys))]
+    outs = []
+    for fold in (0, membership._FOLD_SHRINK_POINTS, 2 ** 62):
+        with mock.patch.object(membership, "_FOLD_SHRINK_POINTS", fold):
+            vals, xs = _lockstep(rows, n, cfgs)
+        outs.append((vals.tobytes(), xs.tobytes()))
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_refute_reproducible():
