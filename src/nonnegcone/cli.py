@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -475,9 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parsing keeps no state in
+    the parser, so every main call shares it. The parser binds each
+    subcommand's cmd_* function when it is built."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (_InputError, InvalidSpec, NoFloatWitness) as e:

@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import (TYPE_CHECKING, Any, Callable, Generator, Optional,
                     Sequence, Union)
 
@@ -261,9 +262,11 @@ def _witness(p: Polynomial, s: np.ndarray, rho: np.ndarray,
 # permutations at rho near 1, then one exact xI + cJ matrix
 
 
+@lru_cache(maxsize=None)
 def _probe_candidates(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The probe matrices as one stack (s, rho), in the order they are
-    tried: each permutation and peak at 41 values of rho."""
+    tried: each permutation and peak at 41 values of rho. Built once per
+    order and read-only, like core._eye."""
     taus = np.linspace(-2.5, 2.5, 41)   # includes tau = 0, rho = 1 exactly
     perms = list(itertools.permutations(range(n))) if n <= 4 else []
     if not perms:
@@ -275,7 +278,10 @@ def _probe_candidates(n: int) -> tuple[np.ndarray, np.ndarray]:
         for b, peak in enumerate(peaks):
             logits[a, b, range(n), sigma] = peak
     s = _softmax_rows(logits).reshape(-1, n, n)
-    return np.repeat(s, len(taus), axis=0), np.tile(np.exp(taus), len(s))
+    stack = np.repeat(s, len(taus), axis=0), np.tile(np.exp(taus), len(s))
+    for arr in stack:
+        arr.flags.writeable = False
+    return stack
 
 
 def _deepest_step(f: Callable[[Fraction], Fraction],

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nonnegcone import cli
 from nonnegcone.cli import main
 from nonnegcone.core import Polynomial
 from nonnegcone.families import loewy_general
@@ -170,6 +171,16 @@ def test_normalize_roundtrip(capsys):
     assert doc["roundtrip_error"] <= 1e-10
     s = np.array(doc["stochastic"])
     assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_normalize_close_second_eigenvalue(capsys):
+    # eigenvalues 4.98 and 4.48; this exited 1 with no_convergence
+    code, doc, _ = run_cli(
+        capsys, "normalize", "[[4.573602132788537,0.16389052227603035],"
+        "[0.22849918305669964,4.887750447262916]]")
+    assert code == 0
+    assert doc["rho"] == pytest.approx(4.97991742090621, rel=1e-12)
+    assert doc["roundtrip_error"] < 1e-12
 
 
 def test_normalize_rejects_nonpositive(capsys):
@@ -427,6 +438,42 @@ def test_option_not_read_is_rejected(capsys, command, option):
     argv = SUBCOMMANDS[command][0] + (f"--{option}", SHARED_OPTIONS[option])
     code, out, _ = usage_exit(capsys, *argv)
     assert code == 2 and out == ""
+
+
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
+    # one process, many main calls: each must print and exit as the same
+    # argv does in a fresh process
+    refuted = ("check", "[1,1,-3,1,1]", "--n", "2", "--restarts", "2")
+    seq = [(("check", "[1,1]"), None),  # usage error: --n missing
+           *[(argv, None) for argv, _ in SUBCOMMANDS.values()],
+           (SUBCOMMANDS["family"][0] + ("--seed", "9"), None),
+           (refuted, "3"), (refuted, "4"),
+           (("check", "[1,1]", "--n", "1", "--seed", "5"), None),
+           (("check", "[1,1]", "--n", "1"), None),
+           *[(argv, "7") for argv, _ in reversed(SUBCOMMANDS.values())]]
+    parser = cli._parser()
+    seen = []
+    for argv, seed in seq:
+        if seed is None:
+            monkeypatch.delenv("NONNEG_CONE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("NONNEG_CONE_SEED", seed)
+        code, out, _ = usage_exit(capsys, *argv)
+        seen.append((argv, seed, code, out))
+    assert cli._parser() is parser
+    fresh = {}
+    for argv, seed, code, out in seen:
+        if (argv, seed) not in fresh:
+            env = src_env()
+            env.pop("NONNEG_CONE_SEED", None)
+            if seed is not None:
+                env["NONNEG_CONE_SEED"] = seed
+            fresh[argv, seed] = subprocess.run(
+                [sys.executable, "-m", "nonnegcone.cli", *argv],
+                capture_output=True, text=True, timeout=60, env=env)
+        proc = fresh[argv, seed]
+        assert (code, out) == (proc.returncode, proc.stdout), (argv, seed)
+    assert {code for _, _, code, _ in seen} == {0, 1, 2}
 
 
 def test_module_entrypoint_subprocess():

@@ -1,5 +1,8 @@
 """Polynomial and matrix primitives, Perron normalization."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,74 @@ def test_perron_power_of_two_scaling_changes_no_bit(k):
         assert big.rho == np.ldexp(dec.rho, k)
         assert big.s.tobytes() == dec.s.tobytes()
         assert big.d.tobytes() == dec.d.tobytes()
+
+
+def _power_iteration(a):
+    """Reference: the plain power iteration, capped at 100 n steps, that
+    perron_normalize runs first; (rho, s, d), or None where it stalls."""
+    n = a.shape[0]
+    e = math.frexp(float(a.max()))[1]
+    scaled = np.ldexp(a, -e)
+    v = np.ones(n)
+    for _ in range(100 * n):
+        w = scaled @ v
+        ratios = w / v
+        hi, lo = float(ratios.max()), float(ratios.min())
+        if hi - lo <= 1e-12 * hi:
+            rho = math.ldexp(0.5 * (hi + lo), e)
+            return rho, (a * v[None, :]) / (rho * v[:, None]), v
+        v = w / w.sum()
+    return None
+
+
+def _assert_perron_pair(a, dec):
+    rho = np.max(np.abs(np.linalg.eigvals(a)))
+    assert dec.rho == pytest.approx(rho, rel=1e-10)
+    assert np.all(dec.s > 0.0) and np.all(dec.d > 0.0)
+    assert np.max(np.abs(dec.s.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def test_perron_close_second_eigenvalue():
+    # eigenvalues 4.98 and 4.48: 100 n power steps stop short of the target
+    a = np.array([[4.573602132788537, 0.16389052227603035],
+                  [0.22849918305669964, 4.887750447262916]])
+    assert _power_iteration(a) is None
+    _assert_perron_pair(a, perron_normalize(a))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_perron_nearly_reducible_in_bounded_time(eps):
+    # eigenvalues 1 +- sqrt(2) eps: power iteration gains a factor of about
+    # 1 - 2.8 eps per step
+    a = np.array([[1.0, eps], [2 * eps, 1.0]])
+    t0 = time.perf_counter()
+    dec = perron_normalize(a)
+    assert time.perf_counter() - t0 < 0.5
+    assert dec.rho == pytest.approx(1 + math.sqrt(2) * eps, rel=1e-12)
+    assert np.max(np.abs(dec.s.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def test_perron_keeps_the_power_iterates_and_converges_past_them():
+    # where 100 n power steps converge, every bit is theirs; elsewhere the
+    # shifted inverse steps reach the Perron pair
+    rng = np.random.default_rng(41)
+    stalled = 0
+    for t in range(300):
+        n = int(rng.integers(2, 7))
+        if t % 2:
+            a = rng.uniform(0.05, 5.0, size=(n, n))
+        else:  # close to diagonal: a second eigenvalue close to rho
+            a = np.diag(rng.uniform(1.0, 1.2, n)) + \
+                rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** -rng.uniform(1, 12)
+        dec, ref = perron_normalize(a), _power_iteration(a)
+        if ref is None:
+            stalled += 1
+            _assert_perron_pair(a, dec)
+        else:
+            assert dec.rho == ref[0]
+            assert dec.s.tobytes() == ref[1].tobytes()
+            assert dec.d.tobytes() == ref[2].tobytes()
+    assert stalled > 25
 
 
 def test_sample_stochastic_rows():

@@ -1,5 +1,6 @@
 """Refutation search, witness confirmation, bisection utilities."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -32,11 +33,13 @@ from nonnegcone.membership import (
     _exact_entry,
     _lockstep,
     _monotone_witness,
+    _probe_candidates,
     _restart_start,
     _unpack,
     boundary_offset,
     confirm_witness,
     max_t,
+    prepare,
     refute,
     trace_slice,
     verdict_to_json,
@@ -397,6 +400,25 @@ def test_refute_reproducible():
     assert a.witness.rho == b.witness.rho
     assert np.array_equal(a.witness.s, b.witness.s)
     assert a.witness.value == b.witness.value
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_probe_stack_is_built_once_and_read_only(n):
+    # (1, 1, -3, 1, 1) is refuted by a probe, so its witness is a view into
+    # the cached stack
+    stack = _probe_candidates(n)
+    assert all(not arr.flags.writeable for arr in stack)
+    p = Polynomial([1.0, 1.0, -3.0, 1.0, 1.0])
+    first = prepare([p], n, [CFG])[0].witness
+    assert _probe_candidates(n) is stack
+    assert np.shares_memory(first.s, stack[0])
+    with pytest.raises(ValueError):
+        first.s[0, 0] = 0.5
+    again = refute(p, n, CFG)
+    assert _probe_candidates(n) is stack
+    assert json.dumps(again.witness.to_json_dict()) == \
+        json.dumps(first.to_json_dict())
+    assert again.witness.s.tobytes() == first.s.tobytes()
 
 
 def _fraction_entry(p: Polynomial, s: np.ndarray, rho: float, i: int,
