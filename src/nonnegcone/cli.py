@@ -485,7 +485,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line; its exit code. A usage error returns 2 and
+    --help returns 0, like every other outcome, rather than exiting."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:
+        return e.code
     try:
         return args.fn(args)
     except (_InputError, InvalidSpec, NoFloatWitness) as e:

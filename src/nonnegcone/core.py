@@ -39,7 +39,7 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Iterable[float]):
-        cs = tuple(float(c) for c in coeffs)
+        cs = tuple(map(float, coeffs))
         if not cs:
             cs = (0.0,)
         object.__setattr__(self, "coeffs", cs)
@@ -126,33 +126,45 @@ def eval_matrix(p: Union[Polynomial, np.ndarray], a: np.ndarray) -> np.ndarray:
     broadcasts against the stack's. Each matrix goes through the same
     operations as it would alone with its own polynomial: a zero coefficient
     adds nothing, so zero padding at the top changes no bit. The tests check
-    that stacked and per-matrix results agree bit for bit.
+    that stacked and per-matrix results agree bit for bit, and that on
+    positive stacks the results are those of Horner from the zero matrix,
+    which is what a stack holding an inf or NaN entry gets.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
     assert a.ndim >= 2 and a.shape[-2] == n
     coeffs = np.asarray(p.coeffs if isinstance(p, Polynomial) else p,
                         dtype=float)
-    acc = np.zeros(coeffs.shape[:-1] + (n, n))
-    eye = _eye(n)
-    # per degree: the coefficient of each matrix, and whether it is nonzero
-    # for every matrix and for some; one row stays plain floats
+    # degree first, as a view: cols[d] holds each matrix's coefficient c_d,
+    # and terms[d] its c_d I; per degree, whether c_d is nonzero for every
+    # matrix and for some
+    cols = coeffs.transpose(-1, *range(coeffs.ndim - 1))[..., None, None]
+    terms = cols * _eye(n)
     if coeffs.ndim == 1:
-        cols = coeffs.tolist()
-        every = some = [c != 0.0 for c in cols]
+        every = some = (coeffs != 0.0).tolist()
     else:
-        # degree first, as a view: cols[d] holds each matrix's coefficient
-        cols = coeffs.transpose(-1, *range(coeffs.ndim - 1))[..., None, None]
         nonzero = cols != 0.0
         flat = nonzero.reshape(len(cols), -1)
         every = flat.all(axis=1).tolist()
         some = flat.any(axis=1).tolist()
-    for d in reversed(range(len(cols))):
-        acc = acc @ a
+    # Horner from zero begins with 0 @ a + c I, then (c I) @ a, c the top
+    # coefficient. For a nonzero c and a positive finite a, every entry of
+    # that product is the float c a_ij plus exact zeros, so Horner begins at
+    # c a (for any finite a the two are equal as numbers, up to the sign of a
+    # zero entry); a zero c or a non-finite a (0 * inf is NaN) begins from
+    # zero
+    top = len(cols) - 1
+    if top and every[top] and np.isfinite(a).all():
+        acc = cols[top] * a
+    else:
+        acc, top = np.zeros(coeffs.shape[:-1] + (n, n)) @ a, top + 1
+    for d in reversed(range(top)):
         if every[d]:
-            acc = acc + cols[d] * eye
+            acc = acc + terms[d]
         elif some[d]:
-            acc = np.where(nonzero[d], acc + cols[d] * eye, acc)
+            acc = np.where(nonzero[d], acc + terms[d], acc)
+        if d:
+            acc = acc @ a
     return acc
 
 

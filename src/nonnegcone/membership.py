@@ -227,7 +227,7 @@ def _fold(op: np.ufunc, m: np.ndarray) -> np.ndarray:
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - _fold(np.maximum, logits)[..., None]
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, -1, keepdims=True)
 
 
 def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -344,13 +344,7 @@ def _restart_start(n: int, cfg: SearchConfig, r: int) -> np.ndarray:
     return np.concatenate([free, [tau]])
 
 
-def _sort_simplices(sim: np.ndarray,
-                    fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.arange(len(fsim))[:, None]
-    order = np.argsort(fsim, axis=1)
-    return sim[rows, order], fsim[rows, order]
-
-
+@np.errstate(over="ignore", invalid="ignore")   # the objective overflows
 def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
               ) -> tuple[np.ndarray, np.ndarray]:
     """Nelder-Mead from every restart's seeded start for each of a stack of
@@ -372,7 +366,9 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     once its simplex has converged. Each restart takes the steps scipy takes
     from its start and sees the same values, NaN as inf, whatever else
     shares the stack; its lowest point is kept over the points scipy
-    evaluates only.
+    evaluates only. A step below the fold is about a hundred small numpy
+    calls, half of them the objective's, whose dispatch outweighs their
+    arithmetic: its cost grows slowly with the stack (ROADMAP aim 1).
     """
     cfg = cfgs[0]
     assert len(cfgs) == len(coeffs)
@@ -388,7 +384,10 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     # points follow them in a step's points
     cand_a = np.array([2.0, 1 + chi, 1 + psi, 1 - psi])[:, None]
     cand_b = np.array([1.0, chi, psi, -psi])[:, None]
-    col = np.arange(4 + dim)
+    # by how many vertex values xr reaches, none, fewer than dim, dim or all,
+    # scipy expands, reflects, or contracts outside or inside: the candidate
+    # it evaluates after xr (xr itself where it reflects)
+    picks = np.array([1] + [0] * (dim - 1) + [2, 3])
     best_val, best_x = np.full(k, np.inf), x0.copy()
     # each running restart's coefficient row; a lone polynomial is one row
     # for the whole stack
@@ -396,44 +395,51 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     poly = coef[0] if lone else coef[np.arange(k) // cfg.restarts, None]
 
     def f(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Objective at each x[m, v] under poly's row m, NaN as inf; overflow
-        is expected there and maps to inf or NaN."""
+        """Objective at each x[m, v] under poly's row m, NaN as inf."""
         s, rho = _unpack(x, n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            pa = eval_matrix(poly, rho[..., None, None] * s)
+        pa = eval_matrix(poly, rho[..., None, None] * s)
         val = _fold(np.minimum, _fold(np.minimum, pa))
-        return np.where(np.isnan(val), np.inf, val)
+        val[np.isnan(val)] = np.inf
+        return val
 
-    def track(rows: np.ndarray, x: np.ndarray, val: np.ndarray) -> None:
-        """Keep the lowest of each restart's points x[m, v], the first in v
-        order on ties; val is inf at the points scipy does not evaluate."""
-        v = val.argmin(axis=1)
+    def track(rows: np.ndarray, x: np.ndarray, val: np.ndarray,
+              v: Optional[np.ndarray] = None) -> None:
+        """Keep each restart's point x[m, v[m]] where it is lower than the
+        lowest so far; by default v[m] is the first lowest of val[m]."""
+        if v is None:
+            v = val.argmin(axis=1)
         low = val[np.arange(len(v)), v]
         lower = low < best_val[rows]
         best_val[rows[lower]] = low[lower]
         best_x[rows[lower]] = x[lower, v[lower]]
 
     # scipy's initial simplex: each coordinate in turn scaled by 1.05, or
-    # set to 0.00025 where it is zero; then sorted twice
+    # set to 0.00025 where it is zero
     sim = np.repeat(x0[:, None], dim + 1, axis=1)
     for v in range(dim):
         y = sim[:, v + 1, v]
         sim[:, v + 1, v] = np.where(y != 0, (1 + 0.05) * y, 0.00025)
-    rows = np.arange(k)
+    rows = m = np.arange(k)
     fsim = f(poly, sim)
     track(rows, sim, fsim)
-    for _ in range(2):
-        sim, fsim = _sort_simplices(sim, fsim)
+    order = fsim.argsort(1)     # the first of scipy's two initial sorts
+    sim, fsim = sim[m[:, None], order], fsim[m[:, None], order]
 
     for _ in range(1, cfg.max_iters):
-        going = ~((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= 1e-7)
-                  & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= 1e-13))
-        if not going.all():
+        order = fsim.argsort(1)
+        sim, fsim = sim[m[:, None], order], fsim[m[:, None], order]
+        # fsim is sorted and holds no NaN: its spread is last minus first
+        stop = fsim[:, -1] - fsim[:, 0] <= 1e-13
+        if stop.any():
+            stop &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= 1e-7
+        if stop.any():
+            going = ~stop
             rows, sim, fsim = rows[going], sim[going], fsim[going]
             if not len(rows):
                 break
             if not lone:
                 poly = poly[going]
+            m = m[: len(rows)]
         xbar = np.add.reduce(sim[:, :-1], 1) / dim
         pts = cand_a * xbar[:, None] - cand_b * sim[:, -1:]
         low = sim[:, :1]
@@ -442,38 +448,32 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
             pts = np.concatenate([pts, low + sigma * (sim[:, 1:] - low)], 1)
         fpts = f(poly, pts)
         fxr = fpts[:, 0]
-        expand = fxr < fsim[:, 0]
-        reflect = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
-        inside = ~(expand | reflect | outside)
-        # scipy evaluates xr, then x2 = pts[pick] unless it reflects
-        pick = np.where(expand, 1,
-                        np.where(outside, 2, np.where(inside, 3, 0)))
-        m = np.arange(len(rows))
+        reached = np.add.reduce(fsim <= fxr[:, None], 1)
+        pick = picks[reached]
         f2 = fpts[m, pick]
-        take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
-                 | (inside & (f2 < fsim[:, -1])))
-        shrink = ~(take2 | reflect | expand)
+        # scipy takes x2 below xr where it expands, at most xr where it
+        # contracts outside, and below the worst vertex where it contracts
+        # inside; min(xr, worst) is xr except where it contracts inside
+        thr = np.minimum(fxr, fsim[:, -1])
+        take2 = (f2 < thr) | ((f2 == thr) & (reached == dim))
+        shrink = (reached >= dim) & ~take2
         shrinks = shrink.any()
-        c = col[: pts.shape[1]]
-        seen = (c == 0) | (c == pick[:, None]) | ((c >= 4) & shrink[:, None])
-        track(rows, pts, np.where(seen, fpts, np.inf))
+        # the lower of xr and x2, xr on ties
+        track(rows, pts, fpts, pick * (f2 < fxr))
         if shrinks and fold:
             spts, fs = pts[shrink, 4:], fpts[shrink, 4:]
         elif shrinks:
             low = low[shrink]
             spts = low + sigma * (sim[shrink, 1:] - low)
             fs = f(poly if lone else poly[shrink], spts)
-            track(rows[shrink], spts, fs)
         # the worst vertex takes the accepted candidate, xr or x2; where the
         # simplex shrinks, every vertex but the best takes its shrink point
-        keep = np.where(take2, pick, 0)
+        keep = pick * take2
         sim[:, -1], fsim[:, -1] = pts[m, keep], fpts[m, keep]
         if shrinks:
+            track(rows[shrink], spts, fs)
             sim[shrink, 1:], fsim[shrink, 1:] = spts, fs
-        sim, fsim = _sort_simplices(sim, fsim)
-    shape = (len(cfgs), cfg.restarts)
-    return best_val.reshape(shape), best_x.reshape(shape + (dim,))
+    return best_val.reshape(len(cfgs), -1), best_x.reshape(len(cfgs), -1, dim)
 
 
 @dataclass(frozen=True, eq=False)

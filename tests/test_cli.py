@@ -335,13 +335,26 @@ def test_check_near_float_range_prints_no_warning(capsys, poly, n):
 
 
 def usage_exit(capsys, *argv):
-    """Exit code of main, counting argparse's SystemExit, and the output."""
-    try:
-        code = main(list(argv))
-    except SystemExit as e:
-        code = e.code
+    """Exit code of main and the output."""
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("check", "[1,1]"), 2),                                 # --n missing
+    (("check", "[1,1]", "--n", "1", "--restarts", "0"), 2),  # bad value
+    (("nosuchcommand",), 2),
+    (("--help",), 0),
+    (("check", "--help"), 0),
+])
+def test_usage_error_and_help_return_their_code(capsys, argv, code):
+    # main returns these codes like any other; it does not raise SystemExit
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    usage, other = (captured.err, captured.out) if code else \
+        (captured.out, captured.err)
+    assert usage.startswith("usage:") and other == ""
 
 
 def test_threads_flag_rejected(capsys):

@@ -111,6 +111,58 @@ def test_stacks_match_single_matrices_bit_for_bit(n):
             assert out[idx].tobytes() == one.tobytes()
 
 
+def _horner_from_zero(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Reference: Horner from the zero matrix, acc <- acc @ a + c_d I at each
+    degree d from the top, where a zero c_d adds nothing."""
+    n = a.shape[-1]
+    acc = np.zeros(coeffs.shape[:-1] + (n, n))
+    for d in reversed(range(coeffs.shape[-1])):
+        acc = acc @ a
+        c = coeffs[..., d, None, None]
+        acc = np.where(c != 0.0, acc + c * np.eye(n), acc)
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eval_matrix_matches_horner_from_zero(n):
+    # eval_matrix begins Horner at c a, c the top coefficient; on positive
+    # finite stacks that must give the bits of the start from zero, also
+    # where the powers overflow to inf and NaN
+    rng = np.random.default_rng(60 + n)
+    a = rng.uniform(0.1, 2.0, size=(4, 30, n, n)) * \
+        10.0 ** rng.integers(-3, 80, size=(4, 30, 1, 1))
+    deg = rng.integers(0, 6, size=(4, 30))
+    rows = rng.normal(size=(4, 30, 6)) * (rng.random((4, 30, 6)) < 0.7)
+    rows[np.arange(6) > deg[..., None]] = 0.0   # zero tops, mixed degrees
+    full = rows.copy()                          # a nonzero top in every row
+    full[..., -1] = rng.uniform(0.5, 2.0, size=(4, 30)) * rng.choice([-1, 1])
+    cases = [rng.normal(size=6), np.array([1.0, -2.0, 0.0, -0.0]),
+             np.array([-1.5]), np.array([-1.5, -0.0]), rows, rows[:, :1],
+             full, full[:, :1]]
+    for scale in (1.0, 1e150, 1e300):
+        for coeffs in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = _horner_from_zero(scale * coeffs, a)
+                out = eval_matrix(scale * coeffs, a)
+                assert out.tobytes() == ref.tobytes()
+                if coeffs.ndim == 1:
+                    one = eval_matrix(Polynomial(scale * coeffs), a)
+                    assert one.tobytes() == ref.tobytes()
+
+
+def test_eval_matrix_non_finite_starts_from_zero():
+    # with an inf or NaN entry Horner starts from zero, as 0 @ a + c I, so 0 *
+    # inf gives NaN where a start at c a would give inf
+    a = np.array([[[1.0, np.inf], [0.5, 2.0]], [[1.0, 2.0], [np.nan, 1.0]]])
+    for coeffs in (np.array([1.0, -2.0, 3.0]),
+                   np.array([[1.0, -2.0, 3.0], [0.5, 0.0, 1.0]])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = eval_matrix(coeffs, a)
+            assert out.tobytes() == _horner_from_zero(coeffs, a).tobytes()
+            assert np.isnan(out[0, 0, 1]) and not np.isnan(
+                (coeffs[..., -1, None, None] * a)[0, 0, 1])
+
+
 def test_min_entry_first_position():
     m = np.array([[3.0, -1.0], [-1.0, 0.0]])
     val, i, j = min_entry(m)

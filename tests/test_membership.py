@@ -243,6 +243,13 @@ def _scipy_restart(p: Polynomial, n: int, cfg: SearchConfig,
 # only the stacked step evaluates them
 @example(coeffs=[1, -1, 1, -1, 1], scale=1e300, n=3, max_iters=120,
          restarts=3, seed=0)
+# order 4, a search of dimension 13: expansions, reflections and both
+# contractions; overflows; a flat objective, whose every step shrinks
+@example(coeffs=[1, 1, -3, 1, 1], scale=1.0, n=4, max_iters=200, restarts=3,
+         seed=4)
+@example(coeffs=[1, -1, 1, -1, 1], scale=1e300, n=4, max_iters=120,
+         restarts=2, seed=0)
+@example(coeffs=[2], scale=1.0, n=4, max_iters=60, restarts=2, seed=3)
 def test_lockstep_matches_scipy(coeffs, scale, n, max_iters, restarts, seed):
     p = Polynomial([scale * c for c in coeffs])
     cfg = SearchConfig(restarts=restarts, max_iters=max_iters, seed=seed)
@@ -277,6 +284,14 @@ def test_lockstep_matches_scipy(coeffs, scale, n, max_iters, restarts, seed):
 @example(polys=[[1, -1, 1, -1, 1], [0, 0, 0, 1], [1, -1, 1, -1, 1]],
          scales=[1e300, 1e300, 1.0, 1.0, 1.0], n=3, max_iters=120,
          restarts=3, seed=0)
+# order 4, dimension 13: 2 x 3 simplices below the fold, 4 x 3 above it
+@example(polys=[[1, 1, -3, 1, 1], [2], [1, -1, 1, -1, 1]],
+         scales=[1.0, 1.0, 1e300, 1.0, 1.0], n=4, max_iters=120,
+         restarts=2, seed=4)
+@example(polys=[[1, 1, -3, 1, 1], [1, 0, -3, 0, 1], [2, 0, 1],
+                [1, -1, 1, -1, 1]],
+         scales=[1.0, 1.0, 1.0, 1e150, 1.0], n=4, max_iters=120,
+         restarts=3, seed=5)
 def test_lockstep_stack_matches_each_polynomial_alone(
         polys, scales, n, max_iters, restarts, seed):
     # mixed degrees, zero-padded at the top; each with its own seed
