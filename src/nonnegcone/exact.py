@@ -1,4 +1,5 @@
-"""Exact membership oracle for the n = 1 cone and its constructive certificates.
+"""Exact membership oracles for the n = 1 and n = 2 cones, and their
+constructive certificates.
 
 For n = 1 the cone is exactly the polynomials nonnegative on [0, infinity).
 That is decidable in integer arithmetic. The oracle takes float or rational
@@ -12,15 +13,24 @@ between each two of them decides. The same module produces the two kinds of
 certificate: a rational point with exactly negative value when membership
 fails, and a sum-of-squares decomposition p = f1^2 + f2^2 + x (g1^2 + g2^2)
 when it holds.
+
+For n = 2, is_order2_member reduces membership, through the eigenvalues of
+2 x 2 matrices, to four half-line questions and one question on two
+variables, decided in integers by a tensor Bernstein certificate and, where
+that leaves it open, a cylindrical decomposition whose cells come from the
+same root isolation; every rejection comes with a rational positive matrix
+whose image has a negative entry (order2_counterexample). Volume estimates
+use it; check, maxt and slice still search at n = 2 (see membership).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -215,19 +225,21 @@ def _sign_changes(b: Sequence[int]) -> int:
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
-def _isolate(q: list[int]) -> Optional[tuple[int, int]]:
-    """(a, b) with b > 0 and q(a / b) < 0, or None when q >= 0 on [0, inf).
+def _walk(q: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(a, b, cell): points x = a / b > 0 that are not roots of q, in
+    increasing order, with at least one between each two consecutive
+    positive roots of q, before the first and after the last; cell counts
+    the distinct roots of q below x.
 
     q holds integer coefficients with q(0) != 0. The Bernstein coefficients
     of its square-free part are halved, left leaf first, until each leaf
     holds no root, or one root with nonzero end coefficients and touches
-    neither y = 0 nor y = 1 (Collins-Akritas). Between two consecutive roots,
-    and before the first and after the last, lies the left end of a leaf or
-    the midpoint of a root-free one; q keeps one sign there, so it is tested
-    at those points, in increasing order, and the first negative one is
-    returned.
+    neither y = 0 nor y = 1 (Collins-Akritas). The points are the left end
+    of every leaf but the first (a root when its end coefficient is 0, and
+    then skipped) and the midpoint of every root-free leaf.
     """
     todo = [(0, 0, _bernstein(_squarefree(q)))]
+    cell = 0
     while todo:
         i, depth, b = todo.pop()      # the leaf [i, i + 1] / 2^depth
         m = 1 << depth
@@ -236,12 +248,25 @@ def _isolate(q: list[int]) -> Optional[tuple[int, int]]:
             left, right = _halves(b)
             todo += [(2 * i + 1, depth + 1, right), (2 * i, depth + 1, left)]
             continue
-        ys = [(i, m)] if i else []
+        if i and b[0]:                 # y = a / d is x = a / (d - a)
+            yield i, m - i, cell
+        elif i:
+            cell += 1
         if roots == 0:
-            ys.append((2 * i + 1, 2 * m))
-        for a, d in ys:                # y = a / d is x = a / (d - a)
-            if _scaled_value(q, a, d - a) < 0:
-                return a, d - a
+            yield 2 * i + 1, 2 * m - 2 * i - 1, cell
+        cell += roots
+
+
+def _isolate(q: list[int]) -> Optional[tuple[int, int]]:
+    """(a, b) with b > 0 and q(a / b) < 0, or None when q >= 0 on [0, inf).
+
+    q holds integer coefficients with q(0) != 0; q keeps one sign between
+    two consecutive roots, so it is tested at the points of _walk, in
+    increasing order, and the first negative one is returned.
+    """
+    for a, b, _ in _walk(q):
+        if _scaled_value(q, a, b) < 0:
+            return a, b
     return None
 
 
@@ -267,7 +292,12 @@ def _negative_point(
         p: Union[Polynomial, RationalPolynomial]) -> Optional[tuple[int, int]]:
     """(a, b) with b > 0 and p(a / b) < 0 exactly, or None when p >= 0 on
     [0, infinity), decided on integer coefficients."""
-    c = _integer_coeffs(p.coeffs)
+    return _negative_int(_integer_coeffs(p.coeffs))
+
+
+def _negative_int(c: Sequence[int]) -> Optional[tuple[int, int]]:
+    """_negative_point on integer coefficients, lowest degree first."""
+    c = list(c)
     while c and c[-1] == 0:
         c.pop()
     if not c:
@@ -316,6 +346,343 @@ def refute_halfline(p: RationalPolynomial) -> Optional[Fraction]:
     if x < 0 or p(x) >= 0:
         raise ArithmeticError(f"refute_halfline: p({x}) is not negative")
     return x
+
+
+# ---------------------------------------------------------------------------
+# the order-2 cone
+#
+# A positive 2 x 2 matrix A has real eigenvalues x > |y|. By Cayley-Hamilton
+# p(A) = p(y) I + D (A - y I) with D = (p(x) - p(y)) / (x - y). A has trace
+# x + y and determinant x y, so A = [[a, b], [c, x + y - a]] with
+# b c = (x - a)(a - y) > 0, and a ranges over the open interval
+# (max(0, y), min(x, x + y)), on which every entry of p(A) is linear in a.
+# So p is in the order-2 cone exactly when
+#   (i)   p >= 0 on [0, infinity) (the diagonal ends a -> y >= 0, a -> x);
+#   (ii)  D >= 0 for x > |y| (the off-diagonal entries). D is the mean of p'
+#         over [y, x], and for y = -w < 0
+#         (x + w) D = (p(x) - p(w)) + 2 w odd(w^2), odd(z) = sum c_(2j+1) z^j,
+#         so (ii) holds exactly when p' >= 0 and odd >= 0 on [0, infinity);
+#   (iii) x p(y) - y p(x) >= 0 for x > -y > 0 (the diagonal end a -> 0).
+#         With y = -u x it is x (1 + u) H(x, u) >= 0 on x > 0, 0 < u < 1,
+#         H = c_0 + sum_(k >= 2) c_k x^k u sum_(j <= k - 2) (-u)^j.
+# The end a -> x + y < x follows from (i) and (iii). H(x, 1) = even(x^2),
+# even(z) = sum c_(2j) z^j, so even >= 0 is the u = 1 edge of (iii); it is
+# tested with (i) and (ii), each on one variable by the half-line oracle.
+# H is decided on two variables: a tensor Bernstein certificate settles
+# most rows, and a cylindrical decomposition in x (Collins 1975) the rest.
+
+
+class Order2Undecided(ArithmeticError):
+    """Raised when H (below) has a repeated factor in u, so that its
+    discriminant in u vanishes identically: the order-2 decision does not
+    treat that case."""
+
+
+def _order2_h(c: list[int]) -> list[list[int]]:
+    """H of (iii) for the trimmed integer coefficients c, as rows h[i][j],
+    the coefficient of x^i u^j, divided by its content and its factors x, u
+    and 1 - u, which are positive where H is tested; [] when H is 0."""
+    k = len(c) - 1
+    rows = [[0] * max(k, 1) for _ in range(k + 1)]
+    rows[0][0] = c[0]
+    for i in range(2, k + 1):
+        for j in range(1, i):
+            rows[i][j] = c[i] if j % 2 else -c[i]
+    while rows and not any(rows[-1]):
+        rows.pop()
+    if not rows:
+        return []
+    while not any(rows[0]):
+        rows.pop(0)
+    while not any(r[0] for r in rows):
+        for r in rows:
+            del r[0]
+    while not any(map(sum, rows)):
+        # r = (1 - u) q: q holds the partial sums of r
+        rows = [list(itertools.accumulate(r))[:-1] for r in rows]
+    g = math.gcd(*(v for r in rows for v in r))
+    return [[v // g for v in r] for r in rows]
+
+
+@functools.lru_cache(maxsize=64)
+def _power_to_bernstein(k: int) -> tuple[tuple[int, ...], ...]:
+    """Rows m = 0..k of C(m, j) lcm_i C(k, i) / C(k, j): the Bernstein
+    coefficient m on [0, 1] of sum_j a_j u^j, times lcm_i C(k, i), is
+    sum_j row_m[j] a_j."""
+    return tuple(tuple(math.comb(m, j) * f for j, f in
+                       zip(range(m + 1), _binomial_factors(k)))
+                 for m in range(k + 1))
+
+
+def _bernstein2(h: list[list[int]]) -> list[list[int]]:
+    """The Bernstein coefficients on [0, 1]^2 of
+    (1 - s)^dx H(s / (1 - s), u), times one positive int."""
+    rows = _power_to_bernstein(len(h[0]) - 1)
+    return [[f * sum(t * v for t, v in zip(row, hr)) for row in rows]
+            for f, hr in zip(_binomial_factors(len(h) - 1), h)]
+
+
+def _quarters(b: list[list[int]]) -> list[tuple[int, int, list[list[int]]]]:
+    """(ds, du, coefficients) of the four quarters of a tensor leaf b[i][j]
+    (s index i, u index j): halved in u along each row, then in s along
+    each column."""
+    out = []
+    for du, part in enumerate(zip(*map(_halves, b))):
+        cols = [_halves(list(col)) for col in zip(*part)]
+        for ds, half in enumerate(zip(*cols)):
+            out.append((ds, du, [list(r) for r in zip(*half)]))
+    return out
+
+
+def _h_certificate(h: list[list[int]]):
+    """True proves H >= 0 on [0, infinity) x [0, 1]; a point (x, u) of that
+    box with H(x, u) < 0 disproves it; None leaves it open.
+
+    Every leaf with a negative coefficient is quartered, to depth
+    _CERT_DEPTH; a negative corner coefficient is a negative value of H.
+    The corners at s = 1 (x = infinity) are never negative once the leading
+    coefficient of p is positive.
+    """
+    leaves = [(0, 0, _bernstein2(h))]
+    for depth in range(_CERT_DEPTH + 1):
+        open_ = [leaf for leaf in leaves if min(map(min, leaf[2])) < 0]
+        if not open_:
+            return True
+        m = 1 << depth
+        for i, j, b in open_:
+            for ds, du in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                s = i + ds
+                if b[-ds][-du] < 0 and s < m:
+                    return Fraction(s, m - s), Fraction(j + du, m)
+        if depth < _CERT_DEPTH:
+            leaves = [(2 * i + ds, 2 * j + du, q)
+                      for i, j, b in open_ for ds, du, q in _quarters(b)]
+    return None
+
+
+def _det(m: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, by Bareiss' fraction-free
+    elimination: every division is exact."""
+    m = [list(r) for r in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def _resultant(f: list[int], g: list[int]) -> int:
+    """Res(f, g) up to sign, f and g taken at the formal degrees
+    len - 1: the determinant of their Sylvester matrix."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g + [0] * (m - 1 - i) for i in range(m)]
+    return _det(rows)
+
+
+def _interpolate(values: list[int]) -> list[int]:
+    """The integer polynomial of degree < len(values) taking them at
+    x = 0, 1, ...: f = sum_k a_k x (x - 1) ... (x - k + 1), where k! a_k is
+    the k-th forward difference at 0."""
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    f = [0]
+    for k in range(len(diffs) - 1, -1, -1):
+        f = [0] + f                                     # f (x - k) + a_k
+        for i in range(len(f) - 1):
+            f[i] -= k * f[i + 1]
+        f[0] += diffs[k] // math.factorial(k)
+    return f
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _h_at(h: list[list[int]], a: int, b: int) -> list[int]:
+    """b^dx H(a / b, u) mapped to t in [0, infinity) by u = t / (1 + t):
+    the integer coefficients of (1 + t)^du H(a / b, t / (1 + t))."""
+    du = len(h[0]) - 1
+    col, b_pow = [0] * (du + 1), 1
+    for row in reversed(h):
+        col = [v * a + r * b_pow for v, r in zip(col, row)]
+        b_pow *= b
+    out = [0] * (du + 1)
+    for j, v in enumerate(col):
+        for i in range(du - j + 1):
+            out[j + i] += math.comb(du - j, i) * v
+    return out
+
+
+def _h_cells(h: list[list[int]]) -> Optional[tuple[Fraction, Fraction]]:
+    """A point (x, u) of [0, infinity) x [0, 1) with H(x, u) < 0, or None
+    when H >= 0 on x > 0, 0 < u < 1: a cylindrical decomposition in x.
+
+    Above each open interval of x > 0 free of roots of R = Res_u(H, H_u)
+    H(x, 0) H(x, 1), H(x, .) keeps its degree (Res holds the leading
+    coefficient), its roots stay simple and off u = 0 and u = 1, so it keeps
+    its sign pattern on (0, 1); one sample x per interval, from the walk of
+    R, is decided by the half-line oracle in t = u / (1 - u). Raises
+    Order2Undecided when Res vanishes identically.
+    """
+    du = len(h[0]) - 1
+    values = []
+    for node in range((2 * du - 1) * (len(h) - 1) + 1):    # x = node
+        col = [0] * (du + 1)
+        for row in reversed(h):
+            col = [v * node + r for v, r in zip(col, row)]
+        values.append(_resultant(col, [j * v for j, v in enumerate(col)][1:]))
+    res = _primitive(_interpolate(values))
+    if not res:
+        raise Order2Undecided
+    r = _primitive(_mul(_mul(res, [row[0] for row in h]),
+                        [sum(row) for row in h]))
+    r = r[next(i for i, v in enumerate(r) if v):]
+    last = -1
+    for a, b, cell in _walk(r):
+        if cell == last:
+            continue
+        last = cell
+        point = _negative_int(_h_at(h, a, b))
+        if point is not None:
+            return Fraction(a, b), Fraction(point[0], sum(point))
+    return None
+
+
+def _order2_h_point(h: list[list[int]]) -> Optional[tuple[Fraction, Fraction]]:
+    """A point (x, u) of [0, infinity) x [0, 1] with H(x, u) < 0, or None
+    when H >= 0 there."""
+    if not h:
+        return None
+    if len(h[0]) == 1:                          # H is constant in u
+        point = _negative_int([row[0] for row in h])
+        return None if point is None else (Fraction(*point), Fraction(1, 2))
+    found = _h_certificate(h)
+    if found is True:
+        return None
+    return found or _h_cells(h)
+
+
+def _matrix_point(c: list[int], x: Fraction,
+                  y: Fraction) -> Optional[Fraction]:
+    """a for which A = [[a, 1], [a (x + y - a) - x y, x + y - a]], positive
+    with eigenvalues x > |y|, has a negative entry in p(A), when D(x, y) < 0
+    or the (0, 0) entry p(y) + D (a - y) is negative at a = max(0, y);
+    otherwise None. The signs are found in integers."""
+    k = len(c) - 1
+    xq, yq = x.denominator, y.denominator
+    sx = _scaled_value(c, x.numerator, xq)       # xq^k p(x)
+    sy = _scaled_value(c, y.numerator, yq)
+    xd, yd = xq ** k, yq ** k
+    falls = sx * yd < sy * xd                     # D < 0
+    low = sy if y >= 0 else (x.numerator * sy * xd * yq
+                             - y.numerator * sx * yd * xq)
+    if not falls and low >= 0:
+        return None
+    px, py = Fraction(sx, xd), Fraction(sy, yd)
+    d = (px - py) / (x - y)
+    lo, hi = max(Fraction(0), y), min(x, x + y)
+    if d < 0:
+        return (lo + hi) / 2
+    e = py + d * (lo - y)
+    return lo + min((hi - lo) / 2, -e / (2 * d)) if d else (lo + hi) / 2
+
+
+def order2_counterexample(
+        p: Union[Polynomial, RationalPolynomial]
+) -> Optional[tuple[Fraction, Fraction, Fraction]]:
+    """Rationals (x, y, a), x > |y|, y < a < x and 0 < a < x + y, for which
+    the positive matrix [[a, 1], [a (x + y - a) - x y, x + y - a]], with
+    eigenvalues x and y, has a negative entry in p(A) exactly; None when p
+    is in the order-2 cone.
+
+    Decided on integer coefficients by the conditions above: (i), p' and the
+    odd and even parts by the half-line oracle, then H. A failed condition
+    gives a negative value at a point of the closed region, and a sequence
+    of interior points converging to it ends at a negative entry, since the
+    entries are continuous. Raises ValueError for a coefficient that is not
+    finite, and Order2Undecided when H has a repeated factor in u; the point
+    H gives is re-checked exactly first, and ArithmeticError means the
+    decision is wrong.
+    """
+    c = _integer_coeffs(p.coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        return None
+
+    def near(points):
+        for x, y in points:
+            a = _matrix_point(c, x, y)
+            if a is not None:
+                return x, y, a
+
+    def near_antidiagonal(z):
+        # (x, -x) with x^2 = z, approached from x > |y|
+        n, d = z.numerator * z.denominator, z.denominator
+        return near((Fraction(r, d << j), Fraction(r * (1 - (1 << j)),
+                                                   d << (2 * j)))
+                    for j in itertools.count(1)
+                    for r in [math.isqrt(n << (2 * j))])
+
+    point = _negative_int(c)
+    if point is not None:                       # (i): a -> y = t
+        t = Fraction(*point)
+        return near([(t + 1, t)])
+    point = _negative_int(_deriv(c))
+    if point is not None:                       # (ii): D -> p'(t)
+        t = Fraction(*point)
+        return near((t + Fraction(max(t, 1)) / (1 << j), t)
+                    for j in itertools.count())
+    for part in (c[1::2], c[0::2]):             # (ii) and the u = 1 edge
+        point = _negative_int(part)
+        if point is not None:
+            return near_antidiagonal(Fraction(*point))
+    h = _order2_h(c)
+    found = _order2_h_point(h)
+    if found is None:
+        return None
+    x0, u0 = found                              # (iii): a -> 0, y = -u x
+    if _eval_frac([_eval_frac(row, u0) for row in h], x0) >= 0:
+        raise ArithmeticError(f"order2_counterexample: H({x0}, {u0}) is "
+                              "not negative")
+
+    def inward(j):
+        x = x0 or Fraction(1, 1 << j)
+        return x, -x * (u0 + (Fraction(1, 2) - u0) / (1 << j))
+    return near(map(inward, itertools.count(1)))
+
+
+def is_order2_member(
+        p: Union[Polynomial, RationalPolynomial]) -> Optional[bool]:
+    """Exact test for membership in the order-2 cone: p(A) >= 0 entrywise
+    for every nonnegative 2 x 2 matrix A.
+
+    Decided in integers on the float or rational coefficients, as
+    is_nonneg_on_halfline decides the order-1 cone; a rejection comes with
+    the rational matrix of order2_counterexample. None when H (see above)
+    has a repeated factor in u, which the decision does not treat. Raises
+    ValueError for a coefficient that is not finite.
+    """
+    try:
+        return order2_counterexample(p) is None
+    except Order2Undecided:
+        return None
 
 
 # ---------------------------------------------------------------------------

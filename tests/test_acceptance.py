@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from nonnegcone import volume
 from nonnegcone.cli import main as cli_main
@@ -20,6 +21,7 @@ from nonnegcone.core import Polynomial, perron_normalize
 from nonnegcone.exact import (
     RationalPolynomial,
     is_nonneg_on_halfline,
+    is_order2_member,
     polya_szego_decompose,
     refute_halfline,
 )
@@ -139,6 +141,58 @@ def _decreasing_step_certificate(p: Polynomial, n: int) -> Fraction:
 # Grid cases whose polynomial at t = 2 decreases somewhere on (0, infinity).
 # No member of an order n >= 2 cone does (see _decreasing_step_certificate).
 NON_MONOTONE_AT_TWO = {(2, 3, 0), (2, 4, 0), (2, 5, 0)}
+# The monotone n = 2 grid cases outside class (A): members at t = 2.
+ORDER2_MEMBERS_AT_TWO = {(2, 4, 1), (2, 5, 1), (2, 5, 2)}
+
+
+def _cell_samples(f, var, lo, hi) -> list:
+    """One rational point in each open interval into which the real roots
+    of the nonzero polynomial f cut (lo, hi); hi may be oo."""
+    roots = sorted({r for r in sp.Poly(f, var).real_roots() if lo < r < hi},
+                   key=lambda r: r.evalf(60))
+    ends = [sp.S(lo), *roots, sp.S(hi)]
+    out = []
+    for a, b in zip(ends, ends[1:]):
+        q = (sp.floor(a) + 1 if b == sp.oo
+             else sp.nsimplify(((a + b) / 2).evalf(60), rational=True))
+        assert a < q < b
+        out.append(q)
+    return out
+
+
+def _sympy_nonneg(f, var, lo, hi) -> bool:
+    """Whether the polynomial f is >= 0 on (lo, hi), by its sign at one
+    point between each two of its real roots."""
+    f = sp.expand(f)
+    return f == 0 or all(f.subs(var, q) >= 0
+                         for q in _cell_samples(f, var, lo, hi))
+
+
+def _sympy_order2_member(coeffs) -> bool:
+    """Membership in the order-2 cone decided with sympy alone, by the
+    conditions of the nonnegcone.exact module comment: p, p', the odd and the
+    even part >= 0 on (0, oo), and H = (p(-u x) + u p(x)) / (1 + u) >= 0 on
+    x > 0, 0 < u < 1. Let G be the product of the distinct irreducible
+    factors of H other than x, u and u - 1, which keep one sign there. Above
+    the x-cells cut by the real roots of the resultant in u of G and its
+    u-derivative, and of G at u = 0 and u = 1, H keeps its sign pattern in
+    u, so one rational x per cell decides."""
+    x, u = sp.symbols("x u")
+    c = [sp.Rational(Fraction(v).numerator, Fraction(v).denominator)
+         for v in coeffs]
+    p = sum(v * x ** i for i, v in enumerate(c))
+    odd = sum(v * x ** i for i, v in enumerate(c[1::2]))
+    even = sum(v * x ** i for i, v in enumerate(c[0::2]))
+    if not all(_sympy_nonneg(f, x, 0, sp.oo)
+               for f in (p, sp.diff(p, x), odd, even)):
+        return False
+    h = sp.cancel((p.subs(x, -u * x) + u * p) / (1 + u))
+    g = sp.Mul(*(f for f, _ in sp.factor_list(h)[1]
+                 if f not in (x, u, u - 1)))
+    crit = g if sp.degree(g, u) < 1 else \
+        sp.resultant(g, sp.diff(g, u), u) * g.subs(u, 0) * g.subs(u, 1)
+    return all(_sympy_nonneg(h.subs(x, q), u, 0, 1)
+               for q in _cell_samples(crit, x, 0, sp.oo))
 
 
 def test_acceptance_03_family_grid():
@@ -150,8 +204,11 @@ def test_acceptance_03_family_grid():
         may be refuted, and n = 1 must be certified exactly.
     (B) n >= 2 cases with p' < 0 somewhere on (0, infinity): proved
         non-members, each must be refuted.
-    (C) the other n >= 2 cases (monotone, membership not settled): any
-        refutation must be sound.
+    (C) the other n >= 2 cases (monotone): for n = 2, (2, 4, 1), (2, 5, 1)
+        and (2, 5, 2), the exact order-2 decision proves membership at t = 2
+        and rejects t = 2.01, and sympy, independently, agrees at t = 2, as
+        it agrees that the three (B) cases of n = 2 are not members; for
+        n = 3 membership is not settled, and any refutation must be sound.
     Every witness is re-checked here in exact arithmetic, independently of
     the package's own confirmation.
     """
@@ -208,6 +265,19 @@ def test_acceptance_03_family_grid():
             f"non-monotone {(n, m, s)} not refuted at t=2.0: {at_two[(n, m, s)]}"
         entry = _decreasing_step_certificate(loewy_general(n, m, s, 2.0), n)
         assert entry < 0, f"{(n, m, s)}: xI + cJ entry {entry}"
+
+    open_two = {c for c in cases if c[0] == 2} - set(proved) - non_monotone
+    assert open_two == ORDER2_MEMBERS_AT_TWO
+    for case in sorted(open_two | non_monotone):
+        if case[0] != 2:
+            continue
+        p = loewy_general(*case, 2.0)
+        member = case in ORDER2_MEMBERS_AT_TWO
+        assert is_order2_member(p) is member, case
+        assert _sympy_order2_member(p.coeffs) is member, case
+        assert not (member and isinstance(at_two[case], Refuted)), case
+        # and t = 2 is sharp for them
+        assert is_order2_member(loewy_general(*case, 2.01)) is False, case
 
 
 def test_acceptance_04_alpha_and_split():

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnegcone import exact, volume
+from nonnegcone import exact, membership, volume
 from nonnegcone.core import Polynomial
-from nonnegcone.exact import RationalPolynomial, is_nonneg_on_halfline
+from nonnegcone.exact import (RationalPolynomial, is_nonneg_on_halfline,
+                              is_order2_member)
 from nonnegcone.membership import Refuted, SearchConfig, refute
 from nonnegcone.volume import (
     CSV_HEADER,
@@ -163,11 +164,24 @@ def test_chunk_classification_matches_per_row_oracle(seed):
     assert _INSIDE[stage].tolist() == _isolation_inside(completed)
 
 
+def _decided_ref(p: Polynomial, n: int, cfg: SearchConfig):
+    """Per-polynomial reference for a row that passes the half-line oracle:
+    the coefficient signs, for n = 2 the exact decision, else one refute
+    with its own search. (stage, verdict of the search or None)."""
+    if min(p.coeffs) >= 0:
+        return STAGES.index("coeffs_nonneg"), None
+    if n == 2:
+        return STAGES.index("order2_inside" if is_order2_member(p)
+                            else "order2_rejected"), None
+    verdict = refute(p, n, cfg)
+    return STAGES.index("search_refuted" if isinstance(verdict, Refuted)
+                        else "search_exhausted"), verdict
+
+
 def _per_row_stages(rows: np.ndarray, n: int, k: int,
                     cfg: SearchConfig) -> list:
-    """Per-row reference for a first chunk: sign, grid and oracle, then the
-    coefficient signs, then one refute with its own search on each row that
-    passes them."""
+    """Per-row reference for a first chunk: sign, grid and oracle, then
+    _decided_ref on each row that passes them."""
     out = []
     for idx, r in enumerate(rows):
         if (r[:n] < 0).any() or (r[max(0, k + 1 - n):] < 0).any():
@@ -176,35 +190,35 @@ def _per_row_stages(rows: np.ndarray, n: int, k: int,
             out.append(STAGES.index("grid"))
         elif not is_nonneg_on_halfline(RationalPolynomial(r)):
             out.append(STAGES.index("oracle_rejected"))
-        elif (r >= 0).all():
-            out.append(STAGES.index("coeffs_nonneg"))
         else:
             per = replace(cfg, seed=volume._sample_seed(cfg.seed, idx))
-            hit = isinstance(refute(Polynomial(r), n, per), Refuted)
-            out.append(STAGES.index("search_refuted" if hit
-                                    else "search_exhausted"))
+            out.append(_decided_ref(Polynomial(r), n, per)[0])
     return out
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_chunk_search_matches_per_row_refute(seed):
     cfg = SearchConfig(restarts=3, max_iters=120, seed=seed)
-    searched = nonneg = 0
-    for n, k in itertools.product((2, 3), (4, 5)):
-        _, rows = next(_ball_chunks(k + 1, 300, seed))
+    searched = nonneg = order2 = 0
+    # at n = 3 only k = 6 leaves a coefficient free of the sign stage
+    for n, k in [*itertools.product((2, 3), (4, 5)), (3, 6)]:
+        _, rows = next(_ball_chunks(k + 1, 300 if k < 6 else 1000, seed))
         with mock.patch.object(volume, "refute", wraps=volume.refute) as spy:
             stage = _classify_rows(rows, n, k, cfg, 0)
         assert stage.tolist() == _per_row_stages(rows, n, k, cfg)
         # one refute per searched row, in row order, as the traced
-        # volume.stage.search_* counts assume
+        # volume.stage.search_* counts assume; none at n = 2
         hit = np.flatnonzero(stage >= STAGES.index("search_refuted"))
         assert [c.args[0].coeffs for c in spy.call_args_list] == \
             [tuple(rows[i]) for i in hit]
+        assert n == 3 or len(hit) == 0
         # and none on a row whose coefficients are all >= 0
         assert all(min(c.args[0].coeffs) < 0 for c in spy.call_args_list)
         searched += len(hit)
         nonneg += int((stage == STAGES.index("coeffs_nonneg")).sum())
-    assert searched > 0 and nonneg > 0
+        order2 += int(np.isin(stage, [STAGES.index("order2_rejected"),
+                                      STAGES.index("order2_inside")]).sum())
+    assert searched > 0 and nonneg > 0 and order2 > 0
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -219,51 +233,59 @@ def test_nonnegative_coefficients_are_never_refuted(coeffs, n, seed):
 
 
 def _ladder_ref(v: np.ndarray, n: int, cfg: SearchConfig, c_cap: float,
-                decided: list) -> int:
-    """Per-row reference for the n >= 2 projection ladder: one refute with
-    its own search per completion that passes the half-line oracle and has
-    a negative coefficient."""
+                searched: list) -> int:
+    """Per-row reference for the n >= 2 projection ladder: _decided_ref on
+    each completion that passes the half-line oracle, climbing past a
+    rejection unless a search refuted it by at least 0.05."""
     stage = STAGES.index("oracle_rejected")
     for j in range(5):
         completed = Polynomial(list(v) + [c_cap * 2.0 ** j])
         if not is_nonneg_on_halfline(
                 RationalPolynomial.from_polynomial(completed)):
             continue
-        if min(completed.coeffs) >= 0:
-            return STAGES.index("coeffs_nonneg")
-        decided.append(completed.coeffs)
-        verdict = refute(completed, n, cfg)
-        if not isinstance(verdict, Refuted):
-            return STAGES.index("search_exhausted")
-        stage = STAGES.index("search_refuted")
-        if verdict.witness.value <= -0.05:
+        stage, verdict = _decided_ref(completed, n, cfg)
+        if verdict is not None:
+            searched.append(completed.coeffs)
+        if _INSIDE[stage]:
+            return stage
+        if verdict is not None and verdict.witness.value <= -0.05:
             break
     return stage
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("k", [4, 5])
-def test_projection_ladder_matches_per_row_ladder(seed, k):
-    n, c_cap = 2, 10.0
+@pytest.mark.parametrize("n,k", [pytest.param(2, 4, id="4"),
+                                 pytest.param(2, 5, id="5"),
+                                 pytest.param(3, 6, id="6")])
+def test_projection_ladder_matches_per_row_ladder(seed, n, k):
+    # n = 2 ladders are decided exactly and climb every rung a rejection
+    # leaves; n = 3 ladders search
+    c_cap = 10.0
     cfg = SearchConfig(restarts=3, max_iters=120, seed=seed)
-    _, rows = next(_ball_chunks(k + 1, 200, seed))
+    _, rows = next(_ball_chunks(k + 1, 200 if n == 2 else 400, seed))
     start = 4096   # a later chunk: seeds come from the global sample index
-    decided: list = []
+    searched: list = []
     ref = []
     for i, r in enumerate(rows):
         if (r[:n] < 0).any() or (r[k + 2 - n:] < 0).any():
             ref.append(STAGES.index("sign"))
         else:
             per = replace(cfg, seed=volume._sample_seed(seed, start + i))
-            ref.append(_ladder_ref(r, n, per, c_cap, decided))
+            ref.append(_ladder_ref(r, n, per, c_cap, searched))
     with mock.patch.object(volume, "refute", wraps=volume.refute) as spy:
         stage = _projection_rows(rows, n, k, cfg, start, c_cap)
     assert stage.tolist() == ref
-    # one refute per ladder step, each on its share of a search batch
+    # one refute per searched ladder step, each on its share of a search
+    # batch
     assert sorted(c.args[0].coeffs for c in spy.call_args_list) == \
-        sorted(decided)
+        sorted(searched)
     assert all(c.args[3] is not None for c in spy.call_args_list)
-    assert len(decided) > 0 and STAGES.index("coeffs_nonneg") in ref
+    if n == 2:
+        assert searched == []
+        assert {"coeffs_nonneg", "order2_inside", "order2_rejected"} <= \
+            {STAGES[s] for s in ref}
+    else:
+        assert len(searched) > 0
 
 
 def test_projection_contains_cone_per_sample():
@@ -310,14 +332,30 @@ def test_compare_order_small():
     small = SearchConfig(restarts=6, max_iters=80, seed=17)
     rep = compare_experiment("order", {"n_a": 1, "n_b": 2, "k": 4}, 400, small)
     a, b = rep["estimates"]
-    assert a["bias"] == "Exact" and b["bias"] == "UpperBiased"
+    assert a["bias"] == "Exact" and b["bias"] == "Exact"
     assert rep["observed_direction_holds"]
-    # only samples that pass the order-1 stages reach the search
-    searched = b["stages"]["search_refuted"] + b["stages"]["search_exhausted"]
-    assert 0 < searched <= a["n_inside"]
-    assert b["stages"]["coeffs_nonneg"] > 0
-    assert (b["stages"]["search_exhausted"] + b["stages"]["coeffs_nonneg"]
-            == b["n_inside"])
+    # only samples that pass the order-1 stages reach the order-2 decision,
+    # and no n = 2 sample is searched
+    st = b["stages"]
+    decided = st["order2_rejected"] + st["order2_inside"]
+    assert 0 < decided <= a["n_inside"]
+    assert st["order2_rejected"] > 0 and st["order2_inside"] > 0
+    assert st["search_refuted"] == st["search_exhausted"] == 0
+    assert st["coeffs_nonneg"] > 0
+    assert st["order2_inside"] + st["coeffs_nonneg"] == b["n_inside"]
+
+
+def test_order2_estimate_runs_no_lockstep():
+    # the n = 2 estimate of a seed-1 compare order call, as the benchmark
+    # runs it: every row is decided exactly, none is searched
+    cfg = SearchConfig(restarts=3, max_iters=120, seed=1)
+    with mock.patch.object(membership, "_lockstep",
+                           side_effect=AssertionError("lockstep ran")):
+        rep = compare_experiment("order", {"n_a": 1, "n_b": 2, "k": 4}, 250,
+                                 cfg)
+    b = rep["estimates"][1]
+    assert b["bias"] == "Exact"
+    assert b["stages"]["order2_rejected"] + b["stages"]["order2_inside"] > 0
 
 
 def test_csv_format():
