@@ -493,7 +493,7 @@ def main(argv: Optional[list] = None) -> int:
         return e.code
     try:
         return args.fn(args)
-    except (_InputError, InvalidSpec, NoFloatWitness) as e:
+    except (_InputError, InvalidSpec, NoFloatWitness, BeyondFloatRange) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

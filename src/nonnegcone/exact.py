@@ -20,7 +20,8 @@ variables, decided in integers by a tensor Bernstein certificate and, where
 that leaves it open, a cylindrical decomposition whose cells come from the
 same root isolation; every rejection comes with a rational positive matrix
 whose image has a negative entry (order2_counterexample). Volume estimates
-use it; check, maxt and slice still search at n = 2 (see membership).
+and the maxt and slice thresholds use it; check still searches at n = 2
+(see membership).
 """
 
 from __future__ import annotations

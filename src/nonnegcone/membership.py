@@ -9,18 +9,22 @@ candidate entry has been re-evaluated in exact rational arithmetic, so every
 Refuted verdict is sound; NoRefutationFound is a budget report, not a
 membership certificate.
 
-For n = 2, exact.is_order2_member decides membership, and volume estimates
-use it; refute, and with it check, maxt and slice, still searches at n = 2.
-refute's contract is a search report (the release checks assert
-NoRefutationFound for the n = 2 member loewy_general(2, 2, 0, 2)), and the
-benchmark's checker accepts an exit-0 check only with a no_refutation_found
-verdict, so an exact n = 2 check waits for a verdict that carries its proof.
+For n = 2, exact.is_order2_member decides membership. Volume estimates and
+the thresholds of max_t, boundary_offset and trace_slice use it, so at
+n <= 2 every polynomial those bisect is decided exactly, and they search
+only at n >= 3 or where is_order2_member leaves p open. refute, and with it
+check, still searches at n = 2: refute's contract is a search report (the
+release checks assert NoRefutationFound for the n = 2 member
+loewy_general(2, 2, 0, 2)), and the benchmark's checker accepts an exit-0
+check only with a no_refutation_found verdict, so an exact n = 2 check waits
+for a verdict that carries its proof.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -30,8 +34,9 @@ from typing import (TYPE_CHECKING, Any, Callable, Generator, Optional,
 
 import numpy as np
 
-from .core import Polynomial, eval_matrix, min_entry
-from .exact import RationalPolynomial, refute_halfline
+from .core import BeyondFloatRange, Polynomial, eval_matrix, min_entry
+from .exact import (RationalPolynomial, is_nonneg_on_halfline,
+                    is_order2_member, refute_halfline)
 
 if TYPE_CHECKING:
     from .families import FamilySpec
@@ -616,21 +621,42 @@ def drive(searches: Sequence[Search],
     return results
 
 
+def _outside(p: Polynomial, n: int) -> Optional[bool]:
+    """Whether p lies outside the order-n cone, decided exactly for n <= 2;
+    None where only a search can tell: n >= 3, and the n = 2 polynomials
+    that is_order2_member leaves open."""
+    if n == 1:
+        return not is_nonneg_on_halfline(p)
+    member = is_order2_member(p) if n == 2 else None
+    return None if member is None else not member
+
+
 def _run(searches: Sequence[Search], n: int, cfg: SearchConfig) -> list:
     """drive() for searches that yield polynomials and are sent whether each
-    is proved outside the order-n cone under cfg: by a confirmed witness, or
-    for n = 1 by the exact oracle alone where no float witness exists. Each
-    round is one prepare() batch, then one refute per polynomial."""
-    def refuted(polys: list) -> list[bool]:
-        out = []
-        for p, prep in zip(polys, prepare(polys, n, [cfg] * len(polys))):
-            try:
-                out.append(isinstance(refute(p, n, cfg, prep), Refuted))
-            except NoFloatWitness:
-                out.append(True)
+    lies outside the order-n cone.
+
+    For n <= 2 that is an exact decision (_outside). What a round leaves
+    open is one prepare() batch, then one refute per polynomial, and counts
+    as outside only with a confirmed witness. Raises BeyondFloatRange for a
+    polynomial with a coefficient that is not finite, as a doubling ladder
+    or a large t can give.
+    """
+    def outside(polys: list) -> list[bool]:
+        for p in polys:
+            if not all(map(math.isfinite, p.coeffs)):
+                raise BeyondFloatRange(
+                    "a polynomial to decide has a coefficient beyond the "
+                    f"float range: {list(p.coeffs)}")
+        out = [_outside(p, n) for p in polys]
+        open_ = [k for k, v in enumerate(out) if v is None]
+        if open_:
+            batch = [polys[k] for k in open_]
+            for k, p, prep in zip(open_, batch,
+                                  prepare(batch, n, [cfg] * len(batch))):
+                out[k] = isinstance(refute(p, n, cfg, prep), Refuted)
         return out
 
-    return drive(searches, refuted)
+    return drive(searches, outside)
 
 
 FamilyLike = Union[Callable[[float], Polynomial], "FamilySpec"]
@@ -649,10 +675,14 @@ def max_t(family: FamilyLike, n: int, cfg: SearchConfig,
     """Bisect the largest t whose family member is not refuted.
 
     Well-posed because the families are (fixed nonnegative part) - t x^m:
-    any witness at t transfers to every larger t. Returns (lo, hi) with hi
-    refuted, lo not refuted under the configured budget, hi - lo <= width
-    (see _bisect). probe_log, when given, collects (t, refuted) pairs in
-    probe order.
+    any witness at t transfers to every larger t. Returns (lo, hi) with
+    hi - lo <= width (see _bisect). For n <= 2 both ends are exact
+    decisions: hi is outside the cone and lo inside it. For n >= 3, and
+    for an n = 2 member that is_order2_member leaves open, hi has a
+    confirmed witness and lo is only not refuted under the configured
+    budget. probe_log, when given, collects (t, refuted) pairs in probe
+    order. BeyondFloatRange when a family member has a coefficient beyond
+    the float range.
     """
     fn = _family_fn(family)
     base = fn(0.0)
@@ -719,9 +749,12 @@ def boundary_offset(g: Polynomial, u: Polynomial, n: int, cfg: SearchConfig,
                     mu_hi: float, width: Optional[float] = None) -> float:
     """Largest mu with g + mu u not refuted, located by bisection.
 
-    mu_hi is doubled a few times if it is not already refuted; BadBracket
-    when no refuted upper end exists (the whole ray may lie in the cone) or
-    when g itself is refuted. Bracket width defaults to 1e-3 * mu_hi.
+    Refuted means decided outside the cone, as in max_t: exactly for
+    n <= 2, by a confirmed witness for n >= 3. mu_hi is doubled a few times
+    if it is not already refuted; BadBracket when no refuted upper end
+    exists (the whole ray may lie in the cone) or when g itself is refuted,
+    BeyondFloatRange when the doubling leaves the float range. Bracket
+    width defaults to 1e-3 * mu_hi.
     """
     return _run([_offset_search(g, u, mu_hi, width)], n, cfg)[0]
 
@@ -738,9 +771,11 @@ def trace_slice(p: Polynomial, q: Polynomial, u: Polynomial, n: int,
     """Boundary offsets along u for the segment (1 - t) p + t q, t in (0, 1).
 
     Both endpoints and the boundary_offset search of every grid point run in
-    shared rounds, each round one prepare() batch. Residual is the max
-    deviation of the points from their least-squares line; a straight
-    boundary face gives ~0, a curved one does not.
+    shared rounds: for n <= 2 each polynomial is decided exactly, so the
+    offsets do not depend on the seed; for n >= 3 each round is one
+    prepare() batch. Residual is the max deviation of the points from their
+    least-squares line; a straight boundary face gives ~0, a curved one
+    does not.
     """
     if not grid >= 1:
         raise ValueError(f"grid must be >= 1, got {grid}")

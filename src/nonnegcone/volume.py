@@ -29,8 +29,8 @@ Only the last step can err, and only in one direction: a missed witness
 counts an outsider as inside. So an estimate is labeled Exact when no sample
 is "search_exhausted", as every n = 1 and n = 2 estimate is in practice, and
 UpperBiased otherwise. Projection estimates run the same stages on the
-completed polynomial; for n >= 2 they skip the grid. The commands check,
-maxt and slice still search at n = 2 (see the membership docstring).
+completed polynomial; for n >= 2 they skip the grid. The check command
+still searches at n = 2 (see the membership docstring).
 """
 
 from __future__ import annotations

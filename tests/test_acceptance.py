@@ -22,6 +22,7 @@ from nonnegcone.exact import (
     RationalPolynomial,
     is_nonneg_on_halfline,
     is_order2_member,
+    order2_counterexample,
     polya_szego_decompose,
     refute_halfline,
 )
@@ -80,6 +81,23 @@ def test_acceptance_02_matrix_sharp_threshold():
     assert 1.9 <= lo <= hi <= 2.1, f"interval [{lo}, {hi}]"
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"took {elapsed:.2f}s, budget 5min"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_order2_maxt_interval_holds_the_threshold(seed):
+    """At n = 2 both ends of a maxt interval are proofs: hi has a rational
+    positive matrix whose image has a negative entry, and sympy, on its
+    own, finds lo inside the cone."""
+    lo, hi = max_t(LoewyGeneral(2, 2, 0, 2.0), 2, SearchConfig(seed=seed),
+                   t_hi=3.0, width=1e-9)
+    assert lo <= 2.0 < hi and hi - lo <= 1e-9
+    p_hi = loewy_general(2, 2, 0, hi)
+    x, y, a = order2_counterexample(p_hi)
+    matrix = [[a, Fraction(1)], [a * (x + y - a) - x * y, x + y - a]]
+    assert min(map(min, matrix)) > 0
+    assert min(_power_sum_entry(p_hi.coeffs, matrix, i, j)
+               for i in range(2) for j in range(2)) < 0
+    assert _sympy_order2_member(loewy_general(2, 2, 0, lo).coeffs)
 
 
 def _power_sum_entry(coeffs, a, i: int, j: int) -> Fraction:

@@ -414,6 +414,15 @@ def test_hostile_input_is_a_usage_error(capsys, argv):
     assert err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_slice_ladder_beyond_float_range_is_a_usage_error(capsys, n):
+    # the doubling ladder of the offset search takes 1e308 to inf
+    code, out, err = usage_exit(capsys, "slice", "[1,1,-1,1,1]",
+                                "[1,1,-1.5,1,1]", "[0,0,1e308]", "--n", n)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "float range" in err
+
+
 # a short call of each subcommand, and the shared options it reads, in
 # run_config order
 SUBCOMMANDS = {

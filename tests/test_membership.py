@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from nonnegcone import membership
-from nonnegcone.core import Polynomial, eval_matrix, min_entry, sample_stochastic
+from nonnegcone.core import (BeyondFloatRange, Polynomial, eval_matrix,
+                             min_entry, sample_stochastic)
 from nonnegcone.exact import (
     RationalPolynomial,
     is_nonneg_on_halfline,
+    is_order2_member,
     refute_halfline,
 )
-from nonnegcone.families import necessary_conditions
+from nonnegcone.families import loewy_general, necessary_conditions
 from nonnegcone.membership import (
     BadBracket,
     ExactMember,
@@ -660,8 +662,9 @@ def test_search_config_bounds_are_value_errors():
 
 
 # ---------------------------------------------------------------------------
-# sequential references: each polynomial decided by its own refute, one
-# after another, by callback bisections
+# sequential references: one polynomial after another, by callback
+# bisections; for n <= 2 each is decided by the exact oracles themselves,
+# for n >= 3 by its own refute
 
 
 def _decision(p: Polynomial, verdict) -> tuple:
@@ -674,12 +677,14 @@ def _decision(p: Polynomial, verdict) -> tuple:
 
 def _refuted_alone(p: Polynomial, n: int, cfg: SearchConfig,
                    decided: list) -> bool:
-    try:
-        verdict = refute(p, n, cfg)
-    except NoFloatWitness as e:
-        verdict = e
+    if n == 1:
+        return not is_nonneg_on_halfline(p)
+    member = is_order2_member(p) if n == 2 else None
+    if member is not None:
+        return not member
+    verdict = refute(p, n, cfg)
     decided.append(_decision(p, verdict))
-    return not isinstance(verdict, (NoRefutationFound, ExactMember))
+    return isinstance(verdict, Refuted)
 
 
 def _bisect_ref(refuted, hi: float, width: float) -> tuple:
@@ -747,16 +752,12 @@ def _trace_ref(p, q, u, n, grid, cfg, decided):
 
 def _spied(fn, *args, **kwargs):
     """fn's result and the decision of every call of membership.refute,
-    each of which must get its prepared share for n >= 2."""
+    each of which must get its prepared share."""
     decided = []
 
     def spy(p, n, cfg, prepared):
-        assert n == 1 or isinstance(prepared, membership.Prepared)
-        try:
-            verdict = refute(p, n, cfg, prepared)
-        except NoFloatWitness as e:
-            decided.append(_decision(p, e))
-            raise
+        assert isinstance(prepared, membership.Prepared)
+        verdict = refute(p, n, cfg, prepared)
         decided.append(_decision(p, verdict))
         return verdict
 
@@ -764,9 +765,13 @@ def _spied(fn, *args, **kwargs):
         return fn(*args, **kwargs), decided
 
 
-# the benchmark's slice segment
+# the benchmark's slice segment, and an order-3 segment along the centre
+# coefficient of loewy_general(3, 3, 0, t)
 SLICE_SEGMENT = (Polynomial([1, 1, -1, 1, 1]), Polynomial([1, 1, -1.5, 1, 1]),
                  Polynomial([0, 0, -1]))
+SLICE_SEGMENT3 = (Polynomial([1, 1, 1, -1, 1, 1, 1]),
+                  Polynomial([1, 1, 1, -1.5, 1, 1, 1]),
+                  Polynomial([0, 0, 0, -1]))
 SMALL = SearchConfig(restarts=4, max_iters=100, seed=7)
 
 
@@ -780,13 +785,17 @@ SMALL = SearchConfig(restarts=4, max_iters=100, seed=7)
     ((Polynomial([1]), Polynomial([0, 0, 1]), Polynomial([0, -1])), 1, 5,
      SMALL),
     ((Polynomial([1, 1]), Polynomial([0, 1]), Polynomial([1])), 1, 3, SMALL),
-], ids=["bench-grid3", "bench-grid5", "missing", "n1-curved", "n1-missing"])
+    (SLICE_SEGMENT3, 3, 2, SMALL),
+], ids=["bench-grid3", "bench-grid5", "missing", "n1-curved", "n1-missing",
+        "n3-grid2"])
 def test_trace_slice_matches_sequential_reference(segment, n, grid, cfg):
     decided: list = []
     ref = _trace_ref(*segment, n, grid, cfg, decided)
     got, calls = _spied(trace_slice, *segment, n, grid, cfg)
     assert got == ref
     assert Counter(calls) == Counter(decided)
+    # n <= 2 is decided without a search, n = 3 only by searches
+    assert bool(calls) == (n == 3)
     if grid == 3 and n == 2 and segment is not SLICE_SEGMENT:
         assert len(got.points) == 1 and len(got.missing) == 2
 
@@ -806,8 +815,9 @@ def test_trace_slice_refuted_endpoint(p, q):
     (loewy22, 2, 3.0, 0.02),
     (lambda t: Polynomial([1.0, -t, 1.0]), 1, 4.0, 0.01),
     # every member with t > 0 is negative only beyond the float range, so
-    # its refutation is the exact oracle's alone (NoFloatWitness)
+    # no float witness shows it; the exact oracle does
     (lambda t: Polynomial([1.0, 1e300, -t * 1e-300]), 1, 1.0, 0.1),
+    (lambda t: loewy_general(3, 3, 0, t), 3, 4.0, 0.25),
 ])
 def test_max_t_matches_sequential_reference(fn, n, t_hi, width):
     decided: list = []
@@ -815,16 +825,49 @@ def test_max_t_matches_sequential_reference(fn, n, t_hi, width):
     probes: list = []
     got, calls = _spied(max_t, fn, n, SMALL, t_hi, width, probe_log=probes)
     assert got == lo_hi and probes == log
-    assert calls == decided
+    assert calls == decided and bool(calls) == (n == 3)
 
 
 @pytest.mark.parametrize("g,u,n", [
     (Polynomial([1, 1, -1.25, 1, 1]), Polynomial([0, 0, -1]), 2),
     (Polynomial([1.0, 0.0, 1.0]), Polynomial([0.0, -1.0]), 1),
     (Polynomial([1.0, 1e300, 0.0]), Polynomial([0.0, 0.0, -1e-300]), 1),
+    (Polynomial([1, 1, 1, -1.25, 1, 1, 1]), Polynomial([0, 0, 0, -1]), 3),
 ])
 def test_boundary_offset_matches_sequential_reference(g, u, n):
     decided: list = []
     ref = _offset_ref(g, u, n, SMALL, 1.0, None, decided)
     got, calls = _spied(boundary_offset, g, u, n, SMALL, 1.0)
-    assert got == ref and calls == decided
+    assert got == ref and calls == decided and bool(calls) == (n == 3)
+
+
+def test_order2_thresholds_run_no_search():
+    def no_search(*args):
+        raise AssertionError("searched at n = 2")
+
+    with mock.patch.object(membership, "prepare", no_search), \
+            mock.patch.object(membership, "_lockstep", no_search):
+        lo, hi = max_t(loewy22, 2, SMALL, t_hi=3.0, width=1e-3)
+        res = trace_slice(*SLICE_SEGMENT, 2, 3, SMALL)
+    assert lo <= 2.0 < hi and len(res.points) == 3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 8])
+def test_order2_slice_is_exact_and_seed_free(seed):
+    # the benchmark's segment: the offset at t leaves the centre coefficient
+    # at -1 - t / 2 - mu = -2, the degree-4 bound, and the bisection from
+    # mu = 1 meets it exactly
+    res = trace_slice(*SLICE_SEGMENT, 2, 3, SearchConfig(restarts=10,
+                                                         seed=seed))
+    assert res.points == ((0.25, 0.875), (0.5, 0.75), (0.75, 0.625))
+    for t, mu in res.points:
+        g = SLICE_SEGMENT[0].scale(1 - t) + SLICE_SEGMENT[1].scale(t)
+        assert (g + SLICE_SEGMENT[2].scale(mu)).coeffs[2] == -2.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_coefficient_beyond_float_range_is_an_error(n):
+    # u's ladder doubles 1e308 past the float range
+    with pytest.raises(BeyondFloatRange):
+        trace_slice(*SLICE_SEGMENT[:2], Polynomial([0, 0, 1e308]), n, 1,
+                    SMALL)
