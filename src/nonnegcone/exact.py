@@ -1,5 +1,5 @@
-"""Exact membership oracles for the n = 1 and n = 2 cones, and their
-constructive certificates.
+"""Exact membership oracles for the n = 1 and n = 2 cones, a membership
+certificate for every order, and their constructive certificates.
 
 For n = 1 the cone is exactly the polynomials nonnegative on [0, infinity).
 That is decidable in integer arithmetic. The oracle takes float or rational
@@ -22,6 +22,12 @@ same root isolation; every rejection comes with a rational positive matrix
 whose image has a negative entry (order2_counterexample). Volume estimates
 and the maxt and slice thresholds use it; check still searches at n = 2
 (see membership).
+
+For n >= 3 no decision is known; loewy_certificate proves members from the
+Loewy polynomial L_n = 1 + ... + x^(n-1) - 2 x^n + x^(n+1) + ... + x^(2n),
+with a rational (j, a, lam) for which p - lam x^j L_n(a x) has no negative
+coefficient. Its proofs rest on the paper's theorem that L_n is in the
+order-n cone, which this package does not check for n >= 3.
 """
 
 from __future__ import annotations
@@ -226,7 +232,31 @@ def _sign_changes(b: Sequence[int]) -> int:
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
-def _walk(q: list[int]) -> Iterator[tuple[int, int, int]]:
+def _critical_points(q: list[int]) -> list[tuple[int, int]]:
+    """(a, b), b > 0, for the dyadic a / b of each root with positive real
+    part that numpy finds for q' in floats: where q dips, proposed in
+    floats for an exact sign test in integers. [] where numpy fails."""
+    d = _deriv(q)[::-1]
+    shift = max(v.bit_length() for v in d) - 1000    # fits a float
+    f = [v / (1 << shift) for v in d] if shift > 0 else [float(v) for v in d]
+    try:
+        with np.errstate(all="ignore"):
+            roots = np.roots(f).real
+    except (np.linalg.LinAlgError, ValueError):
+        return []
+    return [float(x).as_integer_ratio() for x in roots if 0 < x < math.inf]
+
+
+# the leaf depth past which a walk that only needs a negative point first
+# tries the critical points of q: deeper leaves mean roots closer than
+# 2^-_SETTLE_DEPTH to each other or to y = 0 or 1 (x near 0 or infinity).
+# No walk of a sampled volume row went deeper than 11 (seed 1, n = 1 and 2,
+# k = 2 to 8)
+_SETTLE_DEPTH = 16
+
+
+def _walk(q: list[int], settle: bool = False
+          ) -> Iterator[tuple[int, int, int]]:
     """(a, b, cell): points x = a / b > 0 that are not roots of q, in
     increasing order, with at least one between each two consecutive
     positive roots of q, before the first and after the last; cell counts
@@ -238,6 +268,12 @@ def _walk(q: list[int]) -> Iterator[tuple[int, int, int]]:
     neither y = 0 nor y = 1 (Collins-Akritas). The points are the left end
     of every leaf but the first (a root when its end coefficient is 0, and
     then skipped) and the midpoint of every root-free leaf.
+
+    With settle, the first leaf deeper than _SETTLE_DEPTH that needs halving
+    first yields the _critical_points of q, out of order and with cell -1,
+    for a caller that only looks for a point where q < 0 (_isolate); such a
+    walk never reaches that depth in sampled rows, while an extreme dyadic
+    one would halve its leaf a thousand times.
     """
     todo = [(0, 0, _bernstein(_squarefree(q)))]
     cell = 0
@@ -246,6 +282,10 @@ def _walk(q: list[int]) -> Iterator[tuple[int, int, int]]:
         m = 1 << depth
         roots = _sign_changes(b)
         if roots > 1 or roots == 1 and not (b[0] and b[-1] and 0 < i < m - 1):
+            if settle and depth > _SETTLE_DEPTH:
+                settle = False
+                for a, d in _critical_points(q):
+                    yield a, d, -1
             left, right = _halves(b)
             todo += [(2 * i + 1, depth + 1, right), (2 * i, depth + 1, left)]
             continue
@@ -258,14 +298,16 @@ def _walk(q: list[int]) -> Iterator[tuple[int, int, int]]:
         cell += roots
 
 
-def _isolate(q: list[int]) -> Optional[tuple[int, int]]:
+def _isolate(q: list[int], settle: bool = False) -> Optional[tuple[int, int]]:
     """(a, b) with b > 0 and q(a / b) < 0, or None when q >= 0 on [0, inf).
 
     q holds integer coefficients with q(0) != 0; q keeps one sign between
     two consecutive roots, so it is tested at the points of _walk, in
-    increasing order, and the first negative one is returned.
+    increasing order, and the first negative one is returned. With settle
+    a deep walk also tests the critical points of q (see _walk), so the
+    point may not be the first.
     """
-    for a, b, _ in _walk(q):
+    for a, b, _ in _walk(q, settle):
         if _scaled_value(q, a, b) < 0:
             return a, b
     return None
@@ -296,8 +338,11 @@ def _negative_point(
     return _negative_int(_integer_coeffs(p.coeffs))
 
 
-def _negative_int(c: Sequence[int]) -> Optional[tuple[int, int]]:
-    """_negative_point on integer coefficients, lowest degree first."""
+def _negative_int(c: Sequence[int],
+                  settle: bool = False) -> Optional[tuple[int, int]]:
+    """_negative_point on integer coefficients, lowest degree first; with
+    settle a deep root isolation may return another negative point (see
+    _walk), for callers that need only whether one exists."""
     c = list(c)
     while c and c[-1] == 0:
         c.pop()
@@ -317,7 +362,7 @@ def _negative_int(c: Sequence[int]) -> Optional[tuple[int, int]]:
         return lead + max(map(abs, q[:-1]), default=0), lead
     if len(q) == 1 or _bernstein_certifies(q):
         return None
-    return _isolate(q)
+    return _isolate(q, settle)
 
 
 def is_nonneg_on_halfline(
@@ -329,9 +374,10 @@ def is_nonneg_on_halfline(
     dyadic rational it is: the verdict is that of the exact lift, with no
     rounding. The decision runs on integer coefficients; the Bernstein
     certificate settles most members, and root isolation decides what it
-    leaves. Raises ValueError for a coefficient that is not finite.
+    leaves, trying the critical points of p once it goes deep. Raises
+    ValueError for a coefficient that is not finite.
     """
-    return _negative_point(p) is None
+    return _negative_int(_integer_coeffs(p.coeffs), settle=True) is None
 
 
 def refute_halfline(p: RationalPolynomial) -> Optional[Fraction]:
@@ -621,6 +667,14 @@ def order2_counterexample(
     H gives is re-checked exactly first, and ArithmeticError means the
     decision is wrong.
     """
+    return _order2_counterexample(p, settle=False)
+
+
+def _order2_counterexample(
+        p: Union[Polynomial, RationalPolynomial], settle: bool
+) -> Optional[tuple[Fraction, Fraction, Fraction]]:
+    """order2_counterexample, whose one-variable conditions may settle a
+    deep root isolation at another negative point (see _walk)."""
     c = _integer_coeffs(p.coeffs)
     while c and c[-1] == 0:
         c.pop()
@@ -641,17 +695,17 @@ def order2_counterexample(
                     for j in itertools.count(1)
                     for r in [math.isqrt(n << (2 * j))])
 
-    point = _negative_int(c)
+    point = _negative_int(c, settle)
     if point is not None:                       # (i): a -> y = t
         t = Fraction(*point)
         return near([(t + 1, t)])
-    point = _negative_int(_deriv(c))
+    point = _negative_int(_deriv(c), settle)
     if point is not None:                       # (ii): D -> p'(t)
         t = Fraction(*point)
         return near((t + Fraction(max(t, 1)) / (1 << j), t)
                     for j in itertools.count())
     for part in (c[1::2], c[0::2]):             # (ii) and the u = 1 edge
-        point = _negative_int(part)
+        point = _negative_int(part, settle)
         if point is not None:
             return near_antidiagonal(Fraction(*point))
     h = _order2_h(c)
@@ -681,9 +735,82 @@ def is_order2_member(
     ValueError for a coefficient that is not finite.
     """
     try:
-        return order2_counterexample(p) is None
+        return _order2_counterexample(p, settle=True) is None
     except Order2Undecided:
         return None
+
+
+# ---------------------------------------------------------------------------
+# members of every order from the Loewy polynomial
+#
+# L_n = 1 + x + ... + x^(n-1) - 2 x^n + x^(n+1) + ... + x^(2n) is in the
+# order-n cone: that is the paper's answer to Loewy's question, a theorem
+# this package uses but does not check for n >= 3 (for n = 2
+# is_order2_member decides it). The cone is convex and closed under
+# p(x) -> p(a x) (A -> a A) and under multiplication by x^j, so p is a
+# member whenever p - lam x^j L_n(a x) has every coefficient >= 0 for some
+# a > 0 and lam >= 0. x^j L_n(a x) has the coefficient -2 a^n lam at
+# x^(j+n) and a^i lam > 0 at every other x^(j+i), i <= 2n, so p can have at
+# most one negative coefficient, c_m, and then j = m - n. For each a the
+# best lam is min over i != n of c_(j+i) / a^i, and it covers c_m when
+# c_m + 2 a^n lam >= 0.
+
+# the values of a tried: 2^e (1 + f / 32) for e = -4..3 and f = 0..31, then
+# 16; every one is a dyadic float, and a = 1 is the value the families need
+_LOEWY_LADDER = tuple(2.0 ** e * (32 + f) / 32
+                      for e in range(-4, 4) for f in range(32)) + (16.0,)
+
+
+@functools.lru_cache(maxsize=16)
+def _loewy_powers(n: int) -> np.ndarray:
+    """a^(n - i) for each a of _LOEWY_LADDER (rows) and i = 0..2n, i != n
+    (columns), in floats: exact up to n = 8, as each a has six bits; they
+    only propose."""
+    a = np.array(_LOEWY_LADDER)[:, None]
+    powers = a ** (n - np.array([i for i in range(2 * n + 1) if i != n]))
+    powers.flags.writeable = False
+    return powers
+
+
+def loewy_certificate(
+        p: Union[Polynomial, RationalPolynomial],
+        n: int) -> Optional[tuple[int, Fraction, Fraction]]:
+    """(j, a, lam), j >= 0 and rationals a > 0 and lam >= 0, for which every
+    coefficient of p - lam x^j L_n(a x) is >= 0; None when none is found.
+
+    Such a triple proves p in the order-n cone, given the paper's theorem
+    that L_n is a member (see above). p with no negative coefficient gets
+    (0, 1, 0). Otherwise j is fixed by p's one negative coefficient, a float
+    scan over _LOEWY_LADDER proposes the a with the widest margin
+    c_m + 2 a^n lam, and the certificate is returned only once the
+    coefficients of p - lam x^j L_n(a x) are checked >= 0 in Fractions. A
+    rational coefficient beyond the float range in the scan gives None.
+    """
+    c = p.coeffs
+    negative = [k for k, v in enumerate(c) if v < 0]
+    if not negative:
+        return 0, Fraction(1), Fraction(0)
+    m = negative[0]
+    j = m - n
+    if len(negative) > 1 or j < 0 or m + n >= len(c):
+        return None
+    try:
+        others = np.array([float(c[j + i])
+                           for i in range(2 * n + 1) if i != n])
+        low = float(c[m])
+    except OverflowError:       # a rational beyond the float range
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = 2.0 * (_loewy_powers(n) * others).min(axis=1) + low
+    best = int(margin.argmax())
+    if not margin[best] >= 0.0:
+        return None
+    a = Fraction(_LOEWY_LADDER[best])
+    q = [Fraction(v) for v in c]
+    lam = min(q[j + i] / a ** i for i in range(2 * n + 1) if i != n)
+    for i in range(2 * n + 1):
+        q[j + i] -= lam * a ** i * (-2 if i == n else 1)
+    return (j, a, lam) if min(q) >= 0 else None
 
 
 # ---------------------------------------------------------------------------

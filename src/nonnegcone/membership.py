@@ -18,6 +18,13 @@ release checks assert NoRefutationFound for the n = 2 member
 loewy_general(2, 2, 0, 2)), and the benchmark's checker accepts an exit-0
 check only with a no_refutation_found verdict, so an exact n = 2 check waits
 for a verdict that carries its proof.
+
+For n >= 3 the same thresholds first try exact.loewy_certificate, which
+proves p inside when p - lam x^j L_n(a x) has no negative coefficient, and
+search only what it leaves. Such a proof rests on the paper's theorem that
+the Loewy polynomial L_n = loewy_general(n, n, 0, 2) is in the order-n
+cone, which this package does not check. refute keeps its search contract
+at n >= 3 as at n = 2.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 
 from .core import BeyondFloatRange, Polynomial, eval_matrix, min_entry
 from .exact import (RationalPolynomial, is_nonneg_on_halfline,
-                    is_order2_member, refute_halfline)
+                    is_order2_member, loewy_certificate, refute_halfline)
 
 if TYPE_CHECKING:
     from .families import FamilySpec
@@ -96,12 +103,14 @@ class Witness:
 _RHO_LOG_RANGE = (-10.0, 10.0)
 _CONCENTRATIONS = (0.05, 0.3, 1.0)
 # the most shrink points (running simplices times the search dimension)
-# whose evaluation a lockstep step folds into its stack of candidates. Small
-# stacks cost per call, large ones per matrix: on a 2-core x86-64 VM, volume
-# estimates at 20 restarts (n = 2, k = 4, 4,096 samples; n = 3, k = 6, 8,192
-# samples) took x0.98 and x0.98 of the time of a lockstep that never folds
-# (that lockstep against a copy of itself: x0.99, x1.01), and x1.12 and
-# x2.03 when every step folds (medians of 15 interleaved pairs)
+# whose evaluation an n = 2 lockstep step folds into its stack of
+# candidates. Small stacks cost per call, large ones per matrix: on a 2-core
+# x86-64 VM, single n = 2 locksteps took x0.71 to x0.93 of the time with
+# the fold (4 to 42 restarts), and an n = 2, k = 4 volume estimate at 20
+# restarts x0.98 of a lockstep that never folds and x1.12 when every step
+# folds. The 3 x 3 matrices of n = 3 shrink points cost more than the second
+# stack they save (single locksteps x1.09 to x1.42 with the fold, 4 to 18
+# restarts), so n >= 3 steps never fold
 _FOLD_SHRINK_POINTS = 128
 
 
@@ -149,9 +158,11 @@ class NoRefutationFound:
 class ExactMember:
     """Membership proved exactly: by the half-line oracle for n = 1. Volume
     estimates also prove n >= 2 samples inside, by coefficients that are all
-    >= 0 and, for n = 2, by exact.is_order2_member; they count those
-    samples by stage and build no verdict. For n >= 2 refute returns
-    Refuted or NoRefutationFound only (see the module docstring)."""
+    >= 0, for n = 2 by exact.is_order2_member and for n >= 3 by
+    exact.loewy_certificate (given the paper's theorem that L_n is a
+    member, which the package does not check); they count those samples by
+    stage and build no verdict. For n >= 2 refute returns Refuted or
+    NoRefutationFound only (see the module docstring)."""
 
 
 Verdict = Union[Refuted, NoRefutationFound, ExactMember]
@@ -372,18 +383,18 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     Appl. 51 (2012) 259-277), with xatol 1e-7, fatol 1e-13 and max_iters
     iterations, batched over polynomials and restarts: each step evaluates
     one stack holding the reflection, the expansion and both contractions of
-    every running simplex, each under its own polynomial. While the running
-    simplices have at most _FOLD_SHRINK_POINTS shrink points, the same stack
-    also holds the shrink points of every simplex, which are read back only
-    where it shrinks (a simplex that shrinks was not changed earlier in the
-    step, so they are the floats scipy evaluates); above that, the shrink
-    points of the simplices that shrink are a second stack. A restart stops
-    once its simplex has converged. Each restart takes the steps scipy takes
+    every running simplex, each under its own polynomial. At n = 2, while
+    the running simplices have at most _FOLD_SHRINK_POINTS shrink points,
+    the same stack also holds the shrink points of every simplex, which are
+    read back only where it shrinks (a simplex that shrinks was not changed
+    earlier in the step, so they are the floats scipy evaluates); otherwise
+    the shrink points of the simplices that shrink are a second stack. A
+    restart stops once its simplex has converged. Each restart takes the steps scipy takes
     from its start and sees the same values, NaN as inf, whatever else
     shares the stack; its lowest point is kept over the points scipy
-    evaluates only. A step below the fold is about a hundred small numpy
-    calls, half of them the objective's, whose dispatch outweighs their
-    arithmetic: its cost grows slowly with the stack (ROADMAP aim 1).
+    evaluates only. A step is about a hundred small numpy calls, half of
+    them the objective's, whose dispatch outweighs their arithmetic in small
+    stacks: its cost grows slowly with the stack (ROADMAP aim 1).
     """
     cfg = cfgs[0]
     assert len(cfgs) == len(coeffs)
@@ -458,7 +469,7 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
         xbar = np.add.reduce(sim[:, :-1], 1) / dim
         pts = cand_a * xbar[:, None] - cand_b * sim[:, -1:]
         low = sim[:, :1]
-        fold = len(rows) * dim <= _FOLD_SHRINK_POINTS
+        fold = n == 2 and len(rows) * dim <= _FOLD_SHRINK_POINTS
         if fold:
             pts = np.concatenate([pts, low + sigma * (sim[:, 1:] - low)], 1)
         fpts = f(poly, pts)
@@ -622,12 +633,17 @@ def drive(searches: Sequence[Search],
 
 
 def _outside(p: Polynomial, n: int) -> Optional[bool]:
-    """Whether p lies outside the order-n cone, decided exactly for n <= 2;
-    None where only a search can tell: n >= 3, and the n = 2 polynomials
-    that is_order2_member leaves open."""
+    """Whether p lies outside the order-n cone, decided exactly for n <= 2.
+    For n >= 3 False when exact.loewy_certificate proves p inside, a proof
+    that rests on the paper's theorem that L_n is a member, which the
+    package does not check. None where only a search can tell: the other
+    n >= 3 polynomials, and the n = 2 ones that is_order2_member leaves
+    open."""
     if n == 1:
         return not is_nonneg_on_halfline(p)
-    member = is_order2_member(p) if n == 2 else None
+    if n >= 3:
+        return False if loewy_certificate(p, n) is not None else None
+    member = is_order2_member(p)
     return None if member is None else not member
 
 
@@ -635,8 +651,9 @@ def _run(searches: Sequence[Search], n: int, cfg: SearchConfig) -> list:
     """drive() for searches that yield polynomials and are sent whether each
     lies outside the order-n cone.
 
-    For n <= 2 that is an exact decision (_outside). What a round leaves
-    open is one prepare() batch, then one refute per polynomial, and counts
+    For n <= 2 that is an exact decision, and for n >= 3 a polynomial the
+    Loewy certificate proves inside is not outside (_outside). What a round
+    leaves open is one prepare() batch, then one refute per polynomial, and counts
     as outside only with a confirmed witness. Raises BeyondFloatRange for a
     polynomial with a coefficient that is not finite, as a doubling ladder
     or a large t can give.
@@ -677,10 +694,12 @@ def max_t(family: FamilyLike, n: int, cfg: SearchConfig,
     Well-posed because the families are (fixed nonnegative part) - t x^m:
     any witness at t transfers to every larger t. Returns (lo, hi) with
     hi - lo <= width (see _bisect). For n <= 2 both ends are exact
-    decisions: hi is outside the cone and lo inside it. For n >= 3, and
-    for an n = 2 member that is_order2_member leaves open, hi has a
-    confirmed witness and lo is only not refuted under the configured
-    budget. probe_log, when given, collects (t, refuted) pairs in probe
+    decisions: hi is outside the cone and lo inside it. For n >= 3 hi has a
+    confirmed witness, and lo is proved inside when exact.loewy_certificate
+    certifies it (a proof that rests on the paper's theorem that L_n is a
+    member, which the package does not check), else only not refuted under
+    the configured budget; so is lo for an n = 2 member that
+    is_order2_member leaves open. probe_log, when given, collects (t, refuted) pairs in probe
     order. BeyondFloatRange when a family member has a coefficient beyond
     the float range.
     """
@@ -773,7 +792,8 @@ def trace_slice(p: Polynomial, q: Polynomial, u: Polynomial, n: int,
     Both endpoints and the boundary_offset search of every grid point run in
     shared rounds: for n <= 2 each polynomial is decided exactly, so the
     offsets do not depend on the seed; for n >= 3 each round is one
-    prepare() batch. Residual is the max deviation of the points from their
+    prepare() batch of the polynomials the Loewy certificate leaves open.
+    Residual is the max deviation of the points from their
     least-squares line; a straight boundary face gives ~0, a curved one
     does not.
     """

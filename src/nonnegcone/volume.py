@@ -14,10 +14,15 @@ stage decided:
 4. coefficients, n >= 2 only: a row that passed 3 with every coefficient
    >= 0 is proved inside ("coeffs_nonneg"), since sum c_k A^k >= 0 for
    every nonnegative A; it is never searched;
-5. order 2, n = 2 only: exact.is_order2_member decides every other row that
+5. Loewy cone, n >= 3 only: a row that passed 3 for which
+   exact.loewy_certificate finds j, a and lam with every coefficient of
+   p - lam x^j L_n(a x) >= 0 is proved inside ("loewy_cone"), given the
+   paper's theorem that L_n = loewy_general(n, n, 0, 2) is in the order-n
+   cone, which this package does not check;
+6. order 2, n = 2 only: exact.is_order2_member decides every other row that
    passed 3, in integers, rejecting ("order2_rejected", with an exact
    rational counterexample matrix) or accepting ("order2_inside");
-6. search, n >= 3, and the rare n = 2 rows that 5 leaves undecided: a
+7. search, n >= 3, and the rare n = 2 rows that 6 leaves undecided: a
    budgeted refutation search either finds a witness ("search_refuted") or
    exhausts its budget ("search_exhausted"). The rows of a chunk are
    searched as one membership.prepare batch: each row's probes and
@@ -26,7 +31,8 @@ stage decided:
    search of that row alone gives.
 
 Only the last step can err, and only in one direction: a missed witness
-counts an outsider as inside. So an estimate is labeled Exact when no sample
+counts an outsider as inside (step 5 rests on the paper's theorem, not on a
+check made here). So an estimate is labeled Exact when no sample
 is "search_exhausted", as every n = 1 and n = 2 estimate is in practice, and
 UpperBiased otherwise. Projection estimates run the same stages on the
 completed polynomial; for n >= 2 they skip the grid. The check command
@@ -42,7 +48,7 @@ import numpy as np
 
 from .core import Polynomial
 from .exact import (_integer_coeffs, _scaled_value, is_nonneg_on_halfline,
-                    is_order2_member)
+                    is_order2_member, loewy_certificate)
 from .membership import (NoRefutationFound, Refuted, SearchConfig, Search,
                          Verdict, drive, prepare, refute)
 
@@ -55,14 +61,14 @@ _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
 # the stage that decided a sample, in pipeline order; _classify_rows and
 # _projection_rows return one code per row
 STAGES = ("sign", "grid", "oracle_rejected", "oracle_inside",
-          "coeffs_nonneg", "order2_rejected", "order2_inside",
+          "coeffs_nonneg", "loewy_cone", "order2_rejected", "order2_inside",
           "search_refuted", "search_exhausted")
 (_SIGN, _GRID_HIT, _ORACLE_REJECTED, _ORACLE_INSIDE, _COEFFS_NONNEG,
- _ORDER2_REJECTED, _ORDER2_INSIDE, _SEARCH_REFUTED,
+ _LOEWY_CONE, _ORDER2_REJECTED, _ORDER2_INSIDE, _SEARCH_REFUTED,
  _SEARCH_EXHAUSTED) = range(len(STAGES))
 # whether a sample decided at each stage counts as inside
-_INSIDE = np.array([False, False, False, True, True, False, True, False,
-                    True])
+_INSIDE = np.array([False, False, False, True, True, True, False, True,
+                    False, True])
 # the stage of a searched sample, by the type of its verdict
 _SEARCH_STAGE = {Refuted: _SEARCH_REFUTED,
                  NoRefutationFound: _SEARCH_EXHAUSTED}
@@ -177,8 +183,9 @@ def _decided(items: list[tuple[Polynomial, SearchConfig]],
     A polynomial with every coefficient >= 0 sends each nonnegative matrix
     A to sum c_k A^k >= 0, so it is inside with no search (floats are exact
     rationals, so the sign test is exact). For n = 2 is_order2_member
-    decides the rest. What is left shares one prepare(), then each gets its
-    own refute.
+    decides the rest; for n >= 3 the Loewy certificate proves some inside
+    (see the module docstring for its premise). What is left shares one
+    prepare(), then each gets its own refute.
     """
     out: list[tuple[int, Optional[Verdict]]] = \
         [(_COEFFS_NONNEG, None)] * len(items)
@@ -186,7 +193,13 @@ def _decided(items: list[tuple[Polynomial, SearchConfig]],
     for t, (p, _) in enumerate(items):
         if min(p.coeffs) >= 0.0:
             continue
-        member = is_order2_member(p) if n == 2 else None
+        if n >= 3:
+            if loewy_certificate(p, n) is None:
+                todo.append(t)
+            else:
+                out[t] = (_LOEWY_CONE, None)
+            continue
+        member = is_order2_member(p)
         if member is None:
             todo.append(t)
         else:

@@ -336,3 +336,39 @@ def test_polya_szego_random_members():
         for t in np.linspace(0.0, 3.0, 7):
             assert eval_scalar(recon, t) == pytest.approx(
                 eval_scalar(p, t), rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("coeffs, member", [
+    ([1.0, 1.0, -1e300, 1.0, 1.0], False),     # negative on (1e-150, 1e150)
+    ([1.0, 1.0, -2.0 ** 70, 1.0, 1.0], False),
+    ([1e300, -3.0, 1e-300], False),            # negative on (4e299, 3e300)
+    # (x - 2^-40)^2 (x + 1) and (x - 2^40)^2: a double root at a depth past
+    # the settle, where no critical point is negative
+    ([2.0 ** -80, 2.0 ** -80 - 2.0 ** -39, 1.0 - 2.0 ** -39, 1.0], True),
+    ([2.0 ** 80, -2.0 ** 41, 1.0], True),
+    # and a dip below zero between roots 2^-40 +- 2^-50
+    ([2.0 ** -80 - 2.0 ** -100, -2.0 ** -39, 1.0], False),
+])
+def test_deep_walks_settle_at_a_critical_point(coeffs, member):
+    # the boolean oracle decides as the walk alone does; refute_halfline
+    # never tries the critical points, so its point stays the walk's
+    p = Polynomial(coeffs)
+    with mock.patch.object(exact, "_critical_points",
+                           wraps=exact._critical_points) as spy:
+        assert is_nonneg_on_halfline(p) is member
+    assert spy.call_count == 1
+    with mock.patch.object(exact, "_critical_points",
+                           side_effect=AssertionError("settled")):
+        x0 = refute_halfline(RationalPolynomial.from_polynomial(p))
+    assert (x0 is None) is member
+
+
+def test_shallow_walks_never_settle():
+    # rows that root isolation decides within a few halvings, as sampled
+    # volume rows do, pay nothing for the settle
+    with mock.patch.object(exact, "_critical_points",
+                           side_effect=AssertionError("settled")):
+        for row in ([4.0, -4.0, 1.0], [4.0, 0.0, -3.0, 1.0],
+                    [1.0, -2.5, 1.0], [1.0, 1.0, -2.5, 1.0, 1.0]):
+            is_nonneg_on_halfline(Polynomial(row))
+            exact.is_order2_member(Polynomial(row))

@@ -12,13 +12,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from nonnegcone import membership
+from nonnegcone import exact, membership
 from nonnegcone.core import (BeyondFloatRange, Polynomial, eval_matrix,
                              min_entry, sample_stochastic)
 from nonnegcone.exact import (
     RationalPolynomial,
     is_nonneg_on_halfline,
     is_order2_member,
+    loewy_certificate,
     refute_halfline,
 )
 from nonnegcone.families import loewy_general, necessary_conditions
@@ -352,7 +353,8 @@ _STEP_CASES = [([2.0], 2), ([1, 1, -3, 1, 1], 2), ([1, -1, 1, -1, 1], 3)]
 def test_lockstep_evaluates_one_stack_per_step(coeffs, n):
     # below _FOLD_SHRINK_POINTS: the initial simplices, then per step one
     # stack with the candidates and the shrink points of every running
-    # simplex, whether or not some simplex shrinks
+    # simplex, whether or not some simplex shrinks; n = 3 steps never fold,
+    # and the n = 3 case never shrinks, so it also takes one stack per step
     cfg = SearchConfig(restarts=3, max_iters=30, seed=5)
     assert cfg.restarts * (n * (n - 1) + 1) <= membership._FOLD_SHRINK_POINTS
     calls, shrinks = _lockstep_calls(coeffs, n, cfg)
@@ -664,7 +666,7 @@ def test_search_config_bounds_are_value_errors():
 # ---------------------------------------------------------------------------
 # sequential references: one polynomial after another, by callback
 # bisections; for n <= 2 each is decided by the exact oracles themselves,
-# for n >= 3 by its own refute
+# for n >= 3 by the Loewy certificate, else by its own refute
 
 
 def _decision(p: Polynomial, verdict) -> tuple:
@@ -679,6 +681,8 @@ def _refuted_alone(p: Polynomial, n: int, cfg: SearchConfig,
                    decided: list) -> bool:
     if n == 1:
         return not is_nonneg_on_halfline(p)
+    if n >= 3 and loewy_certificate(p, n) is not None:
+        return False
     member = is_order2_member(p) if n == 2 else None
     if member is not None:
         return not member
@@ -871,3 +875,15 @@ def test_coefficient_beyond_float_range_is_an_error(n):
     with pytest.raises(BeyondFloatRange):
         trace_slice(*SLICE_SEGMENT[:2], Polynomial([0, 0, 1e308]), n, 1,
                     SMALL)
+
+
+def test_extreme_dyadic_maxt_settles_its_deep_walks():
+    # for t near 1e300, loewy22(t) is negative from about t^(-1/2) on, so the
+    # root isolation would halve its first leaf about 500 times per
+    # decision (250,041 halvings for the whole maxt); past depth 16 the
+    # oracle tests the critical points of p exactly instead. About a
+    # thousand bisection steps, each now stopping at that depth
+    with mock.patch.object(exact, "_halves", wraps=exact._halves) as spy:
+        lo, hi = max_t(loewy22, 2, SMALL, t_hi=1e300, width=0.5)
+    assert lo <= 2.0 < hi and hi - lo <= 0.5
+    assert spy.call_count <= 20_000

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from nonnegcone import exact, membership, volume
 from nonnegcone.core import Polynomial
 from nonnegcone.exact import (RationalPolynomial, is_nonneg_on_halfline,
-                              is_order2_member)
+                              is_order2_member, loewy_certificate)
 from nonnegcone.membership import Refuted, SearchConfig, refute
 from nonnegcone.volume import (
     CSV_HEADER,
@@ -166,13 +166,16 @@ def test_chunk_classification_matches_per_row_oracle(seed):
 
 def _decided_ref(p: Polynomial, n: int, cfg: SearchConfig):
     """Per-polynomial reference for a row that passes the half-line oracle:
-    the coefficient signs, for n = 2 the exact decision, else one refute
-    with its own search. (stage, verdict of the search or None)."""
+    the coefficient signs, for n = 2 the exact decision, for n >= 3 the
+    Loewy certificate, else one refute with its own search. (stage, verdict
+    of the search or None)."""
     if min(p.coeffs) >= 0:
         return STAGES.index("coeffs_nonneg"), None
     if n == 2:
         return STAGES.index("order2_inside" if is_order2_member(p)
                             else "order2_rejected"), None
+    if loewy_certificate(p, n) is not None:
+        return STAGES.index("loewy_cone"), None
     verdict = refute(p, n, cfg)
     return STAGES.index("search_refuted" if isinstance(verdict, Refuted)
                         else "search_exhausted"), verdict
