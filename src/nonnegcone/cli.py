@@ -375,6 +375,8 @@ _POS_FLOAT = _checked(float, lambda v: 0.0 < v < math.inf,
                       "a finite number > 0")
 _NONNEG_FLOAT = _checked(float, lambda v: 0.0 <= v < math.inf,
                          "a finite number >= 0")
+_Z_LEVEL = _checked(float, lambda v: 0.0 < v and v * v < math.inf,
+                    "a number > 0 whose square is finite")
 
 
 def _add_options(sp: argparse.ArgumentParser, restarts: Optional[int] = None,
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="measure the one-degree-down projection instead")
     sp.add_argument("--c-cap", type=_POS_FLOAT, default=10.0,
                     help="projection completion coefficient cap")
-    sp.add_argument("--z", type=_POS_FLOAT, default=3.0, help="CI z level")
+    sp.add_argument("--z", type=_Z_LEVEL, default=3.0, help="CI z level")
     _add_options(sp, restarts=20, samples=True)
     sp.set_defaults(fn=cmd_volume)
 

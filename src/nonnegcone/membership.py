@@ -1,30 +1,19 @@
-"""One-sided membership testing for the matrix-entrywise cone.
+"""Membership in the matrix-entrywise cone: exact stages, then a refutation
+search.
 
-For n = 1 the exact half-line oracle decides membership. For n >= 3 the cone
-has no known decision procedure here, so this module searches for refutations
-only: a polynomial leaves the cone exactly when some positive matrix A has a
-negative entry in p(A), and it suffices to scan A = rho * S with S positive
-row-stochastic and rho > 0. A refutation is only ever reported after the
-candidate entry has been re-evaluated in exact rational arithmetic, so every
-Refuted verdict is sound; NoRefutationFound is a budget report, not a
-membership certificate.
+decide() orders the stages for every command that decides a batch of
+polynomials (volume samples and the rounds of max_t, boundary_offset and
+trace_slice); its docstring lists them. The search refutes only: p leaves
+the order-n cone exactly when some positive matrix A has a negative entry
+in p(A), it suffices to scan A = rho * S with S positive row-stochastic
+and rho > 0, and a refutation is reported only after its entry has been
+re-evaluated in exact rational arithmetic. So every Refuted verdict is
+sound; NoRefutationFound is a budget report, not a membership certificate.
 
-For n = 2, exact.is_order2_member decides membership. Volume estimates and
-the thresholds of max_t, boundary_offset and trace_slice use it, so at
-n <= 2 every polynomial those bisect is decided exactly, and they search
-only at n >= 3 or where is_order2_member leaves p open. refute, and with it
-check, still searches at n = 2: refute's contract is a search report (the
+refute, and with it check, keeps that search contract at every n >= 2: the
 release checks assert NoRefutationFound for the n = 2 member
-loewy_general(2, 2, 0, 2)), and the benchmark's checker accepts an exit-0
-check only with a no_refutation_found verdict, so an exact n = 2 check waits
-for a verdict that carries its proof.
-
-For n >= 3 the same thresholds first try exact.loewy_certificate, which
-proves p inside when p - lam x^j L_n(a x) has no negative coefficient, and
-search only what it leaves. Such a proof rests on the paper's theorem that
-the Loewy polynomial L_n = loewy_general(n, n, 0, 2) is in the order-n
-cone, which this package does not check. refute keeps its search contract
-at n >= 3 as at n = 2.
+loewy_general(2, 2, 0, 2), and the benchmark's checker accepts an exit-0
+check only with a no_refutation_found verdict.
 """
 
 from __future__ import annotations
@@ -50,9 +39,9 @@ if TYPE_CHECKING:
 
 
 def __getattr__(name: str):
-    # only for bench/spans.py, which looks up optimize.minimize on this
-    # module; importing scipy on first access keeps it out of every command
-    # line call. Delete once the benchmark wraps _lockstep instead.
+    # kept, like boundary_offset, because bench/spans.py looks both up when
+    # it installs its wraps; importing scipy on first access keeps it out of
+    # every command line call. Both go once the benchmark wraps decide.
     if name == "optimize":
         from scipy import optimize
         return optimize
@@ -156,13 +145,9 @@ class NoRefutationFound:
 
 @dataclass(frozen=True)
 class ExactMember:
-    """Membership proved exactly: by the half-line oracle for n = 1. Volume
-    estimates also prove n >= 2 samples inside, by coefficients that are all
-    >= 0, for n = 2 by exact.is_order2_member and for n >= 3 by
-    exact.loewy_certificate (given the paper's theorem that L_n is a
-    member, which the package does not check); they count those samples by
-    stage and build no verdict. For n >= 2 refute returns Refuted or
-    NoRefutationFound only (see the module docstring)."""
+    """Membership proved exactly, by the half-line oracle: refute returns it
+    for n = 1 only. decide proves n >= 2 polynomials inside too, and names
+    the stage instead of building a verdict."""
 
 
 Verdict = Union[Refuted, NoRefutationFound, ExactMember]
@@ -601,16 +586,75 @@ def _refute_scalar(p: Polynomial, cfg: SearchConfig) -> Verdict:
     return Refuted(w)
 
 
+# decide's stages, in the order volume counts them, and those that count p
+# inside the cone: every one a proof but "search_exhausted", a budget report
+DECISION_STAGES = ("oracle_rejected", "oracle_inside", "coeffs_nonneg",
+                   "loewy_cone", "order2_rejected", "order2_inside",
+                   "search_refuted", "search_exhausted")
+INSIDE_STAGES = ("oracle_inside", "coeffs_nonneg", "loewy_cone",
+                 "order2_inside", "search_exhausted")
+
+
+def _exact_stage(p: Polynomial, n: int) -> Optional[str]:
+    """The exact stage of decide that settles p, or None."""
+    if n == 1:
+        return "oracle_inside" if is_nonneg_on_halfline(p) \
+            else "oracle_rejected"
+    if min(p.coeffs) >= 0.0:
+        return "coeffs_nonneg"
+    if n >= 3:
+        return "loewy_cone" if loewy_certificate(p, n) is not None else None
+    member = is_order2_member(p)
+    if member is None:
+        return None
+    return "order2_inside" if member else "order2_rejected"
+
+
+def decide(polys: Sequence[Polynomial], n: int, cfgs: Sequence[SearchConfig]
+           ) -> list[tuple[str, Optional[Verdict]]]:
+    """The stage of DECISION_STAGES that decides each polynomial of a batch,
+    with the verdict of its search where one ran; cfgs holds each one's
+    search config, and they may differ only in seed.
+
+    The first stage that settles p decides it:
+    - n = 1: the exact half-line oracle ("oracle_rejected",
+      "oracle_inside");
+    - n >= 2: every coefficient >= 0 proves p inside ("coeffs_nonneg"),
+      since sum c_k A^k >= 0 for every nonnegative A (floats are rationals,
+      so the sign test is exact);
+    - n >= 3: exact.loewy_certificate proves p inside ("loewy_cone"), given
+      the paper's theorem that L_n = loewy_general(n, n, 0, 2) is in the
+      order-n cone, which this package does not check;
+    - n = 2: exact.is_order2_member decides p ("order2_rejected",
+      "order2_inside") unless H has a repeated factor in u;
+    - the rest share one prepare() batch, then get one refute each, in batch
+      order ("search_refuted" with a confirmed witness, else
+      "search_exhausted").
+    """
+    out: list[tuple[str, Optional[Verdict]]] = \
+        [(_exact_stage(p, n), None) for p in polys]
+    open_ = [t for t, (stage, _) in enumerate(out) if stage is None]
+    if open_:
+        batch = [polys[t] for t in open_]
+        batch_cfgs = [cfgs[t] for t in open_]
+        for t, p, cfg, prepared in zip(open_, batch, batch_cfgs,
+                                       prepare(batch, n, batch_cfgs)):
+            verdict = refute(p, n, cfg, prepared)
+            out[t] = ("search_refuted" if isinstance(verdict, Refuted)
+                      else "search_exhausted", verdict)
+    return out
+
+
 Search = Generator[Any, Any, Any]
 
 
 def drive(searches: Sequence[Search],
-          decide: Callable[[list], list]) -> list:
+          answer: Callable[[list], list]) -> list:
     """Run searches in shared rounds; what each search returns, in order.
 
     A search is a generator that yields the next item it needs decided and
     is sent the verdict. Each round hands the pending items of all searches,
-    in search order, to one decide(items), which returns their verdicts in
+    in search order, to one answer(items), which returns their verdicts in
     the same order. A search's items depend only on its own verdicts, so it
     makes the decisions it makes when run alone.
     """
@@ -627,36 +671,16 @@ def drive(searches: Sequence[Search],
         advance(i, None)
     while pending:
         batch, pending = pending, []
-        for (i, _), verdict in zip(batch, decide([it for _, it in batch])):
+        for (i, _), verdict in zip(batch, answer([it for _, it in batch])):
             advance(i, verdict)
     return results
 
 
-def _outside(p: Polynomial, n: int) -> Optional[bool]:
-    """Whether p lies outside the order-n cone, decided exactly for n <= 2.
-    For n >= 3 False when exact.loewy_certificate proves p inside, a proof
-    that rests on the paper's theorem that L_n is a member, which the
-    package does not check. None where only a search can tell: the other
-    n >= 3 polynomials, and the n = 2 ones that is_order2_member leaves
-    open."""
-    if n == 1:
-        return not is_nonneg_on_halfline(p)
-    if n >= 3:
-        return False if loewy_certificate(p, n) is not None else None
-    member = is_order2_member(p)
-    return None if member is None else not member
-
-
 def _run(searches: Sequence[Search], n: int, cfg: SearchConfig) -> list:
-    """drive() for searches that yield polynomials and are sent whether each
-    lies outside the order-n cone.
-
-    For n <= 2 that is an exact decision, and for n >= 3 a polynomial the
-    Loewy certificate proves inside is not outside (_outside). What a round
-    leaves open is one prepare() batch, then one refute per polynomial, and counts
-    as outside only with a confirmed witness. Raises BeyondFloatRange for a
-    polynomial with a coefficient that is not finite, as a doubling ladder
-    or a large t can give.
+    """drive() for searches that yield polynomials and are sent whether
+    decide() puts each outside the order-n cone, a proof at every stage.
+    Raises BeyondFloatRange for a polynomial with a coefficient that is not
+    finite, as a doubling ladder or a large t can give.
     """
     def outside(polys: list) -> list[bool]:
         for p in polys:
@@ -664,14 +688,8 @@ def _run(searches: Sequence[Search], n: int, cfg: SearchConfig) -> list:
                 raise BeyondFloatRange(
                     "a polynomial to decide has a coefficient beyond the "
                     f"float range: {list(p.coeffs)}")
-        out = [_outside(p, n) for p in polys]
-        open_ = [k for k, v in enumerate(out) if v is None]
-        if open_:
-            batch = [polys[k] for k in open_]
-            for k, p, prep in zip(open_, batch,
-                                  prepare(batch, n, [cfg] * len(batch))):
-                out[k] = isinstance(refute(p, n, cfg, prep), Refuted)
-        return out
+        return [stage not in INSIDE_STAGES
+                for stage, _ in decide(polys, n, [cfg] * len(polys))]
 
     return drive(searches, outside)
 
@@ -693,15 +711,11 @@ def max_t(family: FamilyLike, n: int, cfg: SearchConfig,
 
     Well-posed because the families are (fixed nonnegative part) - t x^m:
     any witness at t transfers to every larger t. Returns (lo, hi) with
-    hi - lo <= width (see _bisect). For n <= 2 both ends are exact
-    decisions: hi is outside the cone and lo inside it. For n >= 3 hi has a
-    confirmed witness, and lo is proved inside when exact.loewy_certificate
-    certifies it (a proof that rests on the paper's theorem that L_n is a
-    member, which the package does not check), else only not refuted under
-    the configured budget; so is lo for an n = 2 member that
-    is_order2_member leaves open. probe_log, when given, collects (t, refuted) pairs in probe
-    order. BeyondFloatRange when a family member has a coefficient beyond
-    the float range.
+    hi - lo <= width (see _bisect), each end decided by decide(): hi
+    outside the cone, and lo inside it unless decide() left lo to an
+    exhausted search budget, as only n >= 2 can. probe_log, when given,
+    collects (t, refuted) pairs in probe order. BeyondFloatRange when a
+    family member has a coefficient beyond the float range.
     """
     fn = _family_fn(family)
     base = fn(0.0)
@@ -764,16 +778,16 @@ def _offset_search(g: Polynomial, u: Polynomial, mu_hi: float,
     return (yield from _bisect(refuted_at, hi, target))[0]
 
 
+# no command calls it, but bench/spans.py wraps it (ROADMAP item 4)
 def boundary_offset(g: Polynomial, u: Polynomial, n: int, cfg: SearchConfig,
                     mu_hi: float, width: Optional[float] = None) -> float:
     """Largest mu with g + mu u not refuted, located by bisection.
 
-    Refuted means decided outside the cone, as in max_t: exactly for
-    n <= 2, by a confirmed witness for n >= 3. mu_hi is doubled a few times
-    if it is not already refuted; BadBracket when no refuted upper end
-    exists (the whole ray may lie in the cone) or when g itself is refuted,
-    BeyondFloatRange when the doubling leaves the float range. Bracket
-    width defaults to 1e-3 * mu_hi.
+    Refuted means decided outside the cone by decide(), as in max_t. mu_hi
+    is doubled a few times if it is not already refuted; BadBracket when no
+    refuted upper end exists (the whole ray may lie in the cone) or when g
+    itself is refuted, BeyondFloatRange when the doubling leaves the float
+    range. Bracket width defaults to 1e-3 * mu_hi.
     """
     return _run([_offset_search(g, u, mu_hi, width)], n, cfg)[0]
 
@@ -790,12 +804,11 @@ def trace_slice(p: Polynomial, q: Polynomial, u: Polynomial, n: int,
     """Boundary offsets along u for the segment (1 - t) p + t q, t in (0, 1).
 
     Both endpoints and the boundary_offset search of every grid point run in
-    shared rounds: for n <= 2 each polynomial is decided exactly, so the
-    offsets do not depend on the seed; for n >= 3 each round is one
-    prepare() batch of the polynomials the Loewy certificate leaves open.
-    Residual is the max deviation of the points from their
-    least-squares line; a straight boundary face gives ~0, a curved one
-    does not.
+    shared rounds, one decide() batch each, so the grid points cost about
+    as many searches as one of them, and where no search runs (n <= 2 in
+    practice) the offsets do not depend on the seed. Residual is the max
+    deviation of the points from their least-squares line; a straight
+    boundary face gives ~0, a curved one does not.
     """
     if not grid >= 1:
         raise ValueError(f"grid must be >= 1, got {grid}")

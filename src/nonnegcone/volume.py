@@ -11,32 +11,16 @@ stage decided:
 3. oracle: the exact half-line oracle (a Bernstein certificate, then root
    isolation for the rows it leaves, both in integers) decides every row left,
    rejecting ("oracle_rejected") or accepting ("oracle_inside");
-4. coefficients, n >= 2 only: a row that passed 3 with every coefficient
-   >= 0 is proved inside ("coeffs_nonneg"), since sum c_k A^k >= 0 for
-   every nonnegative A; it is never searched;
-5. Loewy cone, n >= 3 only: a row that passed 3 for which
-   exact.loewy_certificate finds j, a and lam with every coefficient of
-   p - lam x^j L_n(a x) >= 0 is proved inside ("loewy_cone"), given the
-   paper's theorem that L_n = loewy_general(n, n, 0, 2) is in the order-n
-   cone, which this package does not check;
-6. order 2, n = 2 only: exact.is_order2_member decides every other row that
-   passed 3, in integers, rejecting ("order2_rejected", with an exact
-   rational counterexample matrix) or accepting ("order2_inside");
-7. search, n >= 3, and the rare n = 2 rows that 6 leaves undecided: a
-   budgeted refutation search either finds a witness ("search_refuted") or
-   exhausts its budget ("search_exhausted"). The rows of a chunk are
-   searched as one membership.prepare batch: each row's probes and
-   certificate, then one Nelder-Mead lockstep for the rows those leave
-   open, one stacked evaluation per step, so each verdict is the one a
-   search of that row alone gives.
+4. for n >= 2, membership.decide takes each chunk's rows that 3 accepts, as
+   one batch: its exact stages, then one search batch for the rows they
+   leave open, so each verdict is the one a search of that row alone gives.
 
-Only the last step can err, and only in one direction: a missed witness
-counts an outsider as inside (step 5 rests on the paper's theorem, not on a
-check made here). So an estimate is labeled Exact when no sample
-is "search_exhausted", as every n = 1 and n = 2 estimate is in practice, and
-UpperBiased otherwise. Projection estimates run the same stages on the
-completed polynomial; for n >= 2 they skip the grid. The check command
-still searches at n = 2 (see the membership docstring).
+Only decide's "search_exhausted" rests on a budget rather than a proof (and
+"loewy_cone" on the paper's theorem, not on a check made here). So an
+estimate is labeled Exact when no sample is "search_exhausted", as every
+n = 1 and n = 2 estimate is in practice, and UpperBiased otherwise.
+Projection estimates run the same stages on the completed polynomial; for
+n >= 2 they skip the grid.
 """
 
 from __future__ import annotations
@@ -46,11 +30,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Polynomial
-from .exact import (_integer_coeffs, _scaled_value, is_nonneg_on_halfline,
-                    is_order2_member, loewy_certificate)
-from .membership import (NoRefutationFound, Refuted, SearchConfig, Search,
-                         Verdict, drive, prepare, refute)
+from .core import BeyondFloatRange, Polynomial
+from .exact import _integer_coeffs, _scaled_value, is_nonneg_on_halfline
+# refute is unused here, but bench/spans.py wraps it (ROADMAP item 4)
+from .membership import (DECISION_STAGES, INSIDE_STAGES, SearchConfig, Search,
+                         decide, drive, refute)
 
 _CHUNK = 4096
 # the search budget of an estimate given no config
@@ -59,19 +43,14 @@ _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
                         np.geomspace(2.5, 1000.0, 32)])
 
 # the stage that decided a sample, in pipeline order; _classify_rows and
-# _projection_rows return one code per row
-STAGES = ("sign", "grid", "oracle_rejected", "oracle_inside",
-          "coeffs_nonneg", "loewy_cone", "order2_rejected", "order2_inside",
-          "search_refuted", "search_exhausted")
-(_SIGN, _GRID_HIT, _ORACLE_REJECTED, _ORACLE_INSIDE, _COEFFS_NONNEG,
- _LOEWY_CONE, _ORDER2_REJECTED, _ORDER2_INSIDE, _SEARCH_REFUTED,
- _SEARCH_EXHAUSTED) = range(len(STAGES))
+# _projection_rows return one code per row, its index here
+STAGES = ("sign", "grid") + DECISION_STAGES
+(_SIGN, _GRID_HIT, _ORACLE_REJECTED, _ORACLE_INSIDE, _SEARCH_REFUTED,
+ _SEARCH_EXHAUSTED) = map(STAGES.index, (
+     "sign", "grid", "oracle_rejected", "oracle_inside", "search_refuted",
+     "search_exhausted"))
 # whether a sample decided at each stage counts as inside
-_INSIDE = np.array([False, False, False, True, True, True, False, True,
-                    False, True])
-# the stage of a searched sample, by the type of its verdict
-_SEARCH_STAGE = {Refuted: _SEARCH_REFUTED,
-                 NoRefutationFound: _SEARCH_EXHAUSTED}
+_INSIDE = np.isin(STAGES, INSIDE_STAGES)
 
 
 @dataclass(frozen=True)
@@ -123,9 +102,13 @@ def estimates_csv(rows: Sequence[VolumeEstimate]) -> str:
 
 
 def wilson_interval(inside: int, total: int, z: float) -> tuple[float, float]:
+    """The Wilson score interval at level z; ValueError unless z * z is
+    finite."""
     assert total >= 1 and 0 <= inside <= total
-    p = inside / total
     zz = z * z
+    if not zz < np.inf:
+        raise ValueError(f"z * z must be finite, got z = {z}")
+    p = inside / total
     denom = 1.0 + zz / total
     center = (p + zz / (2.0 * total)) / denom
     half = z * np.sqrt(p * (1.0 - p) / total + zz / (4.0 * total * total)) / denom
@@ -175,44 +158,6 @@ def _grid_refuted(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decided(items: list[tuple[Polynomial, SearchConfig]],
-             n: int) -> list[tuple[int, Optional[Verdict]]]:
-    """The deciding stage of each (polynomial, config) of a batch, n >= 2,
-    with the verdict of its search where one ran.
-
-    A polynomial with every coefficient >= 0 sends each nonnegative matrix
-    A to sum c_k A^k >= 0, so it is inside with no search (floats are exact
-    rationals, so the sign test is exact). For n = 2 is_order2_member
-    decides the rest; for n >= 3 the Loewy certificate proves some inside
-    (see the module docstring for its premise). What is left shares one
-    prepare(), then each gets its own refute.
-    """
-    out: list[tuple[int, Optional[Verdict]]] = \
-        [(_COEFFS_NONNEG, None)] * len(items)
-    todo = []
-    for t, (p, _) in enumerate(items):
-        if min(p.coeffs) >= 0.0:
-            continue
-        if n >= 3:
-            if loewy_certificate(p, n) is None:
-                todo.append(t)
-            else:
-                out[t] = (_LOEWY_CONE, None)
-            continue
-        member = is_order2_member(p)
-        if member is None:
-            todo.append(t)
-        else:
-            out[t] = (_ORDER2_INSIDE if member else _ORDER2_REJECTED, None)
-    if todo:
-        polys, cfgs = zip(*(items[t] for t in todo))
-        for t, p, cfg, prepared in zip(todo, polys, cfgs,
-                                       prepare(polys, n, cfgs)):
-            verdict = refute(p, n, cfg, prepared)
-            out[t] = (_SEARCH_STAGE[type(verdict)], verdict)
-    return out
-
-
 def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
                    start_idx: int) -> np.ndarray:
     """The deciding stage of each coefficient row (degree k) of a chunk."""
@@ -228,11 +173,11 @@ def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
     sub = sub[~hit]
     stage[sub] = [_ORACLE_INSIDE if is_nonneg_on_halfline(Polynomial(r))
                   else _ORACLE_REJECTED for r in rows[sub].tolist()]
-    sub = np.flatnonzero(_INSIDE[stage])
-    if n >= 2 and sub.size:
-        stage[sub] = [s for s, _ in _decided(
-            [(Polynomial(rows[i]), _sample_cfg(cfg, start_idx + i))
-             for i in sub.tolist()], n)]
+    sub = np.flatnonzero(_INSIDE[stage]).tolist()
+    if n >= 2 and sub:
+        stage[sub] = [STAGES.index(s) for s, _ in decide(
+            [Polynomial(rows[i]) for i in sub], n,
+            [_sample_cfg(cfg, start_idx + i) for i in sub])]
     return stage
 
 
@@ -269,8 +214,8 @@ def _projection_ladder(v: np.ndarray, c_cap: float,
     """Deciding stage, for n >= 2, of whether v lies in the image of the
     degree-(k+1) cone after dropping the top coefficient: decided by
     completing with c x^(k+1). A search for drive() that yields each
-    completion it needs decided, with cfg, and is sent its stage and
-    search verdict (see _decided).
+    completion it needs decided, with cfg, and is sent its stage code and
+    search verdict (see membership.decide).
 
     Upward closure (adding c x^(k+1) with c >= 0 never leaves the cone)
     collapses the existential over c to tests along a doubling ladder. After
@@ -309,9 +254,14 @@ def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
            | (rows[:, k + 2 - n:] < 0.0).any(axis=1))
     stage = np.full(rows.shape[0], _SIGN)
     sub = np.flatnonzero(~bad).tolist()
+
+    def answer(items: list) -> list:
+        polys, cfgs = zip(*items)
+        return [(STAGES.index(s), v) for s, v in decide(polys, n, cfgs)]
+
     stage[sub] = drive(
         [_projection_ladder(rows[i], c_cap, _sample_cfg(cfg, start_idx + i))
-         for i in sub], lambda items: _decided(items, n))
+         for i in sub], answer)
     return stage
 
 
@@ -322,6 +272,9 @@ def estimate_projection_fraction(
     if not (n >= 1 and k >= 2 * n and N >= 1):
         raise ValueError(f"need n >= 1, k >= 2 n and N >= 1, got n={n}, "
                          f"k={k}, N={N}")
+    if not 16.0 * c_cap < np.inf:
+        raise BeyondFloatRange(f"the ladder's top rung, 16 c_cap = 16 * "
+                               f"{c_cap}, is beyond the float range")
     if cfg is None:
         cfg = _DEFAULT_CFG
     return _estimate(

@@ -214,6 +214,17 @@ def test_normalize_near_float_range_writes_valid_json(capsys, tmp_path):
     assert not (tmp_path / "never.json").exists()
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_projection_top_rung_beyond_float_range_exits_2(capsys, tmp_path, n):
+    # the ladder climbs to 16 c_cap, which overflows here
+    out = tmp_path / "v.json"
+    code, doc, err = run_cli(capsys, "volume", "--n", n, "--k", "4",
+                             "--projection", "--c-cap", "1e308",
+                             "--samples", "10", "--out", str(out))
+    assert code == 2 and doc is None and "float range" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("params", [
     '{"n":true,"k_a":2,"k_b":6}',
     '{"n":1,"k_a":2.5,"k_b":6}',
@@ -378,6 +389,7 @@ MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
     ("volume", "--n", "1", "--k", "-1"),
     ("volume", "--n", "1", "--k", "1", "--projection"),
     ("volume", "--n", "1", "--k", "2", "--z", "-1"),
+    ("volume", "--n", "1", "--k", "2", "--z", "1e200"),
     ("volume", "--n", "1", "--k", "4", "--projection", "--c-cap", "-1"),
     ("compare", "order", '{"n_a":null,"n_b":2,"k":2}', "--samples", "10"),
     ("compare", "trend", '{"n":1,"ks":5}', "--samples", "10"),

@@ -887,3 +887,75 @@ def test_extreme_dyadic_maxt_settles_its_deep_walks():
         lo, hi = max_t(loewy22, 2, SMALL, t_hi=1e300, width=0.5)
     assert lo <= 2.0 < hi and hi - lo <= 0.5
     assert spy.call_count <= 20_000
+
+
+# ---------------------------------------------------------------------------
+# decide: the one ladder of exact stages before the search
+
+DECIDE_CFG = SearchConfig(restarts=2, max_iters=40, seed=5)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(coeffs=st.lists(st.integers(-4, 4), min_size=1, max_size=5)
+       .filter(any), n=st.sampled_from([1, 2, 3]))
+def test_decide_agrees_with_the_exact_decisions(coeffs, n):
+    p = Polynomial([float(c) for c in coeffs])
+    [(stage, verdict)] = membership.decide([p], n, [DECIDE_CFG])
+    assert stage in membership.DECISION_STAGES
+    inside = stage in membership.INSIDE_STAGES
+    if n == 1:
+        assert stage.startswith("oracle_")
+        assert inside == is_nonneg_on_halfline(p)
+    member = is_order2_member(p) if n == 2 else None
+    if member is not None:
+        assert inside == member
+    assert (stage == "coeffs_nonneg") == (n >= 2 and min(coeffs) >= 0)
+    # only a search leaves a verdict, and it names the search's outcome
+    if stage.startswith("search_"):
+        assert isinstance(verdict, Refuted) == (stage == "search_refuted")
+    else:
+        assert verdict is None
+
+
+def test_decide_batch_matches_each_polynomial_alone():
+    polys = [loewy_general(3, 3, 0, t) for t in (1.0, 2.0, 2.5, 3.0)] + \
+        [Polynomial([1, 0, 0, -1, 0, 0, 1]), Polynomial([1, 2, 3])]
+    cfgs = [SearchConfig(restarts=4, max_iters=80, seed=s)
+            for s in range(len(polys))]
+    with mock.patch.object(membership, "refute",
+                           wraps=membership.refute) as spy:
+        batch = membership.decide(polys, 3, cfgs)
+    alone = [membership.decide([p], 3, [c])[0] for p, c in zip(polys, cfgs)]
+    assert [_decision(p, v) for p, (_, v) in zip(polys, batch)] == \
+        [_decision(p, v) for p, (_, v) in zip(polys, alone)]
+    assert [s for s, _ in batch] == [s for s, _ in alone]
+    # one refute per searched polynomial, in batch order, on its share
+    searched = [p.coeffs for p, (s, _) in zip(polys, batch)
+                if s.startswith("search_")]
+    assert [c.args[0].coeffs for c in spy.call_args_list] == searched
+    assert searched and all(c.args[3] is not None
+                            for c in spy.call_args_list)
+    assert {"coeffs_nonneg", "loewy_cone"} <= {s for s, _ in batch}
+
+
+def test_order2_thresholds_skip_the_decision_on_nonnegative_coefficients():
+    # b >= 0 is the order-2 condition on x^2 + b x + 1, so the threshold is
+    # t = 2, where the coefficients are all >= 0
+    def fn(t):
+        return Polynomial([1.0, 2.0 - t, 1.0])
+
+    segment = (Polynomial([1, 1, 0, 1, 1]), Polynomial([1, 1, 1, 1, 1]),
+               Polynomial([0, 0, -1]))
+    ref_maxt = _max_t_ref(fn, 2, SMALL, 8.0, 0.01, [])
+    ref_slice = _trace_ref(*segment, 2, 3, SMALL, [])
+    with mock.patch.object(membership, "is_order2_member",
+                           wraps=is_order2_member) as spy:
+        probes: list = []
+        got_maxt = max_t(fn, 2, SMALL, 8.0, 0.01, probe_log=probes)
+        got_slice = trace_slice(*segment, 2, 3, SMALL)
+    assert (got_maxt, probes) == ref_maxt and got_slice == ref_slice
+    assert got_maxt[0] == 2.0 and len(got_slice.points) == 3
+    asked = [c.args[0].coeffs for c in spy.call_args_list]
+    assert asked and all(min(c) < 0 for c in asked)
+    # the shortcut was taken: both ends of the segment, and t = 2
+    assert (2.0, False) in probes

@@ -84,6 +84,13 @@ def test_wilson_interval_basic():
     assert 0.0 <= lo <= 0.3 <= hi <= 1.0
 
 
+@pytest.mark.parametrize("z", [1e200, np.inf, np.nan])
+def test_wilson_interval_rejects_z_whose_square_is_not_finite(z):
+    # z * z overflows; NaN would fall through max and min to [0, 1]
+    with pytest.raises(ValueError, match="finite"):
+        wilson_interval(30, 100, z)
+
+
 def inside_where(mask_of_rows):
     """A classifier for volume._estimate: the rows in mask_of_rows(rows)
     count as inside."""
@@ -206,7 +213,8 @@ def test_chunk_search_matches_per_row_refute(seed):
     # at n = 3 only k = 6 leaves a coefficient free of the sign stage
     for n, k in [*itertools.product((2, 3), (4, 5)), (3, 6)]:
         _, rows = next(_ball_chunks(k + 1, 300 if k < 6 else 1000, seed))
-        with mock.patch.object(volume, "refute", wraps=volume.refute) as spy:
+        with mock.patch.object(membership, "refute",
+                               wraps=membership.refute) as spy:
             stage = _classify_rows(rows, n, k, cfg, 0)
         assert stage.tolist() == _per_row_stages(rows, n, k, cfg)
         # one refute per searched row, in row order, as the traced
@@ -275,7 +283,8 @@ def test_projection_ladder_matches_per_row_ladder(seed, n, k):
         else:
             per = replace(cfg, seed=volume._sample_seed(seed, start + i))
             ref.append(_ladder_ref(r, n, per, c_cap, searched))
-    with mock.patch.object(volume, "refute", wraps=volume.refute) as spy:
+    with mock.patch.object(membership, "refute",
+                           wraps=membership.refute) as spy:
         stage = _projection_rows(rows, n, k, cfg, start, c_cap)
     assert stage.tolist() == ref
     # one refute per searched ladder step, each on its share of a search
