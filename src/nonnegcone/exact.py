@@ -148,12 +148,47 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _squarefree(q: list[int]) -> list[int]:
-    """q / gcd(q, q'), with the real roots of q, each simple.
+# the Mersenne prime modulo which _coprime_mod_p tests q and q'
+_P = (1 << 61) - 1
 
-    The gcd is the last term of a primitive remainder sequence over Z; it is
-    primitive, so (Gauss's lemma) q divides by it exactly in ints.
+
+def _coprime_mod_p(q: list[int]) -> bool:
+    """True proves q square-free: q and q' are coprime modulo _P, and _P does
+    not divide lc(q). False decides nothing.
+
+    A nonconstant gcd g of q and q' over Q, taken primitive in Z[x], divides
+    q, so lc(g) divides lc(q) and g keeps its degree modulo _P, where it
+    divides q and q' (reduction commutes with the derivative): so their gcd
+    modulo _P is nonconstant too. The gcd is Euclid's in the field Z / _P.
     """
+    if q[-1] % _P == 0:
+        return False
+    a = [v % _P for v in q]
+    b = [v % _P for v in _deriv(q)]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, _P)
+        while len(a) >= len(b):                      # a <- a mod b
+            f, shift = a[-1] * inv % _P, len(a) - len(b)
+            for i, v in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * v) % _P
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _squarefree(q: list[int]) -> list[int]:
+    """q / gcd(q, q') up to sign, with the real roots of q, each simple.
+
+    q itself when _coprime_mod_p proves it square-free. Otherwise the gcd is
+    the last term of a primitive remainder sequence over Z; it is primitive,
+    so (Gauss's lemma) q divides by it exactly in ints.
+    """
+    if _coprime_mod_p(q):
+        return q
     g, r = _primitive(q), _primitive(list(_deriv(q)))
     while r:
         g, r = r, _primitive(_prem(g, r))
@@ -331,6 +366,22 @@ def _integer_coeffs(coeffs: Sequence) -> list[int]:
     return [n * (scale // d) for n, d in ratios]
 
 
+def _integer_rows(rows: np.ndarray) -> list[list[int]]:
+    """Each float row of a 2-d array times one power of two, as ints: what
+    _integer_coeffs gives for the row, up to that power, for a whole chunk.
+
+    Every float is m 2^e with m = 2^53 times its frexp mantissa, an int of at
+    most 53 bits; shifting each m by e less the row's least e makes the row
+    exact in ints. Raises ValueError for an entry that is not finite.
+    """
+    if not np.isfinite(rows).all():
+        raise ValueError("coefficients must be finite")
+    mant, exp = np.frexp(rows)
+    m = (mant * 2.0 ** 53).astype(np.int64)
+    shift = exp - exp.min(axis=1, keepdims=True)
+    return (m.astype(object) << shift.astype(object)).tolist()
+
+
 def _negative_point(
         p: Union[Polynomial, RationalPolynomial]) -> Optional[tuple[int, int]]:
     """(a, b) with b > 0 and p(a / b) < 0 exactly, or None when p >= 0 on
@@ -366,7 +417,8 @@ def _negative_int(c: Sequence[int],
 
 
 def is_nonneg_on_halfline(
-        p: Union[Polynomial, RationalPolynomial]) -> bool:
+        p: Union[Polynomial, RationalPolynomial],
+        ints: Optional[Sequence[int]] = None) -> bool:
     """Exact test for p(x) >= 0 on all of [0, infinity). Total function on
     finite coefficients.
 
@@ -374,10 +426,14 @@ def is_nonneg_on_halfline(
     dyadic rational it is: the verdict is that of the exact lift, with no
     rounding. The decision runs on integer coefficients; the Bernstein
     certificate settles most members, and root isolation decides what it
-    leaves, trying the critical points of p once it goes deep. Raises
-    ValueError for a coefficient that is not finite.
+    leaves, trying the critical points of p once it goes deep. A caller
+    that has lifted p already passes ints, p's coefficients times one
+    positive number (as _integer_rows lifts a chunk), and p is not lifted
+    again. Raises ValueError for a coefficient that is not finite.
     """
-    return _negative_int(_integer_coeffs(p.coeffs), settle=True) is None
+    if ints is None:
+        ints = _integer_coeffs(p.coeffs)
+    return _negative_int(ints, settle=True) is None
 
 
 def refute_halfline(p: RationalPolynomial) -> Optional[Fraction]:

@@ -597,11 +597,11 @@ INSIDE_STAGES = ("oracle_inside", "coeffs_nonneg", "loewy_cone",
 
 def _exact_stage(p: Polynomial, n: int) -> Optional[str]:
     """The exact stage of decide that settles p, or None."""
+    if min(p.coeffs) >= 0.0:
+        return "coeffs_nonneg"
     if n == 1:
         return "oracle_inside" if is_nonneg_on_halfline(p) \
             else "oracle_rejected"
-    if min(p.coeffs) >= 0.0:
-        return "coeffs_nonneg"
     if n >= 3:
         return "loewy_cone" if loewy_certificate(p, n) is not None else None
     member = is_order2_member(p)
@@ -617,11 +617,11 @@ def decide(polys: Sequence[Polynomial], n: int, cfgs: Sequence[SearchConfig]
     search config, and they may differ only in seed.
 
     The first stage that settles p decides it:
+    - every coefficient >= 0 proves p inside at every order
+      ("coeffs_nonneg"), since sum c_k A^k >= 0 for every nonnegative A
+      (floats are rationals, so the sign test is exact);
     - n = 1: the exact half-line oracle ("oracle_rejected",
       "oracle_inside");
-    - n >= 2: every coefficient >= 0 proves p inside ("coeffs_nonneg"),
-      since sum c_k A^k >= 0 for every nonnegative A (floats are rationals,
-      so the sign test is exact);
     - n >= 3: exact.loewy_certificate proves p inside ("loewy_cone"), given
       the paper's theorem that L_n = loewy_general(n, n, 0, 2) is in the
       order-n cone, which this package does not check;

@@ -6,14 +6,20 @@ stages that settles it, cheapest first; the estimate counts the samples each
 stage decided:
 
 1. sign: a negative coefficient among the first or last n rejects;
-2. grid: a vectorized scan whose negative hit is confirmed at one exactly
+2. coeffs_nonneg: a row with no negative coefficient is inside at every
+   order, since sum c_k A^k >= 0 for every nonnegative A (one vectorized
+   mask; floats are rationals, so the sign test is exact);
+3. grid: a vectorized scan whose negative hit is confirmed at one exactly
    evaluated rational point rejects;
-3. oracle: the exact half-line oracle (a Bernstein certificate, then root
-   isolation for the rows it leaves, both in integers) decides every row left,
-   rejecting ("oracle_rejected") or accepting ("oracle_inside");
-4. for n >= 2, membership.decide takes each chunk's rows that 3 accepts, as
+4. oracle: the exact half-line oracle (a Bernstein certificate, then root
+   isolation for the rows it leaves) decides every row left, rejecting
+   ("oracle_rejected") or accepting ("oracle_inside");
+5. for n >= 2, membership.decide takes each chunk's rows that 4 accepts, as
    one batch: its exact stages, then one search batch for the rows they
    leave open, so each verdict is the one a search of that row alone gives.
+
+The rows that reach 3 are lifted to integers once per chunk
+(exact._integer_rows), and 3 and 4 decide on those ints.
 
 Only decide's "search_exhausted" rests on a budget rather than a proof (and
 "loewy_cone" on the paper's theorem, not on a check made here). So an
@@ -31,7 +37,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import BeyondFloatRange, Polynomial
-from .exact import _integer_coeffs, _scaled_value, is_nonneg_on_halfline
+from .exact import _integer_rows, _scaled_value, is_nonneg_on_halfline
 # refute is unused here, but bench/spans.py wraps it (ROADMAP item 4)
 from .membership import (DECISION_STAGES, INSIDE_STAGES, SearchConfig, Search,
                          decide, drive, refute)
@@ -45,10 +51,10 @@ _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
 # the stage that decided a sample, in pipeline order; _classify_rows and
 # _projection_rows return one code per row, its index here
 STAGES = ("sign", "grid") + DECISION_STAGES
-(_SIGN, _GRID_HIT, _ORACLE_REJECTED, _ORACLE_INSIDE, _SEARCH_REFUTED,
- _SEARCH_EXHAUSTED) = map(STAGES.index, (
-     "sign", "grid", "oracle_rejected", "oracle_inside", "search_refuted",
-     "search_exhausted"))
+(_SIGN, _GRID_HIT, _ORACLE_REJECTED, _ORACLE_INSIDE, _COEFFS_NONNEG,
+ _SEARCH_REFUTED, _SEARCH_EXHAUSTED) = map(STAGES.index, (
+     "sign", "grid", "oracle_rejected", "oracle_inside", "coeffs_nonneg",
+     "search_refuted", "search_exhausted"))
 # whether a sample decided at each stage counts as inside
 _INSIDE = np.isin(STAGES, INSIDE_STAGES)
 
@@ -142,19 +148,16 @@ def _sample_cfg(cfg: SearchConfig, idx: int) -> SearchConfig:
     return replace(cfg, seed=_sample_seed(cfg.seed, idx))
 
 
-def _negative_at(row: list[float], x: float) -> bool:
-    """Whether the polynomial with float coefficients row is negative at the
-    float x, exactly: in integers, at the dyadic ratio of x."""
-    return _scaled_value(_integer_coeffs(row), *x.as_integer_ratio()) < 0
-
-
-def _grid_refuted(rows: np.ndarray) -> np.ndarray:
-    """Mask of coefficient rows exactly negative at their grid minimum."""
+def _grid_refuted(rows: np.ndarray, ints: list[list[int]]) -> np.ndarray:
+    """Mask of coefficient rows exactly negative at their grid minimum; ints
+    holds each row in integers (exact._integer_rows), in which the sign is
+    taken at the dyadic ratio of the grid point."""
     vals = np.polynomial.polynomial.polyval(_GRID, rows.T)
     argmins = vals.argmin(axis=1)
     out = np.zeros(rows.shape[0], dtype=bool)
-    for i in np.where(vals.min(axis=1) < 0.0)[0]:
-        out[i] = _negative_at(rows[i].tolist(), float(_GRID[argmins[i]]))
+    for i in np.flatnonzero(vals.min(axis=1) < 0.0):
+        x = float(_GRID[argmins[i]])
+        out[i] = _scaled_value(ints[i], *x.as_integer_ratio()) < 0
     return out
 
 
@@ -168,12 +171,19 @@ def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
     low_bad = (rows[:, :n] < 0.0).any(axis=1)
     high_bad = (rows[:, max(0, k + 1 - n):] < 0.0).any(axis=1)
     sub = np.flatnonzero(~(low_bad | high_bad))
-    hit = _grid_refuted(rows[sub])
+    # inside at every order: sum c_k A^k >= 0 for every nonnegative A
+    nonneg = (rows[sub] >= 0.0).all(axis=1)
+    stage[sub[nonneg]] = _COEFFS_NONNEG
+    sub = sub[~nonneg]
+    ints = _integer_rows(rows[sub])
+    hit = _grid_refuted(rows[sub], ints)
     stage[sub[hit]] = _GRID_HIT
-    sub = sub[~hit]
-    stage[sub] = [_ORACLE_INSIDE if is_nonneg_on_halfline(Polynomial(r))
-                  else _ORACLE_REJECTED for r in rows[sub].tolist()]
-    sub = np.flatnonzero(_INSIDE[stage]).tolist()
+    # through the public oracle, which bench/spans.py traces per row
+    stage[sub[~hit]] = [
+        _ORACLE_INSIDE if is_nonneg_on_halfline(Polynomial(r), c)
+        else _ORACLE_REJECTED
+        for r, c, h in zip(rows[sub].tolist(), ints, hit.tolist()) if not h]
+    sub = np.flatnonzero(stage == _ORACLE_INSIDE).tolist()
     if n >= 2 and sub:
         stage[sub] = [STAGES.index(s) for s, _ in decide(
             [Polynomial(rows[i]) for i in sub], n,

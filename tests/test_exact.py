@@ -195,6 +195,43 @@ def test_integer_coeffs_keep_ratios():
     assert _integer_coeffs([Fraction(1, 6), Fraction(-3, 4), 0]) == [2, -9, 0]
 
 
+# the hostile entries of the volume grid test: subnormals, signed zeros and
+# magnitudes near both ends of the float range, mixed within a row
+HOSTILE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 1e-315, 0.0, -0.0, 1e-300, -1e300, 1e300])
+
+
+def _power_of_two(r: Fraction) -> bool:
+    return r > 0 and all(v & (v - 1) == 0
+                         for v in (r.numerator, r.denominator))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=st.integers(1, 8).flatmap(lambda w: st.lists(
+    st.lists(HOSTILE, min_size=w, max_size=w), min_size=1, max_size=4)))
+@example(rows=[[5e-324, -5e-324, 0.0], [-0.0, 0.0, 1e-320]])
+@example(rows=[[-0.0, -5e-324], [-5e-324, 1.0]])
+@example(rows=[[0.0], [-0.0]])
+@example(rows=[[1e300, -1e-300, 1e-315, 0.5]])
+def test_integer_rows_match_integer_coeffs_up_to_a_power_of_two(rows):
+    for row, ints in zip(rows, exact._integer_rows(np.array(rows))):
+        assert all(type(v) is int for v in ints)
+        ref = _integer_coeffs(row)
+        assert [v == 0 for v in ints] == [v == 0 for v in ref]
+        # one power of two per row, against the row and against ref
+        for base in (row, ref):
+            ratios = {Fraction(v) / Fraction(b) for v, b in zip(ints, base)
+                      if b}
+            assert len(ratios) <= 1 and all(map(_power_of_two, ratios))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_integer_rows_reject_non_finite_entries(bad):
+    rows = np.array([[1.0, -1.0, 1.0], [0.5, 2.0, bad]])
+    with pytest.raises(ValueError, match="finite"):
+        exact._integer_rows(rows)
+
+
 def test_certified_float_row_builds_no_fraction():
     never = mock.Mock(side_effect=AssertionError("Fraction built"))
     with mock.patch.object(exact, "Fraction", never):
@@ -253,6 +290,50 @@ def test_isolation_decides_multiple_roots(factors, sqrt2_power, scale):
         poly = sympy.Poly([sympy.Rational(c) for c in reversed(q.coeffs)], x)
         assert x0 is not None and x0 >= 0
         assert poly.eval(sympy.Rational(x0.numerator, x0.denominator)) < 0
+
+
+def _squarefree_by_sequence(q: list) -> list:
+    with mock.patch.object(exact, "_coprime_mod_p", return_value=False):
+        return exact._squarefree(q)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(factors=st.lists(st.tuples(
+           st.lists(st.integers(-9, 9), min_size=2, max_size=4)
+           .filter(lambda f: f[-1] != 0),
+           st.integers(1, 3)), min_size=1, max_size=4))
+def test_squarefree_check_agrees_with_the_remainder_sequence(factors):
+    """Products of random integer factors, some repeated: the modular check
+    proves square-free exactly the products that are, and then q is the
+    sequence's answer up to sign; q and -q walk the same points."""
+    q = [1]
+    for f, m in factors:
+        for _ in range(m):
+            q = [int(v) for v in _times(q, f)]
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(q)), x)
+    squarefree = sympy.degree(sympy.sqf_part(poly), x) == len(q) - 1
+    assert exact._coprime_mod_p(q) == squarefree
+    fast, ref = exact._squarefree(q), _squarefree_by_sequence(q)
+    if squarefree:
+        assert fast == q and ref in (q, [-v for v in q])
+    else:
+        assert fast == ref
+    if q[0]:
+        assert list(exact._walk(q)) == list(exact._walk([-v for v in q]))
+
+
+def test_cell_polynomial_needs_no_remainder_sequence():
+    # a k = 6 order-2 member from a seed-1 sample (rounded): the modular
+    # check proves its cell polynomial square-free, so _h_cells finds the
+    # same cells with no pseudo-remainder; on 53-bit rows the sequence over
+    # Z took seconds
+    h = exact._order2_h([3, 3, 32, -17, -6, 31, 10])
+    with mock.patch.object(exact, "_prem", side_effect=AssertionError("prem")):
+        fast = exact._h_cells(h)
+    assert fast is None
+    with mock.patch.object(exact, "_coprime_mod_p", return_value=False):
+        assert exact._h_cells(h) is None
 
 
 def test_refute_far_dip():

@@ -903,13 +903,14 @@ def test_decide_agrees_with_the_exact_decisions(coeffs, n):
     [(stage, verdict)] = membership.decide([p], n, [DECIDE_CFG])
     assert stage in membership.DECISION_STAGES
     inside = stage in membership.INSIDE_STAGES
+    # every coefficient >= 0 is accepted first, at every order
+    assert (stage == "coeffs_nonneg") == (min(coeffs) >= 0)
     if n == 1:
-        assert stage.startswith("oracle_")
+        assert stage == "coeffs_nonneg" or stage.startswith("oracle_")
         assert inside == is_nonneg_on_halfline(p)
     member = is_order2_member(p) if n == 2 else None
     if member is not None:
         assert inside == member
-    assert (stage == "coeffs_nonneg") == (n >= 2 and min(coeffs) >= 0)
     # only a search leaves a verdict, and it names the search's outcome
     if stage.startswith("search_"):
         assert isinstance(verdict, Refuted) == (stage == "search_refuted")

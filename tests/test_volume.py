@@ -34,7 +34,6 @@ from nonnegcone.volume import (
     _classify_rows,
     _estimate,
     _grid_refuted,
-    _negative_at,
     _projection_rows,
 )
 
@@ -146,10 +145,13 @@ def test_integer_grid_sign_matches_fraction_evaluation():
     for row in rows:
         row = [float(c) for c in row]
         rational = RationalPolynomial(row)
+        [ints] = exact._integer_rows(np.array([row]))
         for x in grid:
-            assert _negative_at(row, x) == (rational(Fraction(x)) < 0)
+            assert (exact._scaled_value(ints, *x.as_integer_ratio()) < 0) == \
+                (rational(Fraction(x)) < 0)
     # a row negative only at x = 0 of the grid is refuted there
-    assert _grid_refuted(np.array([[-1e-300, 1.0, 1.0]])).tolist() == [True]
+    row = np.array([[-1e-300, 1.0, 1.0]])
+    assert _grid_refuted(row, exact._integer_rows(row)).tolist() == [True]
 
 
 def _isolation_inside(rows: np.ndarray) -> list:
@@ -171,6 +173,26 @@ def test_chunk_classification_matches_per_row_oracle(seed):
     assert _INSIDE[stage].tolist() == _isolation_inside(completed)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_n1_nonnegative_rows_are_accepted_before_the_oracle(seed):
+    for k in (0, 2, 6):
+        _, rows = next(_ball_chunks(k + 1, 4096, seed))
+        with mock.patch.object(volume, "is_nonneg_on_halfline",
+                               wraps=is_nonneg_on_halfline) as spy:
+            stage = _classify_rows(rows, 1, k, CFG, 0)
+        signs_pass = (rows[:, 0] >= 0) & (rows[:, k] >= 0)
+        nonneg = signs_pass & (rows >= 0).all(axis=1)
+        assert (stage == STAGES.index("coeffs_nonneg")).tolist() == \
+            nonneg.tolist()
+        # none of them reaches the oracle
+        assert (spy.call_count > 0) == (k > 0)
+        assert all(min(c.args[0].coeffs) < 0 for c in spy.call_args_list)
+        e = estimate_cone_fraction(1, k, 4096, replace(CFG, seed=seed))
+        assert e.stages["coeffs_nonneg"] > 0
+        assert e.stages["oracle_inside"] + e.stages["coeffs_nonneg"] == \
+            e.n_inside
+
+
 def _decided_ref(p: Polynomial, n: int, cfg: SearchConfig):
     """Per-polynomial reference for a row that passes the half-line oracle:
     the coefficient signs, for n = 2 the exact decision, for n >= 3 the
@@ -190,13 +212,16 @@ def _decided_ref(p: Polynomial, n: int, cfg: SearchConfig):
 
 def _per_row_stages(rows: np.ndarray, n: int, k: int,
                     cfg: SearchConfig) -> list:
-    """Per-row reference for a first chunk: sign, grid and oracle, then
-    _decided_ref on each row that passes them."""
+    """Per-row reference for a first chunk: sign, the coefficient signs,
+    grid and oracle, then _decided_ref on each row that passes them."""
     out = []
     for idx, r in enumerate(rows):
         if (r[:n] < 0).any() or (r[max(0, k + 1 - n):] < 0).any():
             out.append(STAGES.index("sign"))
-        elif volume._grid_refuted(r[None])[0]:
+        elif (r >= 0).all():
+            out.append(STAGES.index("coeffs_nonneg"))
+        elif volume._grid_refuted(r[None],
+                                  [exact._integer_coeffs(r.tolist())])[0]:
             out.append(STAGES.index("grid"))
         elif not is_nonneg_on_halfline(RationalPolynomial(r)):
             out.append(STAGES.index("oracle_rejected"))
@@ -387,7 +412,10 @@ def test_estimate_json_dict():
     assert d["config"]["seed"] == CFG.seed
     stages = d["stages"]
     assert tuple(stages) == STAGES and sum(stages.values()) == 500
-    assert stages["oracle_inside"] == d["n_inside"]
+    # an n = 1 row with no negative coefficient is accepted before the
+    # oracle
+    assert stages["oracle_inside"] > 0 and stages["coeffs_nonneg"] > 0
+    assert stages["oracle_inside"] + stages["coeffs_nonneg"] == d["n_inside"]
     assert stages["search_refuted"] == stages["search_exhausted"] == 0
     with pytest.raises(AssertionError):
         VolumeEstimate(**{**e.__dict__,
