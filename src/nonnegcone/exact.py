@@ -723,19 +723,10 @@ def order2_counterexample(
     H gives is re-checked exactly first, and ArithmeticError means the
     decision is wrong.
     """
-    return _order2_counterexample(p, settle=False)
-
-
-def _order2_counterexample(
-        p: Union[Polynomial, RationalPolynomial], settle: bool
-) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-    """order2_counterexample, whose one-variable conditions may settle a
-    deep root isolation at another negative point (see _walk)."""
-    c = _integer_coeffs(p.coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
+    c, failed = _order2_failure(p, settle=False)
+    if failed is None:
         return None
+    cond, point = failed
 
     def near(points):
         for x, y in points:
@@ -743,40 +734,49 @@ def _order2_counterexample(
             if a is not None:
                 return x, y, a
 
-    def near_antidiagonal(z):
-        # (x, -x) with x^2 = z, approached from x > |y|
-        n, d = z.numerator * z.denominator, z.denominator
+    if cond == "p":                             # (i): a -> y = t
+        return near([(point + 1, point)])
+    if cond == "p'":                            # (ii): D -> p'(t)
+        return near((point + Fraction(max(point, 1)) / (1 << j), point)
+                    for j in itertools.count())
+    if cond != "H":         # (ii), u = 1 edge: (x, -x), x^2 = z, from x > |y|
+        n, d = point.numerator * point.denominator, point.denominator
         return near((Fraction(r, d << j), Fraction(r * (1 - (1 << j)),
                                                    d << (2 * j)))
                     for j in itertools.count(1)
                     for r in [math.isqrt(n << (2 * j))])
-
-    point = _negative_int(c, settle)
-    if point is not None:                       # (i): a -> y = t
-        t = Fraction(*point)
-        return near([(t + 1, t)])
-    point = _negative_int(_deriv(c), settle)
-    if point is not None:                       # (ii): D -> p'(t)
-        t = Fraction(*point)
-        return near((t + Fraction(max(t, 1)) / (1 << j), t)
-                    for j in itertools.count())
-    for part in (c[1::2], c[0::2]):             # (ii) and the u = 1 edge
-        point = _negative_int(part, settle)
-        if point is not None:
-            return near_antidiagonal(Fraction(*point))
-    h = _order2_h(c)
-    found = _order2_h_point(h)
-    if found is None:
-        return None
-    x0, u0 = found                              # (iii): a -> 0, y = -u x
-    if _eval_frac([_eval_frac(row, u0) for row in h], x0) >= 0:
-        raise ArithmeticError(f"order2_counterexample: H({x0}, {u0}) is "
-                              "not negative")
+    x0, u0 = point                              # (iii): a -> 0, y = -u x
 
     def inward(j):
         x = x0 or Fraction(1, 1 << j)
         return x, -x * (u0 + (Fraction(1, 2) - u0) / (1 << j))
     return near(map(inward, itertools.count(1)))
+
+
+def _order2_failure(p: Union[Polynomial, RationalPolynomial], settle: bool):
+    """(c, failed): p's trimmed integer coefficients, and the first condition
+    of order2_counterexample to fail, with its point: ("p", t), ("p'", t),
+    ("odd", z), ("even", z) or ("H", (x, u)); None when all hold. settle is
+    _negative_int's. The point H gives is re-checked exactly."""
+    c = _integer_coeffs(p.coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        return c, None
+    for cond, f in (("p", c), ("p'", _deriv(c)), ("odd", c[1::2]),
+                    ("even", c[0::2])):
+        point = _negative_int(f, settle)
+        if point is not None:
+            return c, (cond, Fraction(*point))
+    h = _order2_h(c)
+    found = _order2_h_point(h)
+    if found is None:
+        return c, None
+    x0, u0 = found
+    if _eval_frac([_eval_frac(row, u0) for row in h], x0) >= 0:
+        raise ArithmeticError(f"order2_counterexample: H({x0}, {u0}) is "
+                              "not negative")
+    return c, ("H", found)
 
 
 def is_order2_member(
@@ -791,7 +791,7 @@ def is_order2_member(
     ValueError for a coefficient that is not finite.
     """
     try:
-        return _order2_counterexample(p, settle=True) is None
+        return _order2_failure(p, settle=True)[1] is None
     except Order2Undecided:
         return None
 

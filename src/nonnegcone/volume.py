@@ -19,7 +19,9 @@ stage decided:
    leave open, so each verdict is the one a search of that row alone gives.
 
 The rows that reach 3 are lifted to integers once per chunk
-(exact._integer_rows), and 3 and 4 decide on those ints.
+(exact._integer_rows), and 3 and 4 decide on those ints. Stages 2-4 do not
+depend on n, so the estimates of several orders on one seed (compare order)
+draw each chunk once and run 2-4 once; each order applies only its 1 and 5.
 
 Only decide's "search_exhausted" rests on a budget rather than a proof (and
 "loewy_cone" on the paper's theorem, not on a check made here). So an
@@ -130,13 +132,12 @@ def _ball_chunks(dim: int, total: int, seed: int) -> Iterator[tuple[int, np.ndar
     n_chunks = -(-total // _CHUNK)
     for c in range(n_chunks):
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, c])
-        g = rng.standard_normal((_CHUNK, dim))
-        u = rng.random(_CHUNK)
+        take = min(_CHUNK, total - c * _CHUNK)
+        g = rng.standard_normal((_CHUNK, dim))[:take]
+        u = rng.random(_CHUNK)[:take]
         norms = np.linalg.norm(g, axis=1)
         norms[norms == 0.0] = 1.0
-        pts = g * (u ** (1.0 / dim) / norms)[:, None]
-        take = min(_CHUNK, total - c * _CHUNK)
-        yield c * _CHUNK, pts[:take]
+        yield c * _CHUNK, g * (u ** (1.0 / dim) / norms)[:, None]
 
 
 def _sample_seed(seed: int, idx: int) -> int:
@@ -161,16 +162,23 @@ def _grid_refuted(rows: np.ndarray, ints: list[list[int]]) -> np.ndarray:
     return out
 
 
-def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
-                   start_idx: int) -> np.ndarray:
-    """The deciding stage of each coefficient row (degree k) of a chunk."""
+def _signs_pass(rows: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Mask of degree-k rows with no negative entry among their first and
+    last n coefficients. Such an entry rejects even when the leading
+    coefficient vanishes, since it is in range either way."""
+    return ~((rows[:, :n] < 0.0).any(axis=1)
+             | (rows[:, max(0, k + 1 - n):] < 0.0).any(axis=1))
+
+
+def _classify_rows(rows: np.ndarray, orders: Sequence[int], k: int,
+                   cfg: SearchConfig, start_idx: int) -> np.ndarray:
+    """The deciding stage of each coefficient row (degree k) of a chunk, one
+    line per order in orders. Stages 2-4 do not depend on the order: they
+    run once, on the rows that pass the sign test of some order, which are
+    those of the lowest order."""
+    passes = [_signs_pass(rows, n, k) for n in orders]
     stage = np.full(rows.shape[0], _SIGN)
-    # sign rejections on the first and last n coefficient positions; these
-    # are valid even when the leading coefficient vanishes, because a
-    # negative entry at one of the checked positions is in-range either way
-    low_bad = (rows[:, :n] < 0.0).any(axis=1)
-    high_bad = (rows[:, max(0, k + 1 - n):] < 0.0).any(axis=1)
-    sub = np.flatnonzero(~(low_bad | high_bad))
+    sub = np.flatnonzero(np.logical_or.reduce(passes))
     # inside at every order: sum c_k A^k >= 0 for every nonnegative A
     nonneg = (rows[sub] >= 0.0).all(axis=1)
     stage[sub[nonneg]] = _COEFFS_NONNEG
@@ -183,40 +191,53 @@ def _classify_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
         _ORACLE_INSIDE if is_nonneg_on_halfline(Polynomial(r), c)
         else _ORACLE_REJECTED
         for r, c, h in zip(rows[sub].tolist(), ints, hit.tolist()) if not h]
-    sub = np.flatnonzero(stage == _ORACLE_INSIDE).tolist()
-    if n >= 2 and sub:
-        stage[sub] = [STAGES.index(s) for s, _ in decide(
-            [Polynomial(rows[i]) for i in sub], n,
-            [_sample_cfg(cfg, start_idx + i) for i in sub])]
-    return stage
+    out = np.where(passes, stage, _SIGN)
+    for line, n in zip(out, orders):
+        sub = np.flatnonzero(line == _ORACLE_INSIDE).tolist()
+        if n >= 2 and sub:
+            line[sub] = [STAGES.index(s) for s, _ in decide(
+                [Polynomial(rows[i]) for i in sub], n,
+                [_sample_cfg(cfg, start_idx + i) for i in sub])]
+    return out
 
 
-def _estimate(classify: Callable[[np.ndarray, int], np.ndarray], n: int,
-              k: int, N: int, cfg: SearchConfig, z: float) -> VolumeEstimate:
-    """The estimate from the stage counts of classify(rows, start_idx) over
-    the sample chunks."""
-    stages = np.zeros(len(STAGES), dtype=np.int64)
+def _estimate(classify: Callable[[np.ndarray, int], Sequence[np.ndarray]],
+              orders: Sequence[int], k: int, N: int, cfg: SearchConfig,
+              z: float) -> list[VolumeEstimate]:
+    """One estimate per order, from the stage counts of classify(rows,
+    start_idx), one line of stage codes per order, over the sample chunks."""
+    stages = np.zeros((len(orders), len(STAGES)), dtype=np.int64)
     for start, rows in _ball_chunks(k + 1, N, cfg.seed):
-        stages += np.bincount(classify(rows, start), minlength=len(STAGES))
-    n_inside = int(stages[_INSIDE].sum())
-    lo, hi = wilson_interval(n_inside, N, z)
-    bias = "Exact" if stages[_SEARCH_EXHAUSTED] == 0 else "UpperBiased"
-    return VolumeEstimate(n, k, k + 1, N, n_inside, N - n_inside,
-                          n_inside / N, lo, hi, z, bias, cfg, cfg.seed,
-                          dict(zip(STAGES, stages.tolist())))
+        stages += [np.bincount(line, minlength=len(STAGES))
+                   for line in classify(rows, start)]
+    return [VolumeEstimate(
+        n, k, k + 1, N, inside, N - inside, inside / N,
+        *wilson_interval(inside, N, z), z,
+        "Exact" if counts[_SEARCH_EXHAUSTED] == 0 else "UpperBiased", cfg,
+        cfg.seed, dict(zip(STAGES, counts.tolist())))
+        for n, inside, counts in zip(
+            orders, stages[:, _INSIDE].sum(axis=1).tolist(), stages)]
+
+
+def _cone_estimates(orders: Sequence[int], k: int, N: int,
+                    cfg: Optional[SearchConfig], z: float) -> list:
+    """The cone fractions of estimate_cone_fraction at each order, from one
+    pass over their shared samples."""
+    if not (min(orders) >= 1 and k >= 0 and N >= 1):
+        raise ValueError(f"need n >= 1, k >= 0 and N >= 1, got "
+                         f"n={min(orders)}, k={k}, N={N}")
+    if cfg is None:
+        cfg = _DEFAULT_CFG
+    return _estimate(
+        lambda rows, start: _classify_rows(rows, orders, k, cfg, start),
+        orders, k, N, cfg, z)
 
 
 def estimate_cone_fraction(
         n: int, k: int, N: int, cfg: Optional[SearchConfig] = None,
         z: float = 3.0) -> VolumeEstimate:
     """Fraction of the unit coefficient ball inside the order-n degree-k cone."""
-    if not (n >= 1 and k >= 0 and N >= 1):
-        raise ValueError(f"need n >= 1, k >= 0 and N >= 1, got n={n}, k={k}, "
-                         f"N={N}")
-    if cfg is None:
-        cfg = _DEFAULT_CFG
-    return _estimate(lambda rows, start: _classify_rows(rows, n, k, cfg, start),
-                     n, k, N, cfg, z)
+    return _cone_estimates((n,), k, N, cfg, z)[0]
 
 
 def _projection_ladder(v: np.ndarray, c_cap: float,
@@ -258,12 +279,10 @@ def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
     if n == 1:
         return _classify_rows(
             np.concatenate([rows, np.full((rows.shape[0], 1), 16.0 * c_cap)],
-                           axis=1), 1, k + 1, cfg, start_idx)
-    # completed high block includes positions k+2-n..k of v
-    bad = ((rows[:, :n] < 0.0).any(axis=1)
-           | (rows[:, k + 2 - n:] < 0.0).any(axis=1))
+                           axis=1), (1,), k + 1, cfg, start_idx)[0]
+    # the completed row's last n coefficients hold positions k+2-n..k of v
     stage = np.full(rows.shape[0], _SIGN)
-    sub = np.flatnonzero(~bad).tolist()
+    sub = np.flatnonzero(_signs_pass(rows, n, k + 1)).tolist()
 
     def answer(items: list) -> list:
         polys, cfgs = zip(*items)
@@ -288,8 +307,8 @@ def estimate_projection_fraction(
     if cfg is None:
         cfg = _DEFAULT_CFG
     return _estimate(
-        lambda rows, start: _projection_rows(rows, n, k, cfg, start, c_cap),
-        n, k, N, cfg, z)
+        lambda rows, start: [_projection_rows(rows, n, k, cfg, start, c_cap)],
+        (n,), k, N, cfg, z)[0]
 
 
 def _separated(a: VolumeEstimate, b: VolumeEstimate) -> bool:
@@ -313,7 +332,8 @@ def _whole(v) -> int:
 
 def compare_experiment(kind: str, params: dict, N: int,
                        cfg: Optional[SearchConfig] = None) -> dict:
-    """Paired comparison experiments on a shared seed and sample budget.
+    """Paired comparison experiments on a shared seed and sample budget; the
+    two orders of "order" classify the shared samples in one pass.
 
     Reports both estimates, the expected inequality direction, whether the
     observed point estimates follow it, and whether the z-level confidence
@@ -345,8 +365,7 @@ def compare_experiment(kind: str, params: dict, N: int,
         n_a, n_b, k = (_whole(params[key]) for key in ("n_a", "n_b", "k"))
         if not n_a < n_b:
             raise ValueError(f"order needs n_a < n_b, got {n_a} and {n_b}")
-        a = estimate_cone_fraction(n_a, k, N, cfg)
-        b = estimate_cone_fraction(n_b, k, N, cfg)
+        a, b = _cone_estimates((n_a, n_b), k, N, cfg, 3.0)
         expected = "fraction decreases when the matrix order increases"
     elif kind == "projection":
         n, k = _whole(params["n"]), _whole(params["k"])

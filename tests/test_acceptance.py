@@ -380,17 +380,17 @@ def test_acceptance_08_volume_calibration():
     cfg = SearchConfig(restarts=20, max_iters=120, seed=0)
 
     def inside_where(mask_of_rows):
-        return lambda rows, start: np.where(
-            mask_of_rows(rows), volume._ORACLE_INSIDE, volume._SIGN)
+        return lambda rows, start: [np.where(
+            mask_of_rows(rows), volume._ORACLE_INSIDE, volume._SIGN)]
 
     full = volume._estimate(
         inside_where(lambda rows: np.ones(len(rows), bool)),
-        1, 3, 100000, cfg, 3.0)
+        (1,), 3, 100000, cfg, 3.0)[0]
     assert full.fraction == 1.0
 
     orthant = volume._estimate(
         inside_where(lambda rows: (rows >= 0).all(axis=1)),
-        1, 3, 100000, cfg, 3.0)
+        (1,), 3, 100000, cfg, 3.0)[0]
     p = 2.0 ** (-4)
     sigma = np.sqrt(p * (1 - p) / 100000)
     assert abs(orthant.fraction - p) <= 3 * sigma

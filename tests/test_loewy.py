@@ -144,7 +144,7 @@ def test_loewy_cone_stage_moves_only_exhausted_rows():
 
     def spy(rows, *args):
         stage = classify(rows, *args)
-        seen.append(rows[stage == LOEWY_CONE])
+        seen.append(rows[stage[0] == LOEWY_CONE])
         return stage
 
     with mock.patch.object(volume, "_classify_rows", spy):

@@ -102,6 +102,8 @@ def test_decision_properties(coeffs, shift, scale):
     member = is_order2_member(p)
     assert member is not None
     assert member == is_order2_member(RationalPolynomial(coeffs))
+    # the decision alone gives the answer the counterexample search gives
+    assert member == (order2_counterexample(p) is None)
     if len(coeffs) <= 2:
         assert member == (min(coeffs) >= 0)
     if min(coeffs) >= 0:
@@ -141,6 +143,24 @@ def test_rejections_by_h(coeffs):
     # the cylindrical decomposition finds the negative cell on its own
     with mock.patch.object(exact, "_h_certificate", return_value=None):
         assert is_order2_member(Polynomial(coeffs)) is False
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1, -2, 1, 1], H_REJECTED[0]])
+def test_a_wrong_h_point_raises(coeffs):
+    # both pass the one-variable conditions, and H(1, 1/2) >= 0 for both
+    # (the Loewy member L_2, and a row whose H is negative elsewhere), so a
+    # decision that offered that point would be wrong: the exact re-check
+    # raises instead of answering
+    c = exact._integer_coeffs(coeffs)
+    h = exact._order2_h(c)
+    point = (Fraction(1), Fraction(1, 2))
+    assert exact._eval_frac([exact._eval_frac(r, point[1]) for r in h],
+                            point[0]) >= 0
+    with mock.patch.object(exact, "_order2_h_point", return_value=point):
+        with pytest.raises(ArithmeticError, match="not negative"):
+            is_order2_member(Polynomial(coeffs))
+        with pytest.raises(ArithmeticError, match="not negative"):
+            order2_counterexample(Polynomial(coeffs))
 
 
 def test_non_finite_coefficients_are_rejected():

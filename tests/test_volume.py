@@ -93,19 +93,19 @@ def test_wilson_interval_rejects_z_whose_square_is_not_finite(z):
 def inside_where(mask_of_rows):
     """A classifier for volume._estimate: the rows in mask_of_rows(rows)
     count as inside."""
-    return lambda rows, start: np.where(mask_of_rows(rows), _ORACLE_INSIDE,
-                                        _SIGN)
+    return lambda rows, start: [np.where(mask_of_rows(rows), _ORACLE_INSIDE,
+                                         _SIGN)]
 
 
 def test_calibration_hooks():
     e = _estimate(inside_where(lambda rows: np.ones(len(rows), bool)),
-                  1, 3, 1500, CFG, 3.0)
+                  (1,), 3, 1500, CFG, 3.0)[0]
     assert e.fraction == 1.0 and e.n_inside == 1500
     e = _estimate(inside_where(lambda rows: (rows >= 0).all(axis=1)),
-                  1, 3, 20000, CFG, 3.0)
+                  (1,), 3, 20000, CFG, 3.0)[0]
     assert e.ci_low <= 2.0 ** (-4) <= e.ci_high
     e = _estimate(inside_where(lambda rows: rows[:, 0] >= 0),
-                  1, 2, 20000, CFG, 3.0)
+                  (1,), 2, 20000, CFG, 3.0)[0]
     assert e.ci_low <= 0.5 <= e.ci_high
     assert e.stages["oracle_inside"] == e.n_inside
     assert e.stages["sign"] == e.n_refuted
@@ -128,8 +128,8 @@ def test_inclusion_consistency_shared_samples():
     # any sample inside the order-2 classification is inside the order-1 one
     _, rows = next(_ball_chunks(5, 400, CFG.seed))
     small = SearchConfig(restarts=4, max_iters=80, seed=CFG.seed)
-    in1 = _INSIDE[_classify_rows(rows, 1, 4, small, 0)]
-    in2 = _INSIDE[_classify_rows(rows, 2, 4, small, 0)]
+    in1 = _INSIDE[_classify_rows(rows, (1,), 4, small, 0)[0]]
+    in2 = _INSIDE[_classify_rows(rows, (2,), 4, small, 0)[0]]
     assert np.all(~in2 | in1)
     assert in2.sum() <= in1.sum()
 
@@ -165,7 +165,7 @@ def _isolation_inside(rows: np.ndarray) -> list:
 def test_chunk_classification_matches_per_row_oracle(seed):
     for k in (0, 1, 2, 4, 6):
         _, rows = next(_ball_chunks(k + 1, 4096, seed))
-        stage = _classify_rows(rows, 1, k, CFG, 0)
+        stage = _classify_rows(rows, (1,), k, CFG, 0)[0]
         assert _INSIDE[stage].tolist() == _isolation_inside(rows)
     _, rows = next(_ball_chunks(3, 4096, seed))
     stage = _projection_rows(rows, 1, 2, CFG, 0, 10.0)
@@ -179,7 +179,7 @@ def test_n1_nonnegative_rows_are_accepted_before_the_oracle(seed):
         _, rows = next(_ball_chunks(k + 1, 4096, seed))
         with mock.patch.object(volume, "is_nonneg_on_halfline",
                                wraps=is_nonneg_on_halfline) as spy:
-            stage = _classify_rows(rows, 1, k, CFG, 0)
+            stage = _classify_rows(rows, (1,), k, CFG, 0)[0]
         signs_pass = (rows[:, 0] >= 0) & (rows[:, k] >= 0)
         nonneg = signs_pass & (rows >= 0).all(axis=1)
         assert (stage == STAGES.index("coeffs_nonneg")).tolist() == \
@@ -240,7 +240,7 @@ def test_chunk_search_matches_per_row_refute(seed):
         _, rows = next(_ball_chunks(k + 1, 300 if k < 6 else 1000, seed))
         with mock.patch.object(membership, "refute",
                                wraps=membership.refute) as spy:
-            stage = _classify_rows(rows, n, k, cfg, 0)
+            stage = _classify_rows(rows, (n,), k, cfg, 0)[0]
         assert stage.tolist() == _per_row_stages(rows, n, k, cfg)
         # one refute per searched row, in row order, as the traced
         # volume.stage.search_* counts assume; none at n = 2
@@ -336,9 +336,9 @@ def test_projection_examples():
     v = np.array([0.0, 1.0, -2.0]) / np.sqrt(5.0)
     rows = v[None, :]
     assert _INSIDE[_projection_rows(rows, 1, 2, CFG, 0, 10.0)][0]
-    assert not _INSIDE[_classify_rows(rows, 1, 2, CFG, 0)][0]
+    assert not _INSIDE[_classify_rows(rows, (1,), 2, CFG, 0)[0]][0]
     neg = np.array([-0.3, 0.5, 0.1])
-    assert not _INSIDE[_classify_rows(neg[None, :], 1, 2, CFG, 0)][0]
+    assert not _INSIDE[_classify_rows(neg[None, :], (1,), 2, CFG, 0)[0]][0]
     q = np.polynomial.polynomial.polyval(np.linspace(0, 3, 50),
                                          np.append(neg, 10.0))
     assert q.min() < 0.0   # completion cannot rescue a negative constant
@@ -380,6 +380,36 @@ def test_compare_order_small():
     assert st["search_refuted"] == st["search_exhausted"] == 0
     assert st["coeffs_nonneg"] > 0
     assert st["order2_inside"] + st["coeffs_nonneg"] == b["n_inside"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("n_a, n_b", [(1, 2), (1, 3), (2, 3)])
+def test_compare_order_equals_separate_estimates(n_a, n_b, k, seed):
+    # one pass classifies the shared samples for both orders: each estimate
+    # is the one its order gives alone, stage counts included, the chunks
+    # are drawn once, and the higher order sends no row of its own to the
+    # half-line oracle; N takes a second chunk, whose sample indices, and so
+    # search seeds, start at 4096
+    cfg, N = SearchConfig(restarts=2, max_iters=60, seed=seed), 4200
+    with mock.patch.object(volume, "is_nonneg_on_halfline",
+                           wraps=is_nonneg_on_halfline) as oracle, \
+            mock.patch.object(volume, "_ball_chunks",
+                              wraps=volume._ball_chunks) as chunks:
+        rep = compare_experiment("order", {"n_a": n_a, "n_b": n_b, "k": k},
+                                 N, cfg)
+    assert chunks.call_count == 1
+    joint = [c.args[0].coeffs for c in oracle.call_args_list]
+    alone, seen = [], []
+    for n in (n_a, n_b):
+        with mock.patch.object(volume, "is_nonneg_on_halfline",
+                               wraps=is_nonneg_on_halfline) as oracle:
+            alone.append(estimate_cone_fraction(n, k, N, cfg).to_json_dict())
+        seen.append([c.args[0].coeffs for c in oracle.call_args_list])
+    assert rep["estimates"] == alone
+    # the oracle got the rows of the lower order alone, which hold those of
+    # the higher order
+    assert joint == seen[0] and set(seen[1]) <= set(seen[0])
 
 
 def test_order2_estimate_runs_no_lockstep():
