@@ -80,10 +80,6 @@ class Polynomial:
             return Polynomial((0.0,))
         return Polynomial(d * c for d, c in enumerate(self.coeffs) if d >= 1)
 
-    def to_list(self) -> list[float]:
-        """JSON text form: plain list of coefficients, lowest degree first."""
-        return list(self.coeffs)
-
 
 @dataclass(frozen=True)
 class StochasticDecomposition:
@@ -243,18 +239,3 @@ def perron_normalize(a: np.ndarray) -> StochasticDecomposition:
         v = w / w.sum()
     raise NoConvergence("the Perron iteration did not reach the residual "
                        "target")
-
-
-def sample_stochastic(n: int, rng: np.random.Generator,
-                      concentration: float = 1.0) -> np.ndarray:
-    """Random positive row-stochastic matrix, rows ~ symmetric Dirichlet.
-
-    Entries are clamped below at 1e-12 and rows renormalized, so every
-    output is strictly positive with unit row sums.
-    """
-    assert n >= 1
-    if n == 1:
-        return np.array([[1.0]])
-    rows = rng.dirichlet(np.full(n, concentration), size=n)
-    rows = np.clip(rows, 1e-12, None)
-    return rows / rows.sum(axis=1, keepdims=True)

@@ -10,8 +10,9 @@ and rho > 0, and a refutation is reported only after its entry has been
 re-evaluated in exact rational arithmetic. So every Refuted verdict is
 sound; NoRefutationFound is a budget report, not a membership certificate.
 
-refute, and with it check, keeps that search contract at every n >= 2: the
-release checks assert NoRefutationFound for the n = 2 member
+_search runs that search on a batch, as decide's last stage; refute runs it
+on one polynomial and, with check, keeps the search contract at every
+n >= 2: the release checks assert NoRefutationFound for the n = 2 member
 loewy_general(2, 2, 0, 2), and the benchmark's checker accepts an exit-0
 check only with a no_refutation_found verdict.
 """
@@ -91,16 +92,6 @@ class Witness:
 # concentrations of the restart start modes before the permutation mode
 _RHO_LOG_RANGE = (-10.0, 10.0)
 _CONCENTRATIONS = (0.05, 0.3, 1.0)
-# the most shrink points (running simplices times the search dimension)
-# whose evaluation an n = 2 lockstep step folds into its stack of
-# candidates. Small stacks cost per call, large ones per matrix: on a 2-core
-# x86-64 VM, single n = 2 locksteps took x0.71 to x0.93 of the time with
-# the fold (4 to 42 restarts), and an n = 2, k = 4 volume estimate at 20
-# restarts x0.98 of a lockstep that never folds and x1.12 when every step
-# folds. The 3 x 3 matrices of n = 3 shrink points cost more than the second
-# stack they save (single locksteps x1.09 to x1.42 with the fold, 4 to 18
-# restarts), so n >= 3 steps never fold
-_FOLD_SHRINK_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -368,13 +359,12 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     Appl. 51 (2012) 259-277), with xatol 1e-7, fatol 1e-13 and max_iters
     iterations, batched over polynomials and restarts: each step evaluates
     one stack holding the reflection, the expansion and both contractions of
-    every running simplex, each under its own polynomial. At n = 2, while
-    the running simplices have at most _FOLD_SHRINK_POINTS shrink points,
-    the same stack also holds the shrink points of every simplex, which are
-    read back only where it shrinks (a simplex that shrinks was not changed
-    earlier in the step, so they are the floats scipy evaluates); otherwise
-    the shrink points of the simplices that shrink are a second stack. A
-    restart stops once its simplex has converged. Each restart takes the steps scipy takes
+    every running simplex, each under its own polynomial. At n = 2 the same
+    stack also holds the shrink points of every simplex, which are read back
+    only where it shrinks (a simplex that shrinks was not changed earlier in
+    the step, so they are the floats scipy evaluates); at n >= 3 the shrink
+    points of the simplices that shrink are a second stack. A restart stops
+    once its simplex has converged. Each restart takes the steps scipy takes
     from its start and sees the same values, NaN as inf, whatever else
     shares the stack; its lowest point is kept over the points scipy
     evaluates only. A step is about a hundred small numpy calls, half of
@@ -399,6 +389,10 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     # scipy expands, reflects, or contracts outside or inside: the candidate
     # it evaluates after xr (xr itself where it reflects)
     picks = np.array([1] + [0] * (dim - 1) + [2, 3])
+    # n >= 3 steps never fold: their 3 x 3 shrink points cost more than the
+    # second stack they save (single locksteps took x1.09 to x1.42 of the
+    # time with the fold on a 2-core x86-64 VM, 4 to 18 restarts)
+    fold = n == 2
     best_val, best_x = np.full(k, np.inf), x0.copy()
     # each running restart's coefficient row; a lone polynomial is one row
     # for the whole stack
@@ -454,7 +448,6 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
         xbar = np.add.reduce(sim[:, :-1], 1) / dim
         pts = cand_a * xbar[:, None] - cand_b * sim[:, -1:]
         low = sim[:, :1]
-        fold = n == 2 and len(rows) * dim <= _FOLD_SHRINK_POINTS
         if fold:
             pts = np.concatenate([pts, low + sigma * (sim[:, 1:] - low)], 1)
         fpts = f(poly, pts)
@@ -487,52 +480,42 @@ def _lockstep(coeffs: np.ndarray, n: int, cfgs: Sequence[SearchConfig]
     return best_val.reshape(len(cfgs), -1), best_x.reshape(len(cfgs), -1, dim)
 
 
-@dataclass(frozen=True, eq=False)
-class Prepared:
-    """One polynomial's share of a prepare() batch, which its refute reads:
-    the smallest entry at each probe, the witness of the probes or of the
-    xI + cJ certificate, and, when neither gives one, the lowest point of
-    each of its restarts."""
-
-    probe_vals: np.ndarray
-    witness: Optional[Witness]
-    lowest: Optional[np.ndarray]
-
-
-def prepare(polys: Sequence[Polynomial], n: int,
-            cfgs: Sequence[SearchConfig]) -> list[Optional[Prepared]]:
-    """The search work of refute for a batch of polynomials, each with its
-    own config; the configs may differ only in seed.
+def _search(polys: Sequence[Polynomial], n: int,
+            cfgs: Sequence[SearchConfig]) -> list[Verdict]:
+    """The verdict refute gives each of a batch of polynomials alone at
+    n >= 2, each with its own config; the configs may differ only in seed.
 
     Each polynomial gets its probes and then its xI + cJ certificate; one
-    lockstep then runs the restarts of every polynomial those leave open.
-    refute(p, n, cfg, prepared) reads its share and returns the verdict a
-    search of p alone gives. For n = 1 the exact oracle needs no search, and
-    each share is None.
+    lockstep then runs the restarts of every polynomial those leave open,
+    and each of those is Refuted at the first restart low that confirms,
+    else NoRefutationFound with the lowest value it saw.
     """
-    if n == 1:
-        return [None] * len(polys)
     candidates = _probe_candidates(n)
-    found = []
+    probes: list[np.ndarray] = []
+    out: list[Optional[Verdict]] = []
     for p, cfg in zip(polys, cfgs):
         vals, w = _witness(p, *candidates, cfg)
-        found.append((vals, w if w is not None else
-                      _monotone_witness(p, n, cfg)))
-    open_ = [t for t, (_, w) in enumerate(found) if w is None]
-    lowest: dict[int, np.ndarray] = {}
-    if open_:
-        size = max(len(polys[t].coeffs) for t in open_)
-        rows = np.zeros((len(open_), size))
-        for r, t in enumerate(open_):
-            rows[r, : len(polys[t].coeffs)] = polys[t].coeffs
-        xs = _lockstep(rows, n, [cfgs[t] for t in open_])[1]
-        lowest = dict(zip(open_, xs))
-    return [Prepared(vals, w, lowest.get(t))
-            for t, (vals, w) in enumerate(found)]
+        if w is None:
+            w = _monotone_witness(p, n, cfg)
+        probes.append(vals)
+        out.append(None if w is None else Refuted(w))
+    open_ = [t for t, v in enumerate(out) if v is None]
+    if not open_:
+        return out
+    rows = np.zeros((len(open_), max(len(polys[t].coeffs) for t in open_)))
+    for r, t in enumerate(open_):
+        rows[r, : len(polys[t].coeffs)] = polys[t].coeffs
+    lows = _lockstep(rows, n, [cfgs[t] for t in open_])[1]
+    for t, x in zip(open_, lows):
+        vals, w = _witness(polys[t], *_unpack(x, n), cfgs[t])
+        # the lowest value seen, ignoring NaN
+        best = min([np.inf, *probes[t].tolist(), *vals.tolist()])
+        out[t] = Refuted(w) if w is not None else \
+            NoRefutationFound(cfgs[t].restarts, best)
+    return out
 
 
-def refute(p: Polynomial, n: int, cfg: SearchConfig,
-           prepared: Optional[Prepared] = None) -> Verdict:
+def refute(p: Polynomial, n: int, cfg: SearchConfig) -> Verdict:
     """Search for a positive matrix showing p outside the order-n cone.
 
     n = 1 delegates to the exact oracle. For n >= 2 the order of attack is:
@@ -541,24 +524,9 @@ def refute(p: Polynomial, n: int, cfg: SearchConfig,
     lockstep. Restarts use independent seeded streams and the first
     confirmed witness (lowest restart index) wins, so results do not depend
     on how the restarts are batched.
-
-    prepared is p's share of a prepare() batch, which has already run the
-    probes, the certificate and the restarts; without it p is prepared as a
-    batch of one.
     """
     assert n >= 1
-    if n == 1:
-        return _refute_scalar(p, cfg)
-    if prepared is None:
-        prepared = prepare([p], n, [cfg])[0]
-    if prepared.witness is not None:
-        return Refuted(prepared.witness)
-    vals, w = _witness(p, *_unpack(prepared.lowest, n), cfg)
-    if w is not None:
-        return Refuted(w)
-    # the lowest value seen, ignoring NaN
-    best = min([np.inf, *prepared.probe_vals.tolist(), *vals.tolist()])
-    return NoRefutationFound(cfg.restarts, best)
+    return _refute_scalar(p, cfg) if n == 1 else _search([p], n, [cfg])[0]
 
 
 def _refute_scalar(p: Polynomial, cfg: SearchConfig) -> Verdict:
@@ -627,19 +595,16 @@ def decide(polys: Sequence[Polynomial], n: int, cfgs: Sequence[SearchConfig]
       order-n cone, which this package does not check;
     - n = 2: exact.is_order2_member decides p ("order2_rejected",
       "order2_inside") unless H has a repeated factor in u;
-    - the rest share one prepare() batch, then get one refute each, in batch
-      order ("search_refuted" with a confirmed witness, else
-      "search_exhausted").
+    - the rest are one _search batch, in batch order ("search_refuted"
+      with a confirmed witness, else "search_exhausted").
     """
     out: list[tuple[str, Optional[Verdict]]] = \
         [(_exact_stage(p, n), None) for p in polys]
     open_ = [t for t, (stage, _) in enumerate(out) if stage is None]
     if open_:
-        batch = [polys[t] for t in open_]
-        batch_cfgs = [cfgs[t] for t in open_]
-        for t, p, cfg, prepared in zip(open_, batch, batch_cfgs,
-                                       prepare(batch, n, batch_cfgs)):
-            verdict = refute(p, n, cfg, prepared)
+        verdicts = _search([polys[t] for t in open_], n,
+                           [cfgs[t] for t in open_])
+        for t, verdict in zip(open_, verdicts):
             out[t] = ("search_refuted" if isinstance(verdict, Refuted)
                       else "search_exhausted", verdict)
     return out

@@ -14,7 +14,6 @@ from nonnegcone.core import (
     eval_scalar,
     min_entry,
     perron_normalize,
-    sample_stochastic,
 )
 
 
@@ -298,20 +297,9 @@ def test_perron_keeps_the_power_iterates_and_converges_past_them():
     assert stalled > 25
 
 
-def test_sample_stochastic_rows():
-    rng = np.random.default_rng(5)
-    for conc in (0.05, 0.3, 1.0):
-        for _ in range(20):
-            n = int(rng.integers(1, 7))
-            s = sample_stochastic(n, rng, concentration=conc)
-            assert s.shape == (n, n)
-            assert np.all(s > 0.0)
-            assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
-
-
 def test_polynomial_json_roundtrip():
     p = Polynomial([1.0, 0.5, 0.0, -2.0])
-    assert Polynomial(p.to_list()) == p
+    assert Polynomial(list(p.coeffs)) == p
 
 
 def test_eval_linearity_invariant():

@@ -27,10 +27,10 @@ CFG = SearchConfig(restarts=6, max_iters=120, seed=11)
 
 
 def test_loewy_shapes():
-    assert loewy_general(2, 2, 0, 2.0).to_list() == [1, 1, -2, 1, 1]
-    assert loewy_general(1, 1, 0, 2.0).to_list() == [1, -2, 1]
-    assert loewy_general(2, 3, 1, 2.0).to_list() == [0, 1, 1, -2, 1, 1]
-    assert loewy_general(3, 5, 2, 1.5).to_list() == \
+    assert list(loewy_general(2, 2, 0, 2.0).coeffs) == [1, 1, -2, 1, 1]
+    assert list(loewy_general(1, 1, 0, 2.0).coeffs) == [1, -2, 1]
+    assert list(loewy_general(2, 3, 1, 2.0).coeffs) == [0, 1, 1, -2, 1, 1]
+    assert list(loewy_general(3, 5, 2, 1.5).coeffs) == \
         [0, 0, 1, 1, 1, -1.5, 1, 1, 1]
 
 
@@ -39,7 +39,7 @@ def test_loewy_structure_grid():
         for m in range(n, 6):
             for s in range(0, m - n + 1):
                 p = loewy_general(n, m, s, 2.0)
-                c = p.to_list()
+                c = list(p.coeffs)
                 assert p.degree() == 2 * m - s
                 assert c[m] == -2.0
                 ones = [d for d, v in enumerate(c) if v == 1.0]
@@ -88,10 +88,10 @@ def test_invalid_specs():
 
 
 def test_alpha_shapes():
-    assert alpha_family(2, 4.0).to_list() == \
+    assert list(alpha_family(2, 4.0).coeffs) == \
         [1, 1, 1, 1, -4, 1, 1, 1, 1]
-    assert alpha_family(1, 2.0).to_list() == [1, -2, 1]
-    assert alpha_family(3, 0.5).to_list() == [1, 1, 1, -0.5, 1, 1, 1]
+    assert list(alpha_family(1, 2.0).coeffs) == [1, -2, 1]
+    assert list(alpha_family(3, 0.5).coeffs) == [1, 1, 1, -0.5, 1, 1, 1]
 
 
 def test_split_alpha_examples():
@@ -101,7 +101,7 @@ def test_split_alpha_examples():
     assert len(blocks) == 1 and slack.is_zero()
     blocks, slack = split_alpha(2, 3.0)
     assert len(blocks) == 2
-    assert slack.to_list() == [0, 0, 0, 0, 1.0]
+    assert list(slack.coeffs) == [0, 0, 0, 0, 1.0]
 
 
 def test_split_alpha_reconstruction_exact():
@@ -121,7 +121,7 @@ def test_split_alpha_block_structure():
             blocks, _ = split_alpha(n, alpha)
             m = n * len(blocks)
             for b in blocks:
-                c = b.to_list()
+                c = list(b.coeffs)
                 assert c[m] == -2.0
                 low = [d for d in range(m) if c[d] != 0]
                 high = [d for d in range(m + 1, len(c)) if c[d] != 0]
@@ -130,9 +130,9 @@ def test_split_alpha_block_structure():
 
 
 def test_conjecture_shapes():
-    assert conjecture_family(2, 2, 5, 1.0).to_list() == \
+    assert list(conjecture_family(2, 2, 5, 1.0).coeffs) == \
         [1, 1, -1, 0, 0, 1, 1]
-    assert conjecture_family(1, 1, 2, 1.0).to_list() == [1, -1, 1]
+    assert list(conjecture_family(1, 1, 2, 1.0).coeffs) == [1, -1, 1]
     p = conjecture_family(1, 1, 2, 2.5)
     assert not is_nonneg_on_halfline(RationalPolynomial.from_polynomial(p))
     assert is_nonneg_on_halfline(
@@ -160,22 +160,22 @@ def test_spec_json_roundtrip():
                  ConjectureGap(2, 2, 5, 1.0)):
         d = spec_to_json_dict(spec)
         assert spec_from_json_dict(d) == spec
-        assert build(spec).to_list() == build(spec_from_json_dict(d)).to_list()
+        assert build(spec).coeffs == build(spec_from_json_dict(d)).coeffs
 
 
 def test_family_with_t():
     spec = LoewyGeneral(2, 2, 0, 2.0)
-    assert family_with_t(spec, 1.5).to_list() == [1, 1, -1.5, 1, 1]
+    assert list(family_with_t(spec, 1.5).coeffs) == [1, 1, -1.5, 1, 1]
     assert all(c >= 0 for c in family_with_t(spec, 0.0).coeffs)
     spec = Alpha(2, 3.0)
     assert all(c >= 0 for c in family_with_t(spec, 0.0).coeffs)
-    assert family_with_t(spec, 3.0).to_list() == alpha_family(2, 3.0).to_list()
+    assert family_with_t(spec, 3.0).coeffs == alpha_family(2, 3.0).coeffs
 
 
 def test_projection_gap_scalar():
     for k in range(2, 7):
         p = projection_gap_example(1, k, CFG)
-        c = p.to_list()
+        c = list(p.coeffs)
         assert c[k - 1] == 1.0 and c[k] == -2.0
         assert sum(abs(v) for v in c) == 3.0
         q = RationalPolynomial.from_polynomial(p)
@@ -192,7 +192,7 @@ def test_projection_gap_matrix():
     # the completion (top coefficient restored) is a shifted t = 2 member
     completed = Polynomial(list(p.coeffs) + [1.0])
     shifted = Polynomial([0.0] + list(loewy_general(2, 2, 0, 2.0).coeffs))
-    assert completed.to_list() == shifted.to_list()
+    assert completed.coeffs == shifted.coeffs
 
 
 def test_family_membership_small():

@@ -14,7 +14,7 @@ from scipy import optimize
 
 from nonnegcone import exact, membership
 from nonnegcone.core import (BeyondFloatRange, Polynomial, eval_matrix,
-                             min_entry, sample_stochastic)
+                             min_entry)
 from nonnegcone.exact import (
     RationalPolynomial,
     is_nonneg_on_halfline,
@@ -38,11 +38,11 @@ from nonnegcone.membership import (
     _monotone_witness,
     _probe_candidates,
     _restart_start,
+    _search,
     _unpack,
     boundary_offset,
     confirm_witness,
     max_t,
-    prepare,
     refute,
     trace_slice,
     verdict_to_json,
@@ -242,6 +242,13 @@ def _scipy_restart(p: Polynomial, n: int, cfg: SearchConfig,
          seed=1)
 # a flat objective: every step of every restart shrinks
 @example(coeffs=[2], scale=1.0, n=2, max_iters=120, restarts=3, seed=2)
+# every n = 2 step folds the shrink points of every simplex into its stack,
+# also of those that do not shrink, and at 1e300 scales some overflow: no
+# output may change. 50 restarts are 150 shrink points per step
+@example(coeffs=[1, -1, 1, -1, 1], scale=1e300, n=2, max_iters=120,
+         restarts=50, seed=0)
+@example(coeffs=[1, 1, -3, 1, 1], scale=1e300, n=2, max_iters=120,
+         restarts=6, seed=1)
 # expansions that overflow where scipy reflects or contracts instead, so
 # only the stacked step evaluates them
 @example(coeffs=[1, -1, 1, -1, 1], scale=1e300, n=3, max_iters=120,
@@ -351,65 +358,31 @@ _STEP_CASES = [([2.0], 2), ([1, 1, -3, 1, 1], 2), ([1, -1, 1, -1, 1], 3)]
 
 @pytest.mark.parametrize("coeffs, n", _STEP_CASES)
 def test_lockstep_evaluates_one_stack_per_step(coeffs, n):
-    # below _FOLD_SHRINK_POINTS: the initial simplices, then per step one
-    # stack with the candidates and the shrink points of every running
-    # simplex, whether or not some simplex shrinks; n = 3 steps never fold,
+    # the initial simplices, then per step one stack with the candidates and
+    # the shrink points of every running simplex, whether or not some
+    # simplex shrinks, at every n = 2 stack size; n = 3 steps never fold,
     # and the n = 3 case never shrinks, so it also takes one stack per step
-    cfg = SearchConfig(restarts=3, max_iters=30, seed=5)
-    assert cfg.restarts * (n * (n - 1) + 1) <= membership._FOLD_SHRINK_POINTS
-    calls, shrinks = _lockstep_calls(coeffs, n, cfg)
-    assert calls == 1 + len(shrinks)
-    if coeffs == [2.0]:     # flat: every step of every restart shrinks
-        assert calls == 1 + (cfg.max_iters - 1)
-    else:
-        assert not all(shrinks)
-
-
-@pytest.mark.parametrize("coeffs, n", _STEP_CASES)
-def test_lockstep_above_the_fold_evaluates_shrinks_apart(coeffs, n):
-    # above _FOLD_SHRINK_POINTS: one stack with the candidates per step, and
-    # one more only in the steps where some simplex shrinks
-    cfg = SearchConfig(restarts=3, max_iters=60, seed=5)
-    with mock.patch.object(membership, "_FOLD_SHRINK_POINTS", 0):
+    for restarts in (3, 50) if n == 2 else (3,):
+        cfg = SearchConfig(restarts=restarts, max_iters=30, seed=5)
         calls, shrinks = _lockstep_calls(coeffs, n, cfg)
+        assert calls == 1 + len(shrinks)
+        if coeffs == [2.0]:     # flat: every step of every restart shrinks
+            assert calls == 1 + (cfg.max_iters - 1)
+        else:
+            assert not all(shrinks)
+
+
+@pytest.mark.parametrize("coeffs, n", [([1, -1, 1, -1, 1], 3), ([2.0], 3)])
+def test_lockstep_above_the_fold_evaluates_shrinks_apart(coeffs, n):
+    # n >= 3: one stack with the candidates per step, and one more only in
+    # the steps where some simplex shrinks
+    cfg = SearchConfig(restarts=3, max_iters=60, seed=5)
+    calls, shrinks = _lockstep_calls(coeffs, n, cfg)
     assert calls == 1 + len(shrinks) + sum(shrinks)
     if coeffs == [2.0]:     # flat: every step shrinks
         assert all(shrinks)
     else:
-        # the n = 2 case shrinks in some steps, the n = 3 one in none
-        assert not all(shrinks) and (n == 3 or any(shrinks))
-
-
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(polys=st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=7),
-                      min_size=1, max_size=5),
-       scales=st.lists(st.sampled_from([1.0, 1e150, 1e300]),
-                       min_size=5, max_size=5),
-       n=st.sampled_from([2, 3]),
-       max_iters=st.sampled_from([1, 2, 120]),
-       restarts=st.integers(1, 6),
-       seed=st.integers(0, 2 ** 32))
-# 5 x 4 simplices of dimension 7, 140 shrink points, start above the fold
-# at its default and converge below it
-@example(polys=[[1, -1, 1, -1, 1], [1, 1, -3, 1, 1], [2], [1, 0, -3, 0, 1],
-                [1, 2, -3, 1, 1]],
-         scales=[1e300, 1.0, 1.0, 1e150, 1.0], n=3, max_iters=120,
-         restarts=4, seed=0)
-def test_lockstep_fold_changes_no_bit(polys, scales, n, max_iters, restarts,
-                                      seed):
-    # the shrink points of simplices that do not shrink are evaluated only
-    # when folded, and at 1e300 scales some overflow; no output may change
-    rows = np.zeros((len(polys), max(map(len, polys))))
-    for t, coeffs in enumerate(polys):
-        rows[t, : len(coeffs)] = [scales[t] * c for c in coeffs]
-    cfgs = [SearchConfig(restarts=restarts, max_iters=max_iters, seed=seed + t)
-            for t in range(len(polys))]
-    outs = []
-    for fold in (0, membership._FOLD_SHRINK_POINTS, 2 ** 62):
-        with mock.patch.object(membership, "_FOLD_SHRINK_POINTS", fold):
-            vals, xs = _lockstep(rows, n, cfgs)
-        outs.append((vals.tobytes(), xs.tobytes()))
-    assert outs[0] == outs[1] == outs[2]
+        assert not any(shrinks)
 
 
 def test_refute_reproducible():
@@ -428,7 +401,7 @@ def test_probe_stack_is_built_once_and_read_only(n):
     stack = _probe_candidates(n)
     assert all(not arr.flags.writeable for arr in stack)
     p = Polynomial([1.0, 1.0, -3.0, 1.0, 1.0])
-    first = prepare([p], n, [CFG])[0].witness
+    first = _search([p], n, [CFG])[0].witness
     assert _probe_candidates(n) is stack
     assert np.shares_memory(first.s, stack[0])
     with pytest.raises(ValueError):
@@ -649,7 +622,7 @@ def test_random_members_never_refuted():
     p = loewy22(2.1)
     v = refute(p, 2, CFG)
     for _ in range(20):
-        s = sample_stochastic(2, rng)
+        s = rng.dirichlet(np.ones(2), size=2)
         rho = float(np.exp(rng.uniform(-2, 2)))
         assert eval_matrix(p, rho * s).min() <= 1e300
 
@@ -755,17 +728,17 @@ def _trace_ref(p, q, u, n, grid, cfg, decided):
 
 
 def _spied(fn, *args, **kwargs):
-    """fn's result and the decision of every call of membership.refute,
-    each of which must get its prepared share."""
+    """fn's result and the decision of every polynomial that a call of
+    membership._search decides, in call and batch order."""
     decided = []
 
-    def spy(p, n, cfg, prepared):
-        assert isinstance(prepared, membership.Prepared)
-        verdict = refute(p, n, cfg, prepared)
-        decided.append(_decision(p, verdict))
-        return verdict
+    def spy(polys, n, cfgs):
+        assert polys and len(polys) == len(cfgs)
+        verdicts = _search(polys, n, cfgs)
+        decided.extend(map(_decision, polys, verdicts))
+        return verdicts
 
-    with mock.patch.object(membership, "refute", spy):
+    with mock.patch.object(membership, "_search", spy):
         return fn(*args, **kwargs), decided
 
 
@@ -849,7 +822,7 @@ def test_order2_thresholds_run_no_search():
     def no_search(*args):
         raise AssertionError("searched at n = 2")
 
-    with mock.patch.object(membership, "prepare", no_search), \
+    with mock.patch.object(membership, "_search", no_search), \
             mock.patch.object(membership, "_lockstep", no_search):
         lo, hi = max_t(loewy22, 2, SMALL, t_hi=3.0, width=1e-3)
         res = trace_slice(*SLICE_SEGMENT, 2, 3, SMALL)
@@ -923,20 +896,51 @@ def test_decide_batch_matches_each_polynomial_alone():
         [Polynomial([1, 0, 0, -1, 0, 0, 1]), Polynomial([1, 2, 3])]
     cfgs = [SearchConfig(restarts=4, max_iters=80, seed=s)
             for s in range(len(polys))]
-    with mock.patch.object(membership, "refute",
-                           wraps=membership.refute) as spy:
+    with mock.patch.object(membership, "_search",
+                           wraps=membership._search) as spy:
         batch = membership.decide(polys, 3, cfgs)
     alone = [membership.decide([p], 3, [c])[0] for p, c in zip(polys, cfgs)]
     assert [_decision(p, v) for p, (_, v) in zip(polys, batch)] == \
         [_decision(p, v) for p, (_, v) in zip(polys, alone)]
     assert [s for s, _ in batch] == [s for s, _ in alone]
-    # one refute per searched polynomial, in batch order, on its share
-    searched = [p.coeffs for p, (s, _) in zip(polys, batch)
-                if s.startswith("search_")]
-    assert [c.args[0].coeffs for c in spy.call_args_list] == searched
-    assert searched and all(c.args[3] is not None
-                            for c in spy.call_args_list)
+    # one _search call, on exactly the searched polynomials in batch order,
+    # each with its own config
+    searched = [t for t, (s, _) in enumerate(batch) if s.startswith("search_")]
+    [call] = spy.call_args_list
+    assert searched and list(call.args[0]) == [polys[t] for t in searched]
+    assert list(call.args[2]) == [cfgs[t] for t in searched]
     assert {"coeffs_nonneg", "loewy_cone"} <= {s for s, _ in batch}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_search_batch_matches_refute_of_each_alone(n):
+    # refuted by a probe, by the xI + cJ certificate (p(0) < 0) and by a
+    # restart (p dips below zero only near x = 5e-7), then a member, whose
+    # search exhausts its budget
+    polys = [Polynomial([1, 1, -3, 1, 1]), Polynomial([-1e-8, 0, 1]),
+             Polynomial([1, -1e-3, 1e3]), loewy_general(n, n, 0, 2.0)]
+    cfgs = [SearchConfig(restarts=6, max_iters=150, seed=s) for s in range(4)]
+    with mock.patch.object(membership, "_lockstep",
+                           wraps=membership._lockstep) as spy:
+        batch = _search(polys, n, cfgs)
+    assert [type(v) for v in batch] == [Refuted] * 3 + [NoRefutationFound]
+    # the probe witness is a view into the probe stack, the certificate's
+    # is not, and one lockstep runs the last two
+    stack = _probe_candidates(n)[0]
+    assert np.shares_memory(batch[0].witness.s, stack)
+    assert not np.shares_memory(batch[1].witness.s, stack)
+    [call] = spy.call_args_list
+    rows = call.args[0]
+    assert len(rows) == 2 and all(tuple(r[: len(p.coeffs)]) == p.coeffs
+                                  for r, p in zip(rows, polys[2:]))
+    for p, cfg, verdict in zip(polys, cfgs, batch):
+        alone = refute(p, n, cfg)
+        if isinstance(alone, Refuted):
+            assert json.dumps(verdict.witness.to_json_dict()) == \
+                json.dumps(alone.witness.to_json_dict())
+        else:
+            assert (verdict.restarts_used, verdict.best) == \
+                (alone.restarts_used, alone.best)
 
 
 def test_order2_thresholds_skip_the_decision_on_nonnegative_coefficients():

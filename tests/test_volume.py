@@ -238,18 +238,16 @@ def test_chunk_search_matches_per_row_refute(seed):
     # at n = 3 only k = 6 leaves a coefficient free of the sign stage
     for n, k in [*itertools.product((2, 3), (4, 5)), (3, 6)]:
         _, rows = next(_ball_chunks(k + 1, 300 if k < 6 else 1000, seed))
-        with mock.patch.object(membership, "refute",
-                               wraps=membership.refute) as spy:
+        with mock.patch.object(membership, "_search",
+                               wraps=membership._search) as spy:
             stage = _classify_rows(rows, (n,), k, cfg, 0)[0]
         assert stage.tolist() == _per_row_stages(rows, n, k, cfg)
-        # one refute per searched row, in row order, as the traced
-        # volume.stage.search_* counts assume; none at n = 2
+        # one search batch holding exactly the searched rows, in row order;
+        # none at n = 2, and none on a row whose coefficients are all >= 0
         hit = np.flatnonzero(stage >= STAGES.index("search_refuted"))
-        assert [c.args[0].coeffs for c in spy.call_args_list] == \
-            [tuple(rows[i]) for i in hit]
+        assert [[p.coeffs for p in c.args[0]] for c in spy.call_args_list] \
+            == ([[tuple(rows[i]) for i in hit]] if len(hit) else [])
         assert n == 3 or len(hit) == 0
-        # and none on a row whose coefficients are all >= 0
-        assert all(min(c.args[0].coeffs) < 0 for c in spy.call_args_list)
         searched += len(hit)
         nonneg += int((stage == STAGES.index("coeffs_nonneg")).sum())
         order2 += int(np.isin(stage, [STAGES.index("order2_rejected"),
@@ -308,15 +306,18 @@ def test_projection_ladder_matches_per_row_ladder(seed, n, k):
         else:
             per = replace(cfg, seed=volume._sample_seed(seed, start + i))
             ref.append(_ladder_ref(r, n, per, c_cap, searched))
-    with mock.patch.object(membership, "refute",
-                           wraps=membership.refute) as spy:
+    with mock.patch.object(membership, "_search",
+                           wraps=membership._search) as spy:
         stage = _projection_rows(rows, n, k, cfg, start, c_cap)
     assert stage.tolist() == ref
-    # one refute per searched ladder step, each on its share of a search
-    # batch
-    assert sorted(c.args[0].coeffs for c in spy.call_args_list) == \
-        sorted(searched)
-    assert all(c.args[3] is not None for c in spy.call_args_list)
+    # one search batch per ladder round with a searched step: together they
+    # hold exactly the searched steps, each batch in row order
+    batches = [[p.coeffs for p in c.args[0]] for c in spy.call_args_list]
+    assert sorted(c for b in batches for c in b) == sorted(searched)
+    row_of = {tuple(r): i for i, r in enumerate(rows.tolist())}
+    for b in batches:
+        idx = [row_of[c[:-1]] for c in b]
+        assert b and idx == sorted(idx)
     if n == 2:
         assert searched == []
         assert {"coeffs_nonneg", "order2_inside", "order2_rejected"} <= \
