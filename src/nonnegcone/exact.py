@@ -15,13 +15,13 @@ fails, and a sum-of-squares decomposition p = f1^2 + f2^2 + x (g1^2 + g2^2)
 when it holds.
 
 For n = 2, is_order2_member reduces membership, through the eigenvalues of
-2 x 2 matrices, to four half-line questions and one question on two
-variables, decided in integers by a tensor Bernstein certificate and, where
-that leaves it open, a cylindrical decomposition whose cells come from the
-same root isolation; every rejection comes with a rational positive matrix
-whose image has a negative entry (order2_counterexample). Volume estimates
-and the maxt and slice thresholds use it; check still searches at n = 2
-(see membership).
+2 x 2 matrices, to the sign of p(0), three half-line questions and one
+question on two variables, decided in integers by a tensor Bernstein
+certificate and, where that leaves it open, a cylindrical decomposition
+whose cells come from the same root isolation; every rejection comes with a
+rational positive matrix whose image has a negative entry
+(order2_counterexample). Volume estimates and the maxt and slice thresholds
+use it; check still searches at n = 2 (see membership).
 
 For n >= 3 no decision is known; loewy_certificate proves members from the
 Loewy polynomial L_n = 1 + ... + x^(n-1) - 2 x^n + x^(n+1) + ... + x^(2n),
@@ -37,6 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -216,16 +217,17 @@ _CERT_DEPTH = 8
 
 
 def _halves(b: list[int]) -> tuple[list[int], list[int]]:
-    """Bernstein coefficients of both halves of a leaf, times 2^k: scaling
-    by 2^k first makes every average below an exact integer."""
+    """Bernstein coefficients of both halves of a leaf, times 2^k. Level r
+    of de Casteljau is built from neighbour sums, 2^r times the averages,
+    so only its two end entries are shifted, by k - r, onto the scale 2^k."""
     k = len(b) - 1
-    b = [v << k for v in b]
-    left, right = [b[0]], [b[-1]]
-    for _ in range(k):
-        b = [(u + v) >> 1 for u, v in zip(b, b[1:])]
-        left.append(b[0])
-        right.append(b[-1])
-    return left, right[::-1]
+    left, right = [b[0] << k], [b[-1] << k]
+    for shift in range(k - 1, -1, -1):
+        b = list(map(add, b, b[1:]))
+        left.append(b[0] << shift)
+        right.append(b[-1] << shift)
+    right.reverse()
+    return left, right
 
 
 @functools.lru_cache(maxsize=64)
@@ -239,7 +241,7 @@ def _binomial_factors(k: int) -> tuple[int, ...]:
 
 def _bernstein(q: Sequence[int]) -> list[int]:
     """The Bernstein coefficients of q on [0, 1], times one positive int."""
-    return [v * f for v, f in zip(q, _binomial_factors(len(q) - 1))]
+    return list(map(mul, q, _binomial_factors(len(q) - 1)))
 
 
 def _bernstein_certifies(q: Sequence[int]) -> bool:
@@ -250,16 +252,16 @@ def _bernstein_certifies(q: Sequence[int]) -> bool:
     negative end coefficient is a negative value of q, so a leaf that has
     one ends the search.
     """
-    leaves = [_bernstein(q)]
-    depth = 0
-    while True:
-        open_ = [b for b in leaves if min(b) < 0]
-        if not open_:
-            return True
-        if depth == _CERT_DEPTH or any(b[0] < 0 or b[-1] < 0 for b in open_):
+    open_ = [(_bernstein(q), 0)]
+    while open_:
+        b, depth = open_.pop()
+        if min(b) >= 0:
+            continue
+        if depth == _CERT_DEPTH or b[0] < 0 or b[-1] < 0:
             return False
-        leaves = [half for b in open_ for half in _halves(b)]
-        depth += 1
+        left, right = _halves(b)
+        open_ += (right, depth + 1), (left, depth + 1)
+    return True
 
 
 def _sign_changes(b: Sequence[int]) -> int:
@@ -394,18 +396,18 @@ def _negative_int(c: Sequence[int],
     """_negative_point on integer coefficients, lowest degree first; with
     settle a deep root isolation may return another negative point (see
     _walk), for callers that need only whether one exists."""
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
+    end = len(c)
+    while end and not c[end - 1]:
+        end -= 1
+    if not end:
         return None
     if c[0] < 0:
         return 0, 1
     # strip the power of x; x^v >= 0 on the half-line so only q matters
     v = 0
-    while c[v] == 0:
+    while not c[v]:
         v += 1
-    q = c[v:]
+    q = c[v:end]
     if q[-1] < 0:
         # Cauchy: every root has |x| < 1 + max|q_i| / |q_k|, past which the
         # leading term outweighs the rest
@@ -469,8 +471,9 @@ def refute_halfline(p: RationalPolynomial) -> Optional[Fraction]:
 #         With y = -u x it is x (1 + u) H(x, u) >= 0 on x > 0, 0 < u < 1,
 #         H = c_0 + sum_(k >= 2) c_k x^k u sum_(j <= k - 2) (-u)^j.
 # The end a -> x + y < x follows from (i) and (iii). H(x, 1) = even(x^2),
-# even(z) = sum c_(2j) z^j, so even >= 0 is the u = 1 edge of (iii); it is
-# tested with (i) and (ii), each on one variable by the half-line oracle.
+# even(z) = sum c_(2j) z^j, so even >= 0 is the u = 1 edge of (iii). (i)
+# holds when c_0 >= 0 and p' >= 0, as p(x) = c_0 + int_0^x p': c_0 is tested
+# by its sign, and p', odd and even by the half-line oracle.
 # H is decided on two variables: a tensor Bernstein certificate settles
 # most rows, and a cylindrical decomposition in x (Collins 1975) the rest.
 
@@ -521,19 +524,24 @@ def _bernstein2(h: list[list[int]]) -> list[list[int]]:
     """The Bernstein coefficients on [0, 1]^2 of
     (1 - s)^dx H(s / (1 - s), u), times one positive int."""
     rows = _power_to_bernstein(len(h[0]) - 1)
-    return [[f * sum(t * v for t, v in zip(row, hr)) for row in rows]
+    return [[f * sum(map(mul, row, hr)) for row in rows]
             for f, hr in zip(_binomial_factors(len(h) - 1), h)]
 
 
 def _quarters(b: list[list[int]]) -> list[tuple[int, int, list[list[int]]]]:
     """(ds, du, coefficients) of the four quarters of a tensor leaf b[i][j]
-    (s index i, u index j): halved in u along each row, then in s along
-    each column."""
+    (s index i, u index j), times 2^(len(b) + len(b[0]) - 2): halved in u
+    along each row, then in s as _halves halves, on whole rows."""
+    k = len(b) - 1
     out = []
-    for du, part in enumerate(zip(*map(_halves, b))):
-        cols = [_halves(list(col)) for col in zip(*part)]
-        for ds, half in enumerate(zip(*cols)):
-            out.append((ds, du, [list(r) for r in zip(*half)]))
+    for du, rows in enumerate(zip(*map(_halves, b))):
+        top, bottom = [[v << k for v in rows[0]]], [[v << k for v in rows[-1]]]
+        for shift in range(k - 1, -1, -1):
+            rows = [list(map(add, r, r1)) for r, r1 in zip(rows, rows[1:])]
+            top.append([v << shift for v in rows[0]])
+            bottom.append([v << shift for v in rows[-1]])
+        bottom.reverse()
+        out += (0, du, top), (1, du, bottom)
     return out
 
 
@@ -714,14 +722,14 @@ def order2_counterexample(
     eigenvalues x and y, has a negative entry in p(A) exactly; None when p
     is in the order-2 cone.
 
-    Decided on integer coefficients by the conditions above: (i), p' and the
-    odd and even parts by the half-line oracle, then H. A failed condition
-    gives a negative value at a point of the closed region, and a sequence
-    of interior points converging to it ends at a negative entry, since the
-    entries are continuous. Raises ValueError for a coefficient that is not
-    finite, and Order2Undecided when H has a repeated factor in u; the point
-    H gives is re-checked exactly first, and ArithmeticError means the
-    decision is wrong.
+    Decided on integer coefficients by the conditions above: the sign of
+    c_0, p' and the odd and even parts by the half-line oracle, then H. A
+    failed condition gives a negative value at a point of the closed region,
+    and a sequence of interior points converging to it ends at a negative
+    entry, since the entries are continuous. Raises ValueError for a
+    coefficient that is not finite, and Order2Undecided when H has a
+    repeated factor in u; the point H gives is re-checked exactly first,
+    and ArithmeticError means the decision is wrong.
     """
     c, failed = _order2_failure(p, settle=False)
     if failed is None:
@@ -734,7 +742,7 @@ def order2_counterexample(
             if a is not None:
                 return x, y, a
 
-    if cond == "p":                             # (i): a -> y = t
+    if cond == "p":                             # (i): a -> y = 0
         return near([(point + 1, point)])
     if cond == "p'":                            # (ii): D -> p'(t)
         return near((point + Fraction(max(point, 1)) / (1 << j), point)
@@ -755,7 +763,7 @@ def order2_counterexample(
 
 def _order2_failure(p: Union[Polynomial, RationalPolynomial], settle: bool):
     """(c, failed): p's trimmed integer coefficients, and the first condition
-    of order2_counterexample to fail, with its point: ("p", t), ("p'", t),
+    of order2_counterexample to fail, with its point: ("p", 0), ("p'", t),
     ("odd", z), ("even", z) or ("H", (x, u)); None when all hold. settle is
     _negative_int's. The point H gives is re-checked exactly."""
     c = _integer_coeffs(p.coeffs)
@@ -763,8 +771,9 @@ def _order2_failure(p: Union[Polynomial, RationalPolynomial], settle: bool):
         c.pop()
     if not c:
         return c, None
-    for cond, f in (("p", c), ("p'", _deriv(c)), ("odd", c[1::2]),
-                    ("even", c[0::2])):
+    if c[0] < 0:
+        return c, ("p", Fraction(0))
+    for cond, f in (("p'", _deriv(c)), ("odd", c[1::2]), ("even", c[0::2])):
         point = _negative_int(f, settle)
         if point is not None:
             return c, (cond, Fraction(*point))

@@ -26,6 +26,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import (TYPE_CHECKING, Any, Callable, Generator, Optional,
                     Sequence, Union)
 
@@ -173,13 +174,13 @@ def _exact_entry(p: Polynomial, s: np.ndarray, rho: float, i: int, j: int) -> Fr
     r_num, r_den = float(rho).as_integer_ratio()
     ratios = [[float(v).as_integer_ratio() for v in row] for row in s]
     big = max(den for row in ratios for _, den in row) * r_den
-    m = [[r_num * num * (big // (den * r_den)) for num, den in row]
-         for row in ratios]
+    cols = [[r_num * num * (big // (den * r_den)) for num, den in col]
+            for col in zip(*ratios)]
     coef = [float(c).as_integer_ratio() for c in p.coeffs]
     lcd = max(den for _, den in coef)
     acc, step = [0] * n, 1
     for num, den in reversed(coef):
-        acc = [sum(acc[r] * m[r][c] for r in range(n)) for c in range(n)]
+        acc = [sum(map(mul, acc, col)) for col in cols]
         acc[i] += num * (lcd // den) * step
         step *= big
     return Fraction(acc[j], lcd * step // big)

@@ -453,3 +453,150 @@ def test_shallow_walks_never_settle():
                     [1.0, -2.5, 1.0], [1.0, 1.0, -2.5, 1.0, 1.0]):
             is_nonneg_on_halfline(Polynomial(row))
             exact.is_order2_member(Polynomial(row))
+
+
+# ---------------------------------------------------------------------------
+# the integer Bernstein kernels, pinned against a Fraction de Casteljau
+# written here: neighbour averages, with no scaling
+
+
+def _casteljau(b):
+    """The Bernstein coefficients of both halves of a leaf b, in Fractions."""
+    level = [Fraction(v) for v in b]
+    left, right = [level[0]], [level[-1]]
+    while len(level) > 1:
+        level = [(u + v) / 2 for u, v in zip(level, level[1:])]
+        left.append(level[0])
+        right.append(level[-1])
+    return left, right[::-1]
+
+
+def _bernstein_value(b, t):
+    """The value at t of the polynomial with Bernstein coefficients b."""
+    level = [Fraction(v) for v in b]
+    while len(level) > 1:
+        level = [(1 - t) * u + t * v for u, v in zip(level, level[1:])]
+    return level[0]
+
+
+def _scaled(xs, scale):
+    return [scale * x for x in xs]
+
+
+def _all_ints(rows):
+    return all(type(v) is int for row in rows for v in row)
+
+
+# signed ints up to 2^1100, with zeros
+_ENTRIES = st.integers(-2 ** 1100, 2 ** 1100) | st.integers(-9, 9) | st.just(0)
+_ROWS = st.lists(_ENTRIES, min_size=1, max_size=9)
+_TENSORS = st.integers(1, 9).flatmap(lambda w: st.lists(
+    st.lists(_ENTRIES, min_size=w, max_size=w), min_size=1, max_size=9))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(b=_ROWS)
+@example(b=[7])                                 # a leaf of one coefficient
+@example(b=[0] * 9)
+@example(b=[-2 ** 1100, 0, 0, 2 ** 1100])
+def test_halves_match_a_fraction_casteljau(b):
+    left, right = exact._halves(b)
+    assert _all_ints([left, right])
+    scale = 2 ** (len(b) - 1)
+    assert [left, right] == [_scaled(h, scale) for h in _casteljau(b)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(q=_ROWS)
+@example(q=[-3])
+@example(q=[0, 2 ** 1100, 0, -1])
+def test_bernstein_matches_the_power_form(q):
+    # (1 - t)^k q(t / (1 - t)) = sum_j q_j t^j (1 - t)^(k - j), and k + 1
+    # distinct values pin a polynomial of degree k
+    k = len(q) - 1
+    b = exact._bernstein(q)
+    assert _all_ints([b]) and len(b) == k + 1
+    scale = math.lcm(*(math.comb(k, j) for j in range(k + 1)))
+    for t in (Fraction(i, k + 2) for i in range(k + 1)):
+        value = sum(c * t ** j * (1 - t) ** (k - j) for j, c in enumerate(q))
+        assert _bernstein_value(b, t) == scale * value
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(h=_TENSORS)
+@example(h=[[5]])
+@example(h=[[0, -1], [2 ** 1100, 0]])
+def test_bernstein2_matches_the_power_form(h):
+    # the tensor form: de Casteljau in u along each row, then in s, on a
+    # grid of (dx + 1) (du + 1) points, which pins it
+    dx, du = len(h) - 1, len(h[0]) - 1
+    b = exact._bernstein2(h)
+    assert _all_ints(b) and [len(r) for r in b] == [du + 1] * (dx + 1)
+    scale = math.lcm(*(math.comb(dx, i) for i in range(dx + 1))) \
+        * math.lcm(*(math.comb(du, j) for j in range(du + 1)))
+    for u in (Fraction(j, du + 2) for j in range(du + 1)):
+        along_u = [_bernstein_value(row, u) for row in b]
+        rows_at_u = [sum(c * u ** j for j, c in enumerate(row)) for row in h]
+        for s in (Fraction(i, dx + 2) for i in range(dx + 1)):
+            value = sum(c * s ** i * (1 - s) ** (dx - i)
+                        for i, c in enumerate(rows_at_u))
+            assert _bernstein_value(along_u, s) == scale * value
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(b=_TENSORS)
+@example(b=[[5]])
+@example(b=[[0, 0, 0]])
+@example(b=[[1], [-2 ** 1100], [0]])
+def test_quarters_match_a_fraction_casteljau(b):
+    ks, ku = len(b) - 1, len(b[0]) - 1
+    quarters = exact._quarters(b)
+    assert [q[:2] for q in quarters] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    halves_u = [_casteljau(row) for row in b]
+    for ds, du, q in quarters:
+        cols = [_casteljau(col) for col in zip(*(h[du] for h in halves_u))]
+        want = [_scaled(row, 2 ** (ks + ku))
+                for row in zip(*(c[ds] for c in cols))]
+        assert _all_ints(q) and q == want
+
+
+def _certifies_by_levels(q):
+    """The certificate as a breadth-first loop over whole levels of leaves,
+    each halving shifted left k bits first so every average is exact."""
+    def halves(b):
+        k = len(b) - 1
+        b = [v << k for v in b]
+        left, right = [b[0]], [b[-1]]
+        for _ in range(k):
+            b = [(u + v) >> 1 for u, v in zip(b, b[1:])]
+            left.append(b[0])
+            right.append(b[-1])
+        return left, right[::-1]
+
+    leaves = [exact._bernstein(q)]
+    depth = 0
+    while True:
+        open_ = [b for b in leaves if min(b) < 0]
+        if not open_:
+            return True
+        if depth == exact._CERT_DEPTH or any(b[0] < 0 or b[-1] < 0
+                                             for b in open_):
+            return False
+        leaves = [half for b in open_ for half in halves(b)]
+        depth += 1
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(q=st.lists(st.integers(-40, 40), min_size=1, max_size=9),
+       shift=st.sampled_from([0, 1100]))
+@example(q=[1, -2, 1], shift=0)           # touches zero at y = 1/2
+@example(q=[4, -4, 1], shift=0)           # touches at y = 2/3: depth 8
+@example(q=[100, -199, 100], shift=0)     # a near-double root
+@example(q=[8193, -8192, 2048], shift=0)  # (x - 2)^2 + 2^-11: depth 8
+@example(q=[32769, -32768, 8192], shift=0)  # (x - 2)^2 + 2^-13: depth 9
+@example(q=[1, -3, 3, -1], shift=1100)
+@example(q=[-2], shift=0)
+@example(q=[0, 0], shift=0)
+def test_certificate_decides_as_a_level_by_level_loop(q, shift):
+    q = [v << shift for v in q]
+    assert _bernstein_certifies(q) == _certifies_by_levels(q)

@@ -210,3 +210,39 @@ def test_resultant_and_interpolation_match_sympy(f, g):
     values = [sum(c * t ** i for i, c in enumerate(f)) for t in range(8)]
     assert exact._interpolate(values)[:len(f)] == f
     assert not any(exact._interpolate(values)[len(f):])
+
+
+def _by_four_halfline_conditions(coeffs):
+    """The decision with p itself tested by the half-line oracle, before p',
+    the odd and the even part, then H; None when H is undecided."""
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        return True
+    if any(exact._negative_int(f)
+           for f in (c, exact._deriv(c), c[1::2], c[0::2])):
+        return False
+    try:
+        return exact._order2_h_point(exact._order2_h(c)) is None
+    except exact.Order2Undecided:
+        return None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(coeffs=st.lists(st.integers(-6, 6), min_size=1, max_size=8))
+@example(coeffs=[1, -3, 1, 1])      # p < 0 near 1 with p(0) > 0: p' fails
+@example(coeffs=[0, 0, -1, 1])      # p(0) = 0, p < 0 on (0, 1)
+@example(coeffs=[-1, 5, 5])
+def test_sign_of_p0_stands_for_the_halfline_test_of_p(coeffs):
+    # p(x) = c_0 + int_0^x p', so p >= 0 on [0, infinity) once c_0 >= 0 and
+    # p' >= 0 there: the decision is unchanged, and only c_0 < 0 fails as p
+    p = RationalPolynomial(coeffs)
+    member = is_order2_member(p)
+    assert member == _by_four_halfline_conditions(coeffs)
+    if member is None:
+        return
+    failed = exact._order2_failure(p, settle=False)[1]
+    assert (failed is not None and failed[0] == "p") == (coeffs[0] < 0)
+    if not member:
+        _assert_counterexample(coeffs)
