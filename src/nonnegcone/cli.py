@@ -435,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--projection", action="store_true",
                     help="measure the one-degree-down projection instead")
     sp.add_argument("--c-cap", type=_POS_FLOAT, default=10.0,
-                    help="projection completion coefficient cap")
+                    help="projection cap: each row is completed with "
+                    "16 c_cap x^(k+1), which decides every c <= 16 c_cap")
     sp.add_argument("--z", type=_Z_LEVEL, default=3.0, help="CI z level")
     _add_options(sp, restarts=20, samples=True)
     sp.set_defaults(fn=cmd_volume)

@@ -614,22 +614,24 @@ def decide(polys: Sequence[Polynomial], n: int, cfgs: Sequence[SearchConfig]
 Search = Generator[Any, Any, Any]
 
 
-def drive(searches: Sequence[Search],
-          answer: Callable[[list], list]) -> list:
+def _run(searches: Sequence[Search], n: int, cfg: SearchConfig) -> list:
     """Run searches in shared rounds; what each search returns, in order.
 
-    A search is a generator that yields the next item it needs decided and
-    is sent the verdict. Each round hands the pending items of all searches,
-    in search order, to one answer(items), which returns their verdicts in
-    the same order. A search's items depend only on its own verdicts, so it
-    makes the decisions it makes when run alone.
+    A search is a generator that yields the next polynomial it needs decided
+    and is sent whether decide() puts it outside the order-n cone, a proof
+    at every stage. Each round decides the pending polynomials of all
+    searches, in search order, as one decide() batch. A search's
+    polynomials depend only on its own verdicts, so it makes the decisions
+    it makes when run alone. Raises BeyondFloatRange for a polynomial with
+    a coefficient that is not finite, as a doubling ladder or a large t can
+    give.
     """
     results: list = [None] * len(searches)
     pending: list = []
 
-    def advance(i: int, verdict) -> None:
+    def advance(i: int, outside: Optional[bool]) -> None:
         try:
-            pending.append((i, searches[i].send(verdict)))
+            pending.append((i, searches[i].send(outside)))
         except StopIteration as stop:
             results[i] = stop.value
 
@@ -637,27 +639,16 @@ def drive(searches: Sequence[Search],
         advance(i, None)
     while pending:
         batch, pending = pending, []
-        for (i, _), verdict in zip(batch, answer([it for _, it in batch])):
-            advance(i, verdict)
-    return results
-
-
-def _run(searches: Sequence[Search], n: int, cfg: SearchConfig) -> list:
-    """drive() for searches that yield polynomials and are sent whether
-    decide() puts each outside the order-n cone, a proof at every stage.
-    Raises BeyondFloatRange for a polynomial with a coefficient that is not
-    finite, as a doubling ladder or a large t can give.
-    """
-    def outside(polys: list) -> list[bool]:
+        polys = [p for _, p in batch]
         for p in polys:
             if not all(map(math.isfinite, p.coeffs)):
                 raise BeyondFloatRange(
                     "a polynomial to decide has a coefficient beyond the "
                     f"float range: {list(p.coeffs)}")
-        return [stage not in INSIDE_STAGES
-                for stage, _ in decide(polys, n, [cfg] * len(polys))]
-
-    return drive(searches, outside)
+        for (i, _), (stage, _) in zip(
+                batch, decide(polys, n, [cfg] * len(polys))):
+            advance(i, stage not in INSIDE_STAGES)
+    return results
 
 
 FamilyLike = Union[Callable[[float], Polynomial], "FamilySpec"]

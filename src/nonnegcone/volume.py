@@ -27,8 +27,8 @@ Only decide's "search_exhausted" rests on a budget rather than a proof (and
 "loewy_cone" on the paper's theorem, not on a check made here). So an
 estimate is labeled Exact when no sample is "search_exhausted", as every
 n = 1 and n = 2 estimate is in practice, and UpperBiased otherwise.
-Projection estimates run the same stages on the completed polynomial; for
-n >= 2 they skip the grid.
+Projection estimates complete each row with 16 c_cap x^(k+1) and run the
+same stages on the completed row, at every n (see _projection_rows).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import numpy as np
 from .core import BeyondFloatRange, Polynomial
 from .exact import _integer_rows, _scaled_value, is_nonneg_on_halfline
 # refute is unused here, but bench/spans.py wraps it (ROADMAP item 4)
-from .membership import (DECISION_STAGES, INSIDE_STAGES, SearchConfig, Search,
-                         decide, drive, refute)
+from .membership import (DECISION_STAGES, INSIDE_STAGES, SearchConfig,
+                         decide, refute)
 
 _CHUNK = 4096
 # the search budget of an estimate given no config
@@ -54,9 +54,9 @@ _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
 # _projection_rows return one code per row, its index here
 STAGES = ("sign", "grid") + DECISION_STAGES
 (_SIGN, _GRID_HIT, _ORACLE_REJECTED, _ORACLE_INSIDE, _COEFFS_NONNEG,
- _SEARCH_REFUTED, _SEARCH_EXHAUSTED) = map(STAGES.index, (
+ _SEARCH_EXHAUSTED) = map(STAGES.index, (
      "sign", "grid", "oracle_rejected", "oracle_inside", "coeffs_nonneg",
-     "search_refuted", "search_exhausted"))
+     "search_exhausted"))
 # whether a sample decided at each stage counts as inside
 _INSIDE = np.isin(STAGES, INSIDE_STAGES)
 
@@ -206,6 +206,8 @@ def _estimate(classify: Callable[[np.ndarray, int], Sequence[np.ndarray]],
               z: float) -> list[VolumeEstimate]:
     """One estimate per order, from the stage counts of classify(rows,
     start_idx), one line of stage codes per order, over the sample chunks."""
+    if not (z > 0.0 and z * z < np.inf):
+        raise ValueError(f"need z > 0 with a finite square, got z = {z}")
     stages = np.zeros((len(orders), len(STAGES)), dtype=np.int64)
     for start, rows in _ball_chunks(k + 1, N, cfg.seed):
         stages += [np.bincount(line, minlength=len(STAGES))
@@ -240,70 +242,30 @@ def estimate_cone_fraction(
     return _cone_estimates((n,), k, N, cfg, z)[0]
 
 
-def _projection_ladder(v: np.ndarray, c_cap: float,
-                       cfg: SearchConfig) -> Search:
-    """Deciding stage, for n >= 2, of whether v lies in the image of the
-    degree-(k+1) cone after dropping the top coefficient: decided by
-    completing with c x^(k+1). A search for drive() that yields each
-    completion it needs decided, with cfg, and is sent its stage code and
-    search verdict (see membership.decide).
-
-    Upward closure (adding c x^(k+1) with c >= 0 never leaves the cone)
-    collapses the existential over c to tests along a doubling ladder. After
-    a search refutes, the ladder climbs only while the refutation is
-    marginal (witness value above -0.05), since searching at huge c degrades
-    witness visibility; an exact rejection climbs to the top.
-    """
-    stage = _ORACLE_REJECTED
-    for j in range(5):                                # c_cap .. 16 c_cap
-        completed = Polynomial(list(v) + [c_cap * 2.0 ** j])
-        if not is_nonneg_on_halfline(completed):
-            continue    # failures below the half-line bar can heal at larger c
-        stage, verdict = yield completed, cfg
-        if _INSIDE[stage]:
-            return stage
-        if stage == _SEARCH_REFUTED and verdict.witness.value <= -0.05:
-            break
-    return stage
-
-
 def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
                      start_idx: int, c_cap: float) -> np.ndarray:
-    """The deciding stage of each row of a chunk for the projected cone.
-
-    For n >= 2 the ladders of all rows advance in shared rounds, each round
-    one search batch. For n = 1 the completion at the top of the ladder,
-    16 c_cap, alone is decisive and exact, and is classified as a
-    degree-(k+1) row.
-    """
-    if n == 1:
-        return _classify_rows(
-            np.concatenate([rows, np.full((rows.shape[0], 1), 16.0 * c_cap)],
-                           axis=1), (1,), k + 1, cfg, start_idx)[0]
-    # the completed row's last n coefficients hold positions k+2-n..k of v
-    stage = np.full(rows.shape[0], _SIGN)
-    sub = np.flatnonzero(_signs_pass(rows, n, k + 1)).tolist()
-
-    def answer(items: list) -> list:
-        polys, cfgs = zip(*items)
-        return [(STAGES.index(s), v) for s, v in decide(polys, n, cfgs)]
-
-    stage[sub] = drive(
-        [_projection_ladder(rows[i], c_cap, _sample_cfg(cfg, start_idx + i))
-         for i in sub], answer)
-    return stage
+    """The deciding stage of each row v of a chunk for the projected cone:
+    whether some v + c x^(k+1), 0 <= c <= 16 c_cap, is an order-n member.
+    Adding c x^(k+1), c >= 0, never leaves the cone (A^(k+1) >= 0 for every
+    A >= 0), so the completion at 16 c_cap decides it as a degree-(k+1) row."""
+    return _classify_rows(
+        np.concatenate([rows, np.full((rows.shape[0], 1), 16.0 * c_cap)],
+                       axis=1), (n,), k + 1, cfg, start_idx)[0]
 
 
 def estimate_projection_fraction(
         n: int, k: int, N: int, cfg: Optional[SearchConfig] = None,
         c_cap: float = 10.0, z: float = 3.0) -> VolumeEstimate:
-    """Fraction of the ball whose points extend to one-degree-higher members."""
-    if not (n >= 1 and k >= 2 * n and N >= 1):
-        raise ValueError(f"need n >= 1, k >= 2 n and N >= 1, got n={n}, "
-                         f"k={k}, N={N}")
+    """Fraction of the ball whose points v extend to members v + c x^(k+1),
+    0 <= c <= 16 c_cap: by upward closure (_projection_rows) a witness at
+    c = 16 c_cap refutes every such c. ValueError unless 0 < c_cap < inf,
+    BeyondFloatRange unless 16 c_cap is a float."""
+    if not (n >= 1 and k >= 2 * n and N >= 1 and 0.0 < c_cap < np.inf):
+        raise ValueError(f"need n >= 1, k >= 2 n, N >= 1 and a finite "
+                         f"c_cap > 0, got n={n}, k={k}, N={N}, c_cap={c_cap}")
     if not 16.0 * c_cap < np.inf:
-        raise BeyondFloatRange(f"the ladder's top rung, 16 c_cap = 16 * "
-                               f"{c_cap}, is beyond the float range")
+        raise BeyondFloatRange(f"the completion coefficient 16 c_cap = 16 * "
+                               f"{c_cap} is beyond the float range")
     if cfg is None:
         cfg = _DEFAULT_CFG
     return _estimate(

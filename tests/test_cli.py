@@ -216,7 +216,7 @@ def test_normalize_near_float_range_writes_valid_json(capsys, tmp_path):
 
 @pytest.mark.parametrize("n", ["1", "2"])
 def test_projection_top_rung_beyond_float_range_exits_2(capsys, tmp_path, n):
-    # the ladder climbs to 16 c_cap, which overflows here
+    # rows are completed with 16 c_cap, which overflows here
     out = tmp_path / "v.json"
     code, doc, err = run_cli(capsys, "volume", "--n", n, "--k", "4",
                              "--projection", "--c-cap", "1e308",

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonnegcone import exact, membership, volume
-from nonnegcone.core import Polynomial
+from nonnegcone.core import BeyondFloatRange, Polynomial
 from nonnegcone.exact import (RationalPolynomial, is_nonneg_on_halfline,
                               is_order2_member, loewy_certificate)
 from nonnegcone.membership import Refuted, SearchConfig, refute
@@ -88,6 +88,21 @@ def test_wilson_interval_rejects_z_whose_square_is_not_finite(z):
     # z * z overflows; NaN would fall through max and min to [0, 1]
     with pytest.raises(ValueError, match="finite"):
         wilson_interval(30, 100, z)
+
+
+def test_estimates_reject_c_cap_and_z_not_above_zero():
+    # as the CLI's --c-cap and --z do, before any sample is drawn; a finite
+    # c_cap whose 16 c_cap is beyond the float range stays BeyondFloatRange
+    for c_cap in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError, match="c_cap"):
+            estimate_projection_fraction(1, 2, 200, c_cap=c_cap)
+    for z in (-3.0, 0.0):
+        with pytest.raises(ValueError, match="z = "):
+            estimate_cone_fraction(1, 2, 200, z=z)
+        with pytest.raises(ValueError, match="z = "):
+            estimate_projection_fraction(1, 2, 200, z=z)
+    with pytest.raises(BeyondFloatRange):
+        estimate_projection_fraction(1, 2, 200, c_cap=1e308)
 
 
 def inside_where(mask_of_rows):
@@ -266,71 +281,102 @@ def test_nonnegative_coefficients_are_never_refuted(coeffs, n, seed):
     assert not isinstance(refute(Polynomial(coeffs), n, cfg), Refuted)
 
 
-def _ladder_ref(v: np.ndarray, n: int, cfg: SearchConfig, c_cap: float,
-                searched: list) -> int:
-    """Per-row reference for the n >= 2 projection ladder: _decided_ref on
-    each completion that passes the half-line oracle, climbing past a
-    rejection unless a search refuted it by at least 0.05."""
+def _ladder_ref(v: np.ndarray, n: int, cfg: SearchConfig,
+                c_cap: float) -> int:
+    """Per-row reference for the projection by a doubling ladder: _decided_ref
+    on each completion v + c_cap 2^j x^(k+1), j = 0..4, that passes the
+    half-line oracle, up to the first one inside. Upward closure (adding
+    c x^(k+1), c >= 0, never leaves the cone) makes the top rung alone give
+    the same inside mask wherever every rung is decided exactly."""
     stage = STAGES.index("oracle_rejected")
     for j in range(5):
         completed = Polynomial(list(v) + [c_cap * 2.0 ** j])
         if not is_nonneg_on_halfline(
                 RationalPolynomial.from_polynomial(completed)):
             continue
-        stage, verdict = _decided_ref(completed, n, cfg)
-        if verdict is not None:
-            searched.append(completed.coeffs)
+        stage = _decided_ref(completed, n, cfg)[0]
         if _INSIDE[stage]:
-            return stage
-        if verdict is not None and verdict.witness.value <= -0.05:
             break
     return stage
 
 
+def _completed(rows: np.ndarray, c_cap: float) -> np.ndarray:
+    return np.concatenate([rows, np.full((len(rows), 1), 16.0 * c_cap)],
+                          axis=1)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("n,k", [pytest.param(2, 4, id="4"),
-                                 pytest.param(2, 5, id="5"),
-                                 pytest.param(3, 6, id="6")])
+                                 pytest.param(2, 5, id="5")])
 def test_projection_ladder_matches_per_row_ladder(seed, n, k):
-    # n = 2 ladders are decided exactly and climb every rung a rejection
-    # leaves; n = 3 ladders search
+    # n = 2 completions are decided exactly, so the top completion alone
+    # gives the ladder's inside mask; its stages are those of the completed
+    # rows classified one by one
     c_cap = 10.0
     cfg = SearchConfig(restarts=3, max_iters=120, seed=seed)
-    _, rows = next(_ball_chunks(k + 1, 200 if n == 2 else 400, seed))
-    start = 4096   # a later chunk: seeds come from the global sample index
-    searched: list = []
-    ref = []
-    for i, r in enumerate(rows):
-        if (r[:n] < 0).any() or (r[k + 2 - n:] < 0).any():
-            ref.append(STAGES.index("sign"))
-        else:
-            per = replace(cfg, seed=volume._sample_seed(seed, start + i))
-            ref.append(_ladder_ref(r, n, per, c_cap, searched))
+    _, rows = next(_ball_chunks(k + 1, 200, seed))
+    ref = [STAGES.index("sign")
+           if (r[:n] < 0).any() or (r[k + 2 - n:] < 0).any()
+           else _ladder_ref(r, n, cfg, c_cap) for r in rows]
     with mock.patch.object(membership, "_search",
                            wraps=membership._search) as spy:
+        stage = _projection_rows(rows, n, k, cfg, 0, c_cap)
+    assert _INSIDE[stage].tolist() == _INSIDE[ref].tolist()
+    assert stage.tolist() == _per_row_stages(_completed(rows, c_cap), n,
+                                             k + 1, cfg)
+    assert spy.call_count == 0
+    assert {"coeffs_nonneg", "order2_inside", "order2_rejected"} <= \
+        {STAGES[s] for s in stage}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_projection_searches_the_open_top_completions(seed):
+    # at n = 3 the completions left open by the exact stages are one search
+    # batch per chunk, in row order, each with its sample's own seed; a
+    # refuted completion's witness proves the row outside for every
+    # c <= 16 c_cap
+    n, k, c_cap = 3, 6, 10.0
+    cfg = SearchConfig(restarts=3, max_iters=120, seed=seed)
+    _, rows = next(_ball_chunks(k + 1, 400, seed))
+    start = 4096   # a later chunk: seeds come from the global sample index
+    batches, real = [], membership._search
+
+    def search(polys, n_, cfgs):
+        verdicts = real(polys, n_, cfgs)
+        batches.append((polys, cfgs, verdicts))
+        return verdicts
+
+    with mock.patch.object(membership, "_search", search):
         stage = _projection_rows(rows, n, k, cfg, start, c_cap)
-    assert stage.tolist() == ref
-    # one search batch per ladder round with a searched step: together they
-    # hold exactly the searched steps, each batch in row order
-    batches = [[p.coeffs for p in c.args[0]] for c in spy.call_args_list]
-    assert sorted(c for b in batches for c in b) == sorted(searched)
-    row_of = {tuple(r): i for i, r in enumerate(rows.tolist())}
-    for b in batches:
-        idx = [row_of[c[:-1]] for c in b]
-        assert b and idx == sorted(idx)
-    if n == 2:
-        assert searched == []
-        assert {"coeffs_nonneg", "order2_inside", "order2_rejected"} <= \
-            {STAGES[s] for s in ref}
-    else:
-        assert len(searched) > 0
+    (polys, cfgs, verdicts), = batches
+    hit = np.flatnonzero(stage >= STAGES.index("search_refuted")).tolist()
+    completed = _completed(rows, c_cap)
+    # the exact stages decide the completed rows as they do one by one
+    ref = np.array(_per_row_stages(completed, n, k + 1, cfg))
+    searched = ref >= STAGES.index("search_refuted")
+    assert np.flatnonzero(searched).tolist() == hit
+    assert (stage[~searched] == ref[~searched]).all()
+    assert [p.coeffs for p in polys] == [tuple(completed[i]) for i in hit]
+    assert [c.seed for c in cfgs] == \
+        [volume._sample_seed(seed, start + i) for i in hit]
+    refuted = [isinstance(v, Refuted) for v in verdicts]
+    assert (stage[hit] == STAGES.index("search_refuted")).tolist() == refuted
+    assert any(refuted) and not all(refuted)
+    for p, v in zip(polys, verdicts):
+        if isinstance(v, Refuted):
+            assert membership.confirm_witness(p, v.witness, cfg.confirm_tol)
 
 
 def test_projection_contains_cone_per_sample():
-    ep = estimate_projection_fraction(1, 2, 3000, CFG)
-    ec = estimate_cone_fraction(1, 2, 3000, CFG)
-    assert ep.seed == ec.seed
-    assert ep.n_inside >= ec.n_inside
+    for n, k in [(1, 2), (2, 4)]:
+        _, rows = next(_ball_chunks(k + 1, 3000, CFG.seed))
+        cone = _INSIDE[_classify_rows(rows, (n,), k, CFG, 0)[0]]
+        assert cone.any()
+        assert _INSIDE[_projection_rows(rows, n, k, CFG, 0, 10.0)][cone].all()
+        ep = estimate_projection_fraction(n, k, 3000, CFG)
+        ec = estimate_cone_fraction(n, k, 3000, CFG)
+        assert ep.seed == ec.seed
+        assert ep.n_inside >= ec.n_inside
 
 
 def test_projection_examples():
