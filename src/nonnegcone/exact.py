@@ -5,11 +5,13 @@ For n = 1 the cone is exactly the polynomials nonnegative on [0, infinity).
 That is decidable in integer arithmetic. The oracle takes float or rational
 coefficients and scales them to Python ints by one positive factor (every
 float is a dyadic rational, so nothing is rounded). On those ints it strips
-the power of x, checks the boundary and leading signs, and tries a Bernstein
-subdivision certificate, which settles most members. What that leaves goes
-to root isolation on the same Bernstein coefficients: Descartes' rule
-separates the roots of the square-free part, and the sign of p at one point
-between each two of them decides. The same module produces the two kinds of
+the power of x and checks the boundary and leading signs. A stripped q with
+q(0) > 0 is a member when it has degree 1, or degree 2 or 3 and
+discriminant <= 0 (a dip below 0 needs all its roots real and distinct).
+Other rows try a Bernstein subdivision certificate; what that leaves goes to
+root isolation on the same Bernstein coefficients: Descartes' rule separates
+the roots of the square-free part, and the sign of p at one point between
+each two of them decides. The same module produces the two kinds of
 certificate: a rational point with exactly negative value when membership
 fails, and a sum-of-squares decomposition p = f1^2 + f2^2 + x (g1^2 + g2^2)
 when it holds.
@@ -413,9 +415,23 @@ def _negative_int(c: Sequence[int],
         # leading term outweighs the rest
         lead = -q[-1]
         return lead + max(map(abs, q[:-1]), default=0), lead
-    if len(q) == 1 or _bernstein_certifies(q):
+    if (len(q) == 1 or len(q) < 5 and q[0] > 0 and _low_degree_member(q)
+            or _bernstein_certifies(q)):
         return None
     return _isolate(q, settle)
+
+
+def _low_degree_member(q: Sequence[int]) -> bool:
+    """For q with both ends positive, True proves q >= 0 on [0, infinity):
+    q has degree 1, or degree 2 or 3 and discriminant <= 0."""
+    if len(q) == 3:
+        c, b, a = q
+        return b * b <= 4 * a * c
+    if len(q) == 4:
+        d, c, b, a = q
+        return (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
+                - 4 * a * c ** 3 - 27 * a * a * d * d) <= 0
+    return len(q) == 2
 
 
 def is_nonneg_on_halfline(
@@ -426,9 +442,14 @@ def is_nonneg_on_halfline(
 
     p may have float coefficients (a core.Polynomial), each taken as the
     dyadic rational it is: the verdict is that of the exact lift, with no
-    rounding. The decision runs on integer coefficients; the Bernstein
-    certificate settles most members, and root isolation decides what it
-    leaves, trying the critical points of p once it goes deep. A caller
+    rounding. The decision runs on integer coefficients. With x^v stripped,
+    a q with q(0) > 0 and a positive leading coefficient is a member when
+    it has degree 1, or degree 2 or 3 and discriminant <= 0: q has 0 or 2
+    positive roots with multiplicity, a negative value needs two distinct
+    simple ones, and a cubic's third root is then real, so every root is
+    real and distinct and the discriminant is positive. The Bernstein
+    certificate settles most other members, and root isolation decides what
+    it leaves, trying the critical points of p once it goes deep. A caller
     that has lifted p already passes ints, p's coefficients times one
     positive number (as _integer_rows lifts a chunk), and p is not lifted
     again. Raises ValueError for a coefficient that is not finite.

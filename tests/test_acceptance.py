@@ -306,6 +306,13 @@ def test_acceptance_04_alpha_and_split():
             assert not isinstance(v, Refuted), (n, alpha)
             if n == 1:
                 assert isinstance(v, ExactMember), (n, alpha)
+    # the paper's third result at n = 2, proved: -alpha at the centre of a
+    # polynomial of ones is a member for every alpha of the ladder, which
+    # sits on the circulant bound 2m/n; sympy alone agrees on the cheap ones
+    for alpha in (2, 4, 8, 16, 32):
+        assert is_order2_member(alpha_family(2, alpha)) is True, alpha
+    for alpha in (2, 4):
+        assert _sympy_order2_member(alpha_family(2, alpha).coeffs), alpha
 
     alphas = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
     cases = [(n, a) for n in (1, 2, 3, 4, 5) for a in alphas]

@@ -292,6 +292,100 @@ def test_isolation_decides_multiple_roots(factors, sqrt2_power, scale):
         assert poly.eval(sympy.Rational(x0.numerator, x0.denominator)) < 0
 
 
+# ---------------------------------------------------------------------------
+# rows of degree 2 and 3: the discriminant stage decides before any walk
+
+_SMALL = st.integers(-20, 20)
+_LOW_ROWS = st.one_of(
+    st.lists(_SMALL, min_size=3, max_size=4),                  # random
+    # (b x - a)^2, and (b x - a)^2 (e x + f) with f of either sign: a double
+    # root at a / b
+    st.builds(lambda a, b: _times([-a, b], [-a, b]),
+              st.integers(-9, 9), st.integers(1, 5)),
+    st.builds(lambda a, b, e, f: _times(_times([-a, b], [-a, b]), [f, e]),
+              st.integers(-9, 9), st.integers(1, 5), st.integers(1, 5),
+              st.integers(-9, 9)),
+    # (b x - a)(b x - a - d) (e x + f): two roots d / b apart
+    st.builds(lambda a, b, d, e, f: _times(_times([-a, b], [-a - d, b]),
+                                           [f, e]),
+              st.integers(-9, 9), st.integers(1, 5), st.integers(1, 3),
+              st.integers(0, 5), st.integers(1, 9)),
+    # a power of x stripped first, so q(0) may be negative
+    st.lists(_SMALL, min_size=1, max_size=3).map(lambda r: [0] + r),
+)
+
+
+def _strip(c: list) -> list:
+    """c without the power of x and without its top zeros."""
+    while c and c[-1] == 0:
+        c = c[:-1]
+    while c and c[0] == 0:
+        c = c[1:]
+    return c
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(c=_LOW_ROWS, sign=st.sampled_from([1, -1]),
+       scale=st.sampled_from([0, 80, -80, "coeffs"]))
+@example(c=[0, -1, 0, 1], sign=1, scale=0)      # x (x^2 - 1), q(0) < 0
+@example(c=[2, -3, 1], sign=1, scale=0)         # discriminant 1
+@example(c=[4, -4, 1], sign=1, scale=80)        # (x - 2)^2 at 2^-79
+@example(c=[4, 0, -3, 1], sign=1, scale=-80)    # (x - 2)^2 (x + 1) at 2^81
+@example(c=[1, -3, 3, -1], sign=-1, scale="coeffs")
+def test_low_degree_rows_decide_as_the_walk_and_sympy(c, sign, scale):
+    """On integer rows of degree <= 3, with their roots moved by 2^-scale
+    (c(2^scale x), made integer) or their coefficients times 2^80:
+    _negative_int finds no point exactly when the walk on the stripped row
+    finds none, and when sympy finds no positive root of odd multiplicity;
+    rows with q(0) > 0 and discriminant <= 0 never reach the certificate
+    or the walk."""
+    c = [int(v) for v in c]
+    if scale == "coeffs":
+        c = [sign * v << 80 for v in c]
+    else:
+        k = len(c) - 1
+        c = [sign * v << (scale * i if scale >= 0 else -scale * (k - i))
+             for i, v in enumerate(c)]
+    q = _strip(c)
+    member = _sympy_nonneg(c)
+    walk_member = not q or exact._isolate(q) is None
+    point = exact._negative_int(c)
+    assert (point is None) is walk_member is member
+    assert (exact._negative_int(c, settle=True) is None) is member
+    if point is not None:
+        assert exact._scaled_value(c, *point) < 0
+    if len(q) in (3, 4) and q[0] > 0 and q[-1] > 0:
+        x = sympy.Symbol("x")
+        disc = sympy.discriminant(sympy.Poly(q[::-1], x))
+        if disc <= 0:
+            with mock.patch.object(
+                    exact, "_bernstein_certifies",
+                    side_effect=AssertionError("certified")), \
+                    mock.patch.object(exact, "_walk",
+                                      side_effect=AssertionError("walked")):
+                assert exact._negative_int(c) is None
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 1], [1, -1, 1], [4, -4, 1], [1, 0, 0, 1], [4, 0, -3, 1],
+    [0, 0, 1, -1, 1], [3, 2 ** 80, -1, 2 ** 200],
+    # (x - 2^-40)^2 (x + 1) and (x - 2^40)^2, whose walks once went past
+    # the settle depth (test_deep_walks_settle_at_a_critical_point)
+    [2.0 ** -80, 2.0 ** -80 - 2.0 ** -39, 1.0 - 2.0 ** -39, 1.0],
+    [2.0 ** 80, -2.0 ** 41, 1.0],
+])
+def test_low_degree_members_call_no_certificate_or_walk(coeffs):
+    # q(0) > 0 after the strip, degree <= 3 and discriminant <= 0 (degree 1
+    # needs none): x + 1, x^2 - x + 1, (x - 2)^2, x^3 + 1, (x - 2)^2 (x + 1),
+    # x^2 (x^2 - x + 1), a cubic with one real root, and two double roots
+    with mock.patch.object(exact, "_bernstein_certifies",
+                           side_effect=AssertionError("certified")), \
+            mock.patch.object(exact, "_walk",
+                              side_effect=AssertionError("walked")):
+        assert is_nonneg_on_halfline(RationalPolynomial(coeffs))
+        assert refute_halfline(RationalPolynomial(coeffs)) is None
+
+
 def _squarefree_by_sequence(q: list) -> list:
     with mock.patch.object(exact, "_coprime_mod_p", return_value=False):
         return exact._squarefree(q)
@@ -423,10 +517,11 @@ def test_polya_szego_random_members():
     ([1.0, 1.0, -1e300, 1.0, 1.0], False),     # negative on (1e-150, 1e150)
     ([1.0, 1.0, -2.0 ** 70, 1.0, 1.0], False),
     ([1e300, -3.0, 1e-300], False),            # negative on (4e299, 3e300)
-    # (x - 2^-40)^2 (x + 1) and (x - 2^40)^2: a double root at a depth past
-    # the settle, where no critical point is negative
-    ([2.0 ** -80, 2.0 ** -80 - 2.0 ** -39, 1.0 - 2.0 ** -39, 1.0], True),
-    ([2.0 ** 80, -2.0 ** 41, 1.0], True),
+    # (x^2 - 2^-80)^2 and (x^2 - 2^80)^2: a double root at 2^-40 or 2^40, a
+    # depth past the settle, where no critical point is negative (degree 4,
+    # which the discriminant does not decide)
+    ([2.0 ** -160, 0.0, -2.0 ** -79, 0.0, 1.0], True),
+    ([2.0 ** 160, 0.0, -2.0 ** 81, 0.0, 1.0], True),
     # and a dip below zero between roots 2^-40 +- 2^-50
     ([2.0 ** -80 - 2.0 ** -100, -2.0 ** -39, 1.0], False),
 ])
