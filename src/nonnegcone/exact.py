@@ -5,16 +5,17 @@ For n = 1 the cone is exactly the polynomials nonnegative on [0, infinity).
 That is decidable in integer arithmetic. The oracle takes float or rational
 coefficients and scales them to Python ints by one positive factor (every
 float is a dyadic rational, so nothing is rounded). On those ints it strips
-the power of x and checks the boundary and leading signs. A stripped q with
-q(0) > 0 is a member when it has degree 1, or degree 2 or 3 and
-discriminant <= 0 (a dip below 0 needs all its roots real and distinct).
-Other rows try a Bernstein subdivision certificate; what that leaves goes to
-root isolation on the same Bernstein coefficients: Descartes' rule separates
-the roots of the square-free part, and the sign of p at one point between
-each two of them decides. The same module produces the two kinds of
-certificate: a rational point with exactly negative value when membership
-fails, and a sum-of-squares decomposition p = f1^2 + f2^2 + x (g1^2 + g2^2)
-when it holds.
+the power of x and checks the boundary and leading signs. A stripped q of
+degree 1 to 3 with q(0) > 0 is decided at once: it is a member when it has
+no negative coefficient or discriminant <= 0 (a dip below 0 needs all its
+roots real and distinct), and otherwise root isolation finds its point.
+Other rows try a Bernstein subdivision certificate; what that leaves goes
+to root isolation on the same Bernstein coefficients: Descartes' rule
+separates the roots of the square-free part, and the sign of p at one
+point between each two of them decides. The same module produces the two
+kinds of certificate: a rational point with exactly negative value when
+membership fails, and a sum-of-squares decomposition
+p = f1^2 + f2^2 + x (g1^2 + g2^2) when it holds.
 
 For n = 2, is_order2_member reduces membership, through the eigenvalues of
 2 x 2 matrices, to the sign of p(0), three half-line questions and one
@@ -370,9 +371,10 @@ def _integer_coeffs(coeffs: Sequence) -> list[int]:
     return [n * (scale // d) for n, d in ratios]
 
 
-def _integer_rows(rows: np.ndarray) -> list[list[int]]:
-    """Each float row of a 2-d array times one power of two, as ints: what
-    _integer_coeffs gives for the row, up to that power, for a whole chunk.
+def _integer_rows(rows: np.ndarray) -> np.ndarray:
+    """Each float row of a 2-d array times one power of two, as Python ints
+    in an object array: what _integer_coeffs gives for the row, up to that
+    power, for a whole chunk.
 
     Every float is m 2^e with m = 2^53 times its frexp mantissa, an int of at
     most 53 bits; shifting each m by e less the row's least e makes the row
@@ -383,7 +385,7 @@ def _integer_rows(rows: np.ndarray) -> list[list[int]]:
     mant, exp = np.frexp(rows)
     m = (mant * 2.0 ** 53).astype(np.int64)
     shift = exp - exp.min(axis=1, keepdims=True)
-    return (m.astype(object) << shift.astype(object)).tolist()
+    return m.astype(object) << shift.astype(object)
 
 
 def _negative_point(
@@ -415,23 +417,50 @@ def _negative_int(c: Sequence[int],
         # leading term outweighs the rest
         lead = -q[-1]
         return lead + max(map(abs, q[:-1]), default=0), lead
-    if (len(q) == 1 or len(q) < 5 and q[0] > 0 and _low_degree_member(q)
-            or _bernstein_certifies(q)):
+    if len(q) == 1:
+        return None
+    if len(q) < 5 and q[0] > 0:
+        # decided here: a non-member goes to isolation for its point, past
+        # the certificate, which cannot prove it
+        if _low_degree_member(q):
+            return None
+    elif _bernstein_certifies(q):
         return None
     return _isolate(q, settle)
 
 
-def _low_degree_member(q: Sequence[int]) -> bool:
-    """For q with both ends positive, True proves q >= 0 on [0, infinity):
-    q has degree 1, or degree 2 or 3 and discriminant <= 0."""
+def _discriminant(q):
+    """The discriminant of q of degree 2 or 3, lowest degree first: of one
+    int row, or of the columns of an object array of int rows, row by row."""
     if len(q) == 3:
         c, b, a = q
-        return b * b <= 4 * a * c
-    if len(q) == 4:
-        d, c, b, a = q
-        return (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
-                - 4 * a * c ** 3 - 27 * a * a * d * d) <= 0
-    return len(q) == 2
+        return b * b - 4 * a * c
+    d, c, b, a = q
+    return (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
+            - 4 * a * c ** 3 - 27 * a * a * d * d)
+
+
+def _low_degree_member(q: Sequence[int]) -> bool:
+    """Whether q >= 0 on [0, infinity), for q of degree 1 to 3 with both ends
+    positive.
+
+    With no negative coefficient q > 0 there. Otherwise q has degree 2 or 3
+    and is a member exactly when its discriminant is <= 0. q is positive at
+    0 and at infinity, so a negative value needs two distinct positive roots
+    of odd multiplicity; every root is then real (a cubic's third one too)
+    and distinct, and the discriminant is positive. Conversely a positive
+    discriminant means distinct real roots, so Descartes' count of the
+    positive ones is exact: with both ends positive and a negative
+    coefficient it is 2, and q is negative between those simple roots.
+    """
+    return min(q) >= 0 or _discriminant(q) <= 0
+
+
+def _low_degree_members(ints: np.ndarray) -> np.ndarray:
+    """_low_degree_member of each row of a 2-d object array of ints, in one
+    pass: rows of degree 2 or 3 with both ends positive and a negative
+    coefficient, each a member exactly when its discriminant is <= 0."""
+    return _discriminant(ints.T) <= 0
 
 
 def is_nonneg_on_halfline(
@@ -443,16 +472,14 @@ def is_nonneg_on_halfline(
     p may have float coefficients (a core.Polynomial), each taken as the
     dyadic rational it is: the verdict is that of the exact lift, with no
     rounding. The decision runs on integer coefficients. With x^v stripped,
-    a q with q(0) > 0 and a positive leading coefficient is a member when
-    it has degree 1, or degree 2 or 3 and discriminant <= 0: q has 0 or 2
-    positive roots with multiplicity, a negative value needs two distinct
-    simple ones, and a cubic's third root is then real, so every root is
-    real and distinct and the discriminant is positive. The Bernstein
-    certificate settles most other members, and root isolation decides what
-    it leaves, trying the critical points of p once it goes deep. A caller
-    that has lifted p already passes ints, p's coefficients times one
-    positive number (as _integer_rows lifts a chunk), and p is not lifted
-    again. Raises ValueError for a coefficient that is not finite.
+    a q of degree 1 to 3 with q(0) > 0 and a positive leading coefficient
+    is decided by its coefficient signs and discriminant (the proof is at
+    _low_degree_member). The Bernstein certificate settles most other
+    members, and root isolation decides what it leaves, trying the
+    critical points of p once it goes deep. A caller that has lifted p
+    already passes ints, p's coefficients times one positive number (as
+    _integer_rows lifts a chunk), and p is not lifted again. Raises
+    ValueError for a coefficient that is not finite.
     """
     if ints is None:
         ints = _integer_coeffs(p.coeffs)

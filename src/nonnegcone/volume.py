@@ -9,11 +9,15 @@ stage decided:
 2. coeffs_nonneg: a row with no negative coefficient is inside at every
    order, since sum c_k A^k >= 0 for every nonnegative A (one vectorized
    mask; floats are rationals, so the sign test is exact);
-3. grid: a vectorized scan whose negative hit is confirmed at one exactly
-   evaluated rational point rejects;
-4. oracle: the exact half-line oracle (a Bernstein certificate, then root
-   isolation for the rows it leaves) decides every row left, rejecting
-   ("oracle_rejected") or accepting ("oracle_inside");
+3. grid: a float scan, one matrix product with a cached table of the
+   grid's powers, proposes each row's least grid value; a negative one
+   confirmed at its exactly evaluated rational point rejects;
+4. oracle: the exact half-line oracle decides every row left, rejecting
+   ("oracle_rejected") or accepting ("oracle_inside"). The rows of degree
+   2 or 3 with no zero coefficient are decided in one pass by the signs of
+   their discriminants (exact._low_degree_members); every other row calls
+   is_nonneg_on_halfline (the discriminant, a Bernstein certificate, then
+   root isolation for the rows it leaves);
 5. for n >= 2, membership.decide takes each chunk's rows that 4 accepts, as
    one batch: its exact stages, then one search batch for the rows they
    leave open, so each verdict is the one a search of that row alone gives.
@@ -33,13 +37,15 @@ same stages on the completed row, at every n (see _projection_rows).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import BeyondFloatRange, Polynomial
-from .exact import _integer_rows, _scaled_value, is_nonneg_on_halfline
+from .exact import (_integer_rows, _low_degree_members, _scaled_value,
+                    is_nonneg_on_halfline)
 # refute is unused here, but bench/spans.py wraps it (ROADMAP item 4)
 from .membership import (DECISION_STAGES, INSIDE_STAGES, SearchConfig,
                          decide, refute)
@@ -149,14 +155,33 @@ def _sample_cfg(cfg: SearchConfig, idx: int) -> SearchConfig:
     return replace(cfg, seed=_sample_seed(cfg.seed, idx))
 
 
-def _grid_refuted(rows: np.ndarray, ints: list[list[int]]) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _grid_powers(k: int) -> np.ndarray:
+    """The read-only (k + 1) x len(_GRID) table of _GRID ** j, j <= k; past
+    degree 102 its entries at x = 1000 overflow to inf."""
+    with np.errstate(over="ignore"):
+        powers = _GRID ** np.arange(k + 1)[:, None]
+    powers.flags.writeable = False
+    return powers
+
+
+def _grid_refuted(rows: np.ndarray, ints: np.ndarray) -> np.ndarray:
     """Mask of coefficient rows exactly negative at their grid minimum; ints
     holds each row in integers (exact._integer_rows), in which the sign is
-    taken at the dyadic ratio of the grid point."""
-    vals = np.polynomial.polynomial.polyval(_GRID, rows.T)
+    taken at the dyadic ratio of the grid point. The float scan, one matrix
+    product, only proposes the point: a rounding there costs at most a row
+    left to the oracle. A row whose product overflows to inf - inf = nan is
+    scanned again by Horner's rule, which overflows to +-inf instead."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = rows @ _grid_powers(rows.shape[1] - 1)
+        mins = vals.min(axis=1)
+        nan = np.isnan(mins)
+        if nan.any():
+            vals[nan] = np.polynomial.polynomial.polyval(_GRID, rows[nan].T)
+            mins = vals.min(axis=1)
     argmins = vals.argmin(axis=1)
     out = np.zeros(rows.shape[0], dtype=bool)
-    for i in np.flatnonzero(vals.min(axis=1) < 0.0):
+    for i in np.flatnonzero(mins < 0.0):
         x = float(_GRID[argmins[i]])
         out[i] = _scaled_value(ints[i], *x.as_integer_ratio()) < 0
     return out
@@ -168,6 +193,23 @@ def _signs_pass(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     coefficient vanishes, since it is in range either way."""
     return ~((rows[:, :n] < 0.0).any(axis=1)
              | (rows[:, max(0, k + 1 - n):] < 0.0).any(axis=1))
+
+
+def _oracle_stages(rows: np.ndarray, ints: np.ndarray, k: int) -> np.ndarray:
+    """The oracle's stage of each degree-k row with both ends >= 0 and a
+    negative coefficient; ints holds the rows in integers. Rows of degree 2
+    or 3 with no zero coefficient have both ends > 0, so their
+    discriminants decide them in one pass (exact._low_degree_members). The
+    others go one by one through the public oracle, which bench/spans.py
+    traces per row."""
+    inside = np.zeros(rows.shape[0], dtype=bool)
+    batch = np.zeros(rows.shape[0], dtype=bool)
+    if k in (2, 3):
+        batch = (rows != 0.0).all(axis=1)
+        inside[batch] = _low_degree_members(ints[batch])
+    inside[~batch] = [is_nonneg_on_halfline(Polynomial(r), c) for r, c in zip(
+        rows[~batch].tolist(), ints[~batch].tolist())]
+    return np.where(inside, _ORACLE_INSIDE, _ORACLE_REJECTED)
 
 
 def _classify_rows(rows: np.ndarray, orders: Sequence[int], k: int,
@@ -186,11 +228,8 @@ def _classify_rows(rows: np.ndarray, orders: Sequence[int], k: int,
     ints = _integer_rows(rows[sub])
     hit = _grid_refuted(rows[sub], ints)
     stage[sub[hit]] = _GRID_HIT
-    # through the public oracle, which bench/spans.py traces per row
-    stage[sub[~hit]] = [
-        _ORACLE_INSIDE if is_nonneg_on_halfline(Polynomial(r), c)
-        else _ORACLE_REJECTED
-        for r, c, h in zip(rows[sub].tolist(), ints, hit.tolist()) if not h]
+    sub, ints = sub[~hit], ints[~hit]
+    stage[sub] = _oracle_stages(rows[sub], ints, k)
     out = np.where(passes, stage, _SIGN)
     for line, n in zip(out, orders):
         sub = np.flatnonzero(line == _ORACLE_INSIDE).tolist()

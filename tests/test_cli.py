@@ -345,6 +345,24 @@ def test_check_near_float_range_prints_no_warning(capsys, poly, n):
     assert doc["verdict"]["kind"] in ("refuted", "no_refutation_found")
 
 
+@pytest.mark.parametrize("argv, fraction", [
+    (("--k", "120"), 0.0468),
+    (("--k", "2", "--projection", "--c-cap", "1e306", "--samples", "2000"),
+     0.51),
+])
+def test_volume_grid_overflow_prints_no_warning(capsys, argv, fraction):
+    # the grid's powers of x = 1000 overflow past degree 102, and a scan
+    # value overflows at a huge coefficient, or meets inf - inf; that is no
+    # numpy warning, and the estimate is the exact one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = run_cli(capsys, "volume", "--n", "1", *argv,
+                                 "--seed", "1")
+    assert code == 0 and err == ""
+    est = doc["estimate"]
+    assert est["fraction"] == fraction and est["bias"] == "Exact"
+
+
 def usage_exit(capsys, *argv):
     """Exit code of main and the output."""
     code = main(list(argv))

@@ -269,7 +269,8 @@ def _times(a: list, b: list) -> list:
 @example(factors=[(Fraction(1, 2), 4), (0, 3)], sqrt2_power=0, scale=1e300)
 def test_isolation_decides_multiple_roots(factors, sqrt2_power, scale):
     """Products of (x - r)^m, times (x^2 - 2)^2 or ^3: root isolation alone
-    decides as sympy does, and refutes with an exactly negative point."""
+    decides as sympy does, and refutes with an exactly negative point; the
+    discriminant test of degree <= 3 is switched off with the certificate."""
     coeffs = [Fraction(1)]
     for r, m in factors:
         for _ in range(m):
@@ -280,7 +281,9 @@ def test_isolation_decides_multiple_roots(factors, sqrt2_power, scale):
     expected = _sympy_nonneg(coeffs)
     q = RationalPolynomial([c * Fraction(scale) for c in coeffs])
     assert is_nonneg_on_halfline(q) == expected
-    with mock.patch.object(exact, "_bernstein_certifies", return_value=False):
+    with mock.patch.object(exact, "_bernstein_certifies",
+                           return_value=False), \
+            mock.patch.object(exact, "_low_degree_member", return_value=False):
         assert is_nonneg_on_halfline(q) == expected
         x0 = refute_halfline(q)
     if expected:
@@ -338,7 +341,8 @@ def test_low_degree_rows_decide_as_the_walk_and_sympy(c, sign, scale):
     _negative_int finds no point exactly when the walk on the stripped row
     finds none, and when sympy finds no positive root of odd multiplicity;
     rows with q(0) > 0 and discriminant <= 0 never reach the certificate
-    or the walk."""
+    or the walk, and those with a positive discriminant and a negative
+    coefficient go to the walk without the certificate."""
     c = [int(v) for v in c]
     if scale == "coeffs":
         c = [sign * v << 80 for v in c]
@@ -364,6 +368,11 @@ def test_low_degree_rows_decide_as_the_walk_and_sympy(c, sign, scale):
                     mock.patch.object(exact, "_walk",
                                       side_effect=AssertionError("walked")):
                 assert exact._negative_int(c) is None
+        elif min(q) < 0:
+            with mock.patch.object(
+                    exact, "_bernstein_certifies",
+                    side_effect=AssertionError("certified")):
+                assert exact._negative_int(c) == exact._isolate(q) == point
 
 
 @pytest.mark.parametrize("coeffs", [

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonnegcone import exact, membership, volume
@@ -193,19 +193,64 @@ def test_n1_nonnegative_rows_are_accepted_before_the_oracle(seed):
     for k in (0, 2, 6):
         _, rows = next(_ball_chunks(k + 1, 4096, seed))
         with mock.patch.object(volume, "is_nonneg_on_halfline",
-                               wraps=is_nonneg_on_halfline) as spy:
+                               wraps=is_nonneg_on_halfline) as spy, \
+                mock.patch.object(volume, "_low_degree_members",
+                                  wraps=exact._low_degree_members) as batch:
             stage = _classify_rows(rows, (1,), k, CFG, 0)[0]
         signs_pass = (rows[:, 0] >= 0) & (rows[:, k] >= 0)
         nonneg = signs_pass & (rows >= 0).all(axis=1)
         assert (stage == STAGES.index("coeffs_nonneg")).tolist() == \
             nonneg.tolist()
-        # none of them reaches the oracle
-        assert (spy.call_count > 0) == (k > 0)
+        # none of them reaches the oracle, per row or in the batch
+        batch_rows = [r for c in batch.call_args_list for r in c.args[0]]
+        assert (spy.call_count + len(batch_rows) > 0) == (k > 0)
         assert all(min(c.args[0].coeffs) < 0 for c in spy.call_args_list)
+        assert all(min(r) < 0 for r in batch_rows)
         e = estimate_cone_fraction(1, k, 4096, replace(CFG, seed=seed))
         assert e.stages["coeffs_nonneg"] > 0
         assert e.stages["oracle_inside"] + e.stages["coeffs_nonneg"] == \
             e.n_inside
+
+
+# integer coefficients of degree-2 and degree-3 rows: small, zero, or near
+# 2^200
+_COEFF = st.one_of(st.integers(-9, 9), st.integers(-2 ** 201, 2 ** 201),
+                   st.integers(2 ** 200 - 9, 2 ** 200 + 9).map(
+                       lambda v: v * (-1) ** (v % 3)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=st.lists(st.lists(_COEFF, min_size=3, max_size=4),
+                     min_size=1, max_size=5))
+@example(rows=[[4, -4, 1], [1, -1, -1, 1]])     # (x - 2)^2, (x - 1)^2 (x + 1)
+@example(rows=[[2, -3, 1], [1, 0, -3, 1]])      # discriminants 1 and 81 - 4
+@example(rows=[[2 ** 200, -2 ** 201, 2 ** 200], [0, -1, 1], [1, -2, 0, 1]])
+def test_low_degree_batch_decides_as_the_per_row_oracle(rows):
+    """The oracle rows of degree 2 or 3 with no zero coefficient are decided
+    in one batch by their discriminants, as the per-row oracle decides them;
+    a row with a zero coefficient goes to the per-row oracle."""
+    for k in (2, 3):
+        ints = np.array([r[:k + 1] for r in rows if len(r) > k], dtype=object)
+        if not len(ints):
+            continue
+        # the rows that reach the oracle: ends >= 0, a negative coefficient
+        ints = ints[(ints[:, 0] >= 0) & (ints[:, k] >= 0)
+                    & (ints < 0).any(axis=1)]
+        floats = ints.astype(float)
+        with mock.patch.object(volume, "is_nonneg_on_halfline",
+                               wraps=is_nonneg_on_halfline) as spy, \
+                mock.patch.object(volume, "_low_degree_members",
+                                  wraps=exact._low_degree_members) as batch:
+            stage = volume._oracle_stages(floats, ints, k)
+        want = [is_nonneg_on_halfline(RationalPolynomial(r))
+                for r in ints.tolist()]
+        assert (stage == _ORACLE_INSIDE).tolist() == want
+        zero = (ints == 0).any(axis=1).tolist()
+        assert [c.args[1] for c in spy.call_args_list] == \
+            [r for r, z in zip(ints.tolist(), zero) if z]
+        batch_rows = [r for c in batch.call_args_list
+                      for r in c.args[0].tolist()]
+        assert batch_rows == [r for r, z in zip(ints.tolist(), zero) if not z]
 
 
 def _decided_ref(p: Polynomial, n: int, cfg: SearchConfig):
