@@ -219,10 +219,12 @@ def _squarefree(q: list[int]) -> list[int]:
 _CERT_DEPTH = 8
 
 
-def _halves(b: list[int]) -> tuple[list[int], list[int]]:
+def _halves(b: list) -> tuple[list, list]:
     """Bernstein coefficients of both halves of a leaf, times 2^k. Level r
     of de Casteljau is built from neighbour sums, 2^r times the averages,
-    so only its two end entries are shifted, by k - r, onto the scale 2^k."""
+    so only its two end entries are shifted, by k - r, onto the scale 2^k.
+    b is one leaf, a list of ints, or the leaves of many rows at once, a
+    list of object-array columns of ints, which give columns back."""
     k = len(b) - 1
     left, right = [b[0] << k], [b[-1] << k]
     for shift in range(k - 1, -1, -1):
@@ -242,8 +244,10 @@ def _binomial_factors(k: int) -> tuple[int, ...]:
     return tuple(lcm // c for c in binom)
 
 
-def _bernstein(q: Sequence[int]) -> list[int]:
-    """The Bernstein coefficients of q on [0, 1], times one positive int."""
+def _bernstein(q: Sequence) -> list:
+    """The Bernstein coefficients of q on [0, 1], times one positive int: of
+    one int row, or of many rows given as a list of object-array columns of
+    ints, column by column."""
     return list(map(mul, q, _binomial_factors(len(q) - 1)))
 
 
@@ -456,11 +460,19 @@ def _low_degree_member(q: Sequence[int]) -> bool:
     return min(q) >= 0 or _discriminant(q) <= 0
 
 
-def _low_degree_members(ints: np.ndarray) -> np.ndarray:
-    """_low_degree_member of each row of a 2-d object array of ints, in one
-    pass: rows of degree 2 or 3 with both ends positive and a negative
-    coefficient, each a member exactly when its discriminant is <= 0."""
-    return _discriminant(ints.T) <= 0
+def _batch_members(ints: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a 2-d object array of ints, of degree >= 2 with
+    both ends positive and a negative coefficient, proved members in one
+    pass. True proves a member. At degree 2 or 3 False proves a non-member,
+    since the discriminant decides (_low_degree_member). At degree >= 4 the
+    mask is _bernstein_certifies at depth 1: the row's Bernstein
+    coefficients have a negative one, but not at an end, so the certificate
+    halves them first, and stops there exactly when both halves are
+    nonnegative; False means only "not proved here"."""
+    if ints.shape[1] < 5:
+        return _discriminant(ints.T) <= 0
+    left, right = _halves(_bernstein(list(ints.T)))
+    return np.logical_and.reduce([c >= 0 for c in left + right])
 
 
 def is_nonneg_on_halfline(

@@ -13,11 +13,13 @@ stage decided:
    grid's powers, proposes each row's least grid value; a negative one
    confirmed at its exactly evaluated rational point rejects;
 4. oracle: the exact half-line oracle decides every row left, rejecting
-   ("oracle_rejected") or accepting ("oracle_inside"). The rows of degree
-   2 or 3 with no zero coefficient are decided in one pass by the signs of
-   their discriminants (exact._low_degree_members); every other row calls
-   is_nonneg_on_halfline (the discriminant, a Bernstein certificate, then
-   root isolation for the rows it leaves);
+   ("oracle_rejected") or accepting ("oracle_inside"). The rows with no
+   zero coefficient go through one integer pass (exact._batch_members):
+   at degree 2 or 3 the signs of their discriminants decide them, and at
+   degree >= 4 the first split of the Bernstein certificate proves most
+   members. Every other row calls is_nonneg_on_halfline (the
+   discriminant, a Bernstein certificate, then root isolation for the
+   rows it leaves);
 5. for n >= 2, membership.decide takes each chunk's rows that 4 accepts, as
    one batch: its exact stages, then one search batch for the rows they
    leave open, so each verdict is the one a search of that row alone gives.
@@ -44,7 +46,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import BeyondFloatRange, Polynomial
-from .exact import (_integer_rows, _low_degree_members, _scaled_value,
+from .exact import (_batch_members, _integer_rows, _scaled_value,
                     is_nonneg_on_halfline)
 # refute is unused here, but bench/spans.py wraps it (ROADMAP item 4)
 from .membership import (DECISION_STAGES, INSIDE_STAGES, SearchConfig,
@@ -197,18 +199,20 @@ def _signs_pass(rows: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def _oracle_stages(rows: np.ndarray, ints: np.ndarray, k: int) -> np.ndarray:
     """The oracle's stage of each degree-k row with both ends >= 0 and a
-    negative coefficient; ints holds the rows in integers. Rows of degree 2
-    or 3 with no zero coefficient have both ends > 0, so their
-    discriminants decide them in one pass (exact._low_degree_members). The
-    others go one by one through the public oracle, which bench/spans.py
-    traces per row."""
+    negative coefficient; ints holds the rows in integers. Rows with no
+    zero coefficient have both ends > 0, and one pass over them
+    (exact._batch_members) decides those of degree 2 or 3 by their
+    discriminants and proves the members of degree >= 4 that the first
+    split of the Bernstein certificate proves. The rows it leaves go one by
+    one through the public oracle, which bench/spans.py traces per row."""
     inside = np.zeros(rows.shape[0], dtype=bool)
-    batch = np.zeros(rows.shape[0], dtype=bool)
-    if k in (2, 3):
-        batch = (rows != 0.0).all(axis=1)
-        inside[batch] = _low_degree_members(ints[batch])
-    inside[~batch] = [is_nonneg_on_halfline(Polynomial(r), c) for r, c in zip(
-        rows[~batch].tolist(), ints[~batch].tolist())]
+    batch = (rows != 0.0).all(axis=1)
+    if k >= 2:
+        inside[batch] = _batch_members(ints[batch])
+    # at degree >= 4 the batch proves members only
+    rest = ~batch if k in (2, 3) else ~inside
+    inside[rest] = [is_nonneg_on_halfline(Polynomial(r), c) for r, c in zip(
+        rows[rest].tolist(), ints[rest].tolist())]
     return np.where(inside, _ORACLE_INSIDE, _ORACLE_REJECTED)
 
 

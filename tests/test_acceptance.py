@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from nonnegcone import volume
+from nonnegcone import exact, volume
 from nonnegcone.cli import main as cli_main
 from nonnegcone.core import Polynomial, perron_normalize
 from nonnegcone.exact import (
@@ -313,6 +313,21 @@ def test_acceptance_04_alpha_and_split():
         assert is_order2_member(alpha_family(2, alpha)) is True, alpha
     for alpha in (2, 4):
         assert _sympy_order2_member(alpha_family(2, alpha).coeffs), alpha
+    # and the bound is sharp: past it the even part, whose value at 1 is
+    # m - t, dips below 0, and the rational matrix of the rejection has a
+    # negative entry in p(A) by the explicit power sum above
+    for m in (2, 4, 8, 16, 32):
+        coeffs = [1.0] * (2 * m + 1)
+        coeffs[m] = -(m + 2.0 ** -10)
+        p = Polynomial(coeffs)
+        assert is_order2_member(p) is False, m
+        assert exact._order2_failure(p, settle=True)[1][0] == "even", m
+        if m <= 4:
+            x, y, a = order2_counterexample(p)
+            matrix = [[a, Fraction(1)], [a * (x + y - a) - x * y, x + y - a]]
+            assert min(map(min, matrix)) > 0, m
+            assert min(_power_sum_entry(coeffs, matrix, i, j)
+                       for i in range(2) for j in range(2)) < 0, m
 
     alphas = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
     cases = [(n, a) for n in (1, 2, 3, 4, 5) for a in alphas]

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonnegcone.core import Polynomial, eval_scalar
-from nonnegcone import exact
+from nonnegcone import exact, volume
 from nonnegcone.exact import (
     NotNonnegative,
     RationalPolynomial,
@@ -393,6 +393,68 @@ def test_low_degree_members_call_no_certificate_or_walk(coeffs):
                               side_effect=AssertionError("walked")):
         assert is_nonneg_on_halfline(RationalPolynomial(coeffs))
         assert refute_halfline(RationalPolynomial(coeffs)) is None
+
+
+# int rows of degree 4 to 8: small, with zeros; near 2^200; and a double
+# positive root a / b times a factor of degree 2 to 6, such as
+# (x - 1)^2 (x^2 + 1), which touches 0 at x = 1, the first split point
+_HIGH_ROWS = st.one_of(
+    st.lists(_SMALL, min_size=5, max_size=9),
+    st.lists(st.integers(-9, 9) | st.integers(2 ** 200 - 9, 2 ** 200 + 9)
+             .map(lambda v: v * (-1) ** (v % 3)), min_size=5, max_size=9),
+    st.builds(lambda a, b, f: [int(v) for v in _times(
+                  _times([-a, b], [-a, b]), f)],
+              st.integers(1, 9), st.integers(1, 5),
+              st.lists(st.integers(-3, 9), min_size=3, max_size=7)),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rows=st.lists(_HIGH_ROWS, min_size=1, max_size=6),
+       scale=st.sampled_from([0, 40, -40]))
+@example(rows=[[1, -2, 2, -2, 1]], scale=0)     # (x - 1)^2 (x^2 + 1)
+@example(rows=[[1, -2, 2, -2, 1], [1, -2, 2, 0, 1]], scale=40)
+@example(rows=[[1, -2, 2, -2, 1], [1, 1, -1, 1, 1]], scale=-40)
+@example(rows=[[2 ** 200, -2 ** 201, 2 ** 201, -2 ** 201, 2 ** 200]],
+         scale=0)
+def test_first_split_batch_certifies_as_the_per_row_split(rows, scale):
+    """The oracle rows of degree >= 4, their roots moved by 2^-scale: the
+    batch proves a row with no zero coefficient exactly when per-row
+    _halves of its _bernstein leaves both halves nonnegative, every row it
+    proves is a member, by the oracle and (small rows) by sympy, and a row
+    with a zero coefficient goes to the per-row oracle, not the batch."""
+    k_rows = {}
+    for r in rows:
+        k = len(r) - 1
+        r = [v << (scale * i if scale >= 0 else -scale * (k - i))
+             for i, v in enumerate(r)]
+        # the rows that reach the oracle: ends >= 0, a negative coefficient
+        if r[0] >= 0 and r[-1] >= 0 and min(r) < 0:
+            k_rows.setdefault(k, []).append(r)
+    for k, group in k_rows.items():
+        ints = np.array(group, dtype=object)
+        whole = [r for r in group if 0 not in r]
+        proved = exact._batch_members(
+            np.array(whole, dtype=object).reshape(-1, k + 1)).tolist()
+        for r, member in zip(whole, proved):
+            left, right = exact._halves(exact._bernstein(r))
+            assert member is (min(left + right) >= 0)
+            if member:
+                assert is_nonneg_on_halfline(RationalPolynomial(r))
+                if max(map(abs, r)) < 2 ** 64:
+                    assert _sympy_nonneg(r)
+        with mock.patch.object(volume, "is_nonneg_on_halfline",
+                               wraps=is_nonneg_on_halfline) as spy, \
+                mock.patch.object(volume, "_batch_members",
+                                  wraps=exact._batch_members) as batch:
+            stage = volume._oracle_stages(ints.astype(float), ints, k)
+        assert [r for c in batch.call_args_list
+                for r in c.args[0].tolist()] == whole
+        unproved = iter(not member for member in proved)
+        assert [c.args[1] for c in spy.call_args_list] == \
+            [r for r in group if 0 in r or next(unproved)]
+        assert (stage == volume._ORACLE_INSIDE).tolist() == \
+            [is_nonneg_on_halfline(RationalPolynomial(r)) for r in group]
 
 
 def _squarefree_by_sequence(q: list) -> list:

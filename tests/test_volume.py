@@ -190,12 +190,12 @@ def test_chunk_classification_matches_per_row_oracle(seed):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_n1_nonnegative_rows_are_accepted_before_the_oracle(seed):
-    for k in (0, 2, 6):
+    for k in (0, 2, 4, 6):
         _, rows = next(_ball_chunks(k + 1, 4096, seed))
         with mock.patch.object(volume, "is_nonneg_on_halfline",
                                wraps=is_nonneg_on_halfline) as spy, \
-                mock.patch.object(volume, "_low_degree_members",
-                                  wraps=exact._low_degree_members) as batch:
+                mock.patch.object(volume, "_batch_members",
+                                  wraps=exact._batch_members) as batch:
             stage = _classify_rows(rows, (1,), k, CFG, 0)[0]
         signs_pass = (rows[:, 0] >= 0) & (rows[:, k] >= 0)
         nonneg = signs_pass & (rows >= 0).all(axis=1)
@@ -239,8 +239,8 @@ def test_low_degree_batch_decides_as_the_per_row_oracle(rows):
         floats = ints.astype(float)
         with mock.patch.object(volume, "is_nonneg_on_halfline",
                                wraps=is_nonneg_on_halfline) as spy, \
-                mock.patch.object(volume, "_low_degree_members",
-                                  wraps=exact._low_degree_members) as batch:
+                mock.patch.object(volume, "_batch_members",
+                                  wraps=exact._batch_members) as batch:
             stage = volume._oracle_stages(floats, ints, k)
         want = [is_nonneg_on_halfline(RationalPolynomial(r))
                 for r in ints.tolist()]
@@ -251,6 +251,30 @@ def test_low_degree_batch_decides_as_the_per_row_oracle(rows):
         batch_rows = [r for c in batch.call_args_list
                       for r in c.args[0].tolist()]
         assert batch_rows == [r for r, z in zip(ints.tolist(), zero) if not z]
+
+
+def test_first_split_members_skip_the_per_row_oracle():
+    """At degree >= 4 the batch only proves members: a row that the first
+    Bernstein split proves reaches neither the certificate nor the per-row
+    oracle, and each row it leaves, or that has a zero coefficient and
+    skips it, calls the public oracle exactly once."""
+    rows = [[1, 1, -1, 1, 1, 1, 1],        # proved at the first split
+            [9, 3, 4, 4, 4, -5, 1],        # (x - 3)^2 (1 + ... + x^4)
+            [1, -3, 1, 1, 1, 1, 1],        # dips below 0 near x = 0.4
+            [1, 1, -1, 0, 1, 1, 1]]        # a zero: per row
+    ints = np.array(rows, dtype=object)
+    with mock.patch.object(volume, "is_nonneg_on_halfline",
+                           wraps=is_nonneg_on_halfline) as spy, \
+            mock.patch.object(volume, "_batch_members",
+                              wraps=exact._batch_members) as batch, \
+            mock.patch.object(exact, "_bernstein_certifies",
+                              wraps=exact._bernstein_certifies) as cert:
+        stage = volume._oracle_stages(ints.astype(float), ints, 6)
+    assert (stage == _ORACLE_INSIDE).tolist() == [True, True, False, True]
+    assert [r for c in batch.call_args_list
+            for r in c.args[0].tolist()] == rows[:3]
+    assert [c.args[1] for c in spy.call_args_list] == rows[1:]
+    assert [list(c.args[0]) for c in cert.call_args_list] == rows[1:]
 
 
 def _decided_ref(p: Polynomial, n: int, cfg: SearchConfig):
