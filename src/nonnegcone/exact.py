@@ -8,7 +8,8 @@ float is a dyadic rational, so nothing is rounded). On those ints it strips
 the power of x and checks the boundary and leading signs. A stripped q of
 degree 1 to 3 with q(0) > 0 is decided at once: it is a member when it has
 no negative coefficient or discriminant <= 0 (a dip below 0 needs all its
-roots real and distinct), and otherwise root isolation finds its point.
+roots real and distinct), and otherwise it is not, and root isolation finds
+its point for a caller that asks for one.
 Other rows try a Bernstein subdivision certificate; what that leaves goes
 to root isolation on the same Bernstein coefficients: Descartes' rule
 separates the roots of the square-free part, and the sign of p at one
@@ -399,11 +400,15 @@ def _negative_point(
     return _negative_int(_integer_coeffs(p.coeffs))
 
 
-def _negative_int(c: Sequence[int],
-                  settle: bool = False) -> Optional[tuple[int, int]]:
-    """_negative_point on integer coefficients, lowest degree first; with
-    settle a deep root isolation may return another negative point (see
-    _walk), for callers that need only whether one exists."""
+def _negative_int(c: Sequence[int], settle: bool = False
+                  ) -> Union[None, bool, tuple[int, int]]:
+    """_negative_point on integer coefficients, lowest degree first.
+
+    settle marks a caller that needs only whether a point exists: a deep
+    root isolation may then return another negative point (see _walk), and
+    a row of degree 2 or 3 that its discriminant proves a non-member
+    returns True, with no isolation.
+    """
     end = len(c)
     while end and not c[end - 1]:
         end -= 1
@@ -425,9 +430,13 @@ def _negative_int(c: Sequence[int],
         return None
     if len(q) < 5 and q[0] > 0:
         # decided here: a non-member goes to isolation for its point, past
-        # the certificate, which cannot prove it
+        # the certificate, which cannot prove it, unless the caller needs no
+        # point: a negative coefficient and a positive discriminant prove it
+        # a non-member (_low_degree_member)
         if _low_degree_member(q):
             return None
+        if settle and min(q) < 0 and _discriminant(q) > 0:
+            return True
     elif _bernstein_certifies(q):
         return None
     return _isolate(q, settle)
@@ -588,47 +597,54 @@ def _bernstein2(h: list[list[int]]) -> list[list[int]]:
             for f, hr in zip(_binomial_factors(len(h) - 1), h)]
 
 
-def _quarters(b: list[list[int]]) -> list[tuple[int, int, list[list[int]]]]:
-    """(ds, du, coefficients) of the four quarters of a tensor leaf b[i][j]
-    (s index i, u index j), times 2^(len(b) + len(b[0]) - 2): halved in u
-    along each row, then in s as _halves halves, on whole rows."""
-    k = len(b) - 1
-    out = []
-    for du, rows in enumerate(zip(*map(_halves, b))):
-        top, bottom = [[v << k for v in rows[0]]], [[v << k for v in rows[-1]]]
-        for shift in range(k - 1, -1, -1):
-            rows = [list(map(add, r, r1)) for r, r1 in zip(rows, rows[1:])]
-            top.append([v << shift for v in rows[0]])
-            bottom.append([v << shift for v in rows[-1]])
-        bottom.reverse()
-        out += (0, du, top), (1, du, bottom)
-    return out
+def _tensor_halves(b: Sequence[Sequence[int]], in_s: bool) -> tuple:
+    """Both halves of a tensor leaf b[j][i] (u index j, s index i), as
+    leaves of the same layout: in s, times 2^(len(b[0]) - 1), by _halves on
+    each column of fixed u; in u, times 2^(len(b) - 1), by _halves on each
+    row of fixed s."""
+    if in_s:
+        return tuple(zip(*map(_halves, b)))
+    low, high = zip(*map(_halves, zip(*b)))
+    return list(zip(*low)), list(zip(*high))
 
 
 def _h_certificate(h: list[list[int]]):
     """True proves H >= 0 on [0, infinity) x [0, 1]; a point (x, u) of that
     box with H(x, u) < 0 disproves it; None leaves it open.
 
-    Every leaf with a negative coefficient is quartered, to depth
-    _CERT_DEPTH; a negative corner coefficient is a negative value of H.
-    The corners at s = 1 (x = infinity) are never negative once the leading
-    coefficient of p is positive.
+    Every leaf with a negative coefficient is halved, depth first, left
+    half first: in s (that is, in x), to depth _CERT_DEPTH, unless its
+    negative coefficients all lie in its first or last row in s, which
+    halving in s keeps in one half; then in u, to depth _CERT_DEPTH. Halves
+    in s alone prove most members. A negative corner coefficient is a
+    negative value of H. The corners at s = 1 (x = infinity) are never
+    negative once the leading coefficient of p is positive.
     """
-    leaves = [(0, 0, _bernstein2(h))]
-    for depth in range(_CERT_DEPTH + 1):
-        open_ = [leaf for leaf in leaves if min(map(min, leaf[2])) < 0]
-        if not open_:
-            return True
-        m = 1 << depth
-        for i, j, b in open_:
-            for ds, du in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                s = i + ds
-                if b[-ds][-du] < 0 and s < m:
-                    return Fraction(s, m - s), Fraction(j + du, m)
-        if depth < _CERT_DEPTH:
-            leaves = [(2 * i + ds, 2 * j + du, q)
-                      for i, j, b in open_ for ds, du, q in _quarters(b)]
-    return None
+    # the leaf [i, i + 1] / 2^ds x [j, j + 1] / 2^du, by columns of fixed u
+    todo = [(0, 0, 0, 0, tuple(zip(*_bernstein2(h))))]
+    settled = True
+    while todo:
+        i, ds, j, du, b = todo.pop()
+        if min(map(min, b)) >= 0:
+            continue
+        m = 1 << ds
+        for es, eu in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            s = i + es
+            if b[-eu][-es] < 0 and s < m:
+                return Fraction(s, m - s), Fraction(j + eu, 1 << du)
+        in_s = ds < _CERT_DEPTH and any(v < 0 for col in b
+                                        for v in col[1:-1])
+        if not in_s and du == _CERT_DEPTH:
+            settled = False
+            continue
+        low, high = _tensor_halves(b, in_s)
+        if in_s:
+            i, ds = 2 * i, ds + 1
+            todo += (i + 1, ds, j, du, high), (i, ds, j, du, low)
+        else:
+            j, du = 2 * j, du + 1
+            todo += (i, ds, j + 1, du, high), (i, ds, j, du, low)
+    return True if settled else None
 
 
 def _det(m: list[list[int]]) -> int:
@@ -795,6 +811,8 @@ def order2_counterexample(
     if failed is None:
         return None
     cond, point = failed
+    if cond != "H":
+        point = Fraction(*point)
 
     def near(points):
         for x, y in points:
@@ -823,20 +841,22 @@ def order2_counterexample(
 
 def _order2_failure(p: Union[Polynomial, RationalPolynomial], settle: bool):
     """(c, failed): p's trimmed integer coefficients, and the first condition
-    of order2_counterexample to fail, with its point: ("p", 0), ("p'", t),
-    ("odd", z), ("even", z) or ("H", (x, u)); None when all hold. settle is
-    _negative_int's. The point H gives is re-checked exactly."""
+    of order2_counterexample to fail, with its point: ("p", (0, 1)),
+    ("p'", (a, b)), ("odd", (a, b)) or ("even", (a, b)) for the point a / b
+    of the half-line, or ("H", (x, u)) in Fractions; None when all hold.
+    settle is _negative_int's: with it a half-line point may be another one,
+    or True. The point H gives is re-checked exactly."""
     c = _integer_coeffs(p.coeffs)
     while c and c[-1] == 0:
         c.pop()
     if not c:
         return c, None
     if c[0] < 0:
-        return c, ("p", Fraction(0))
+        return c, ("p", (0, 1))
     for cond, f in (("p'", _deriv(c)), ("odd", c[1::2]), ("even", c[0::2])):
         point = _negative_int(f, settle)
         if point is not None:
-            return c, (cond, Fraction(*point))
+            return c, (cond, point)
     h = _order2_h(c)
     found = _order2_h_point(h)
     if found is None:
@@ -854,9 +874,12 @@ def is_order2_member(
     for every nonnegative 2 x 2 matrix A.
 
     Decided in integers on the float or rational coefficients, as
-    is_nonneg_on_halfline decides the order-1 cone; a rejection comes with
-    the rational matrix of order2_counterexample. None when H (see above)
-    has a repeated factor in u, which the decision does not treat. Raises
+    is_nonneg_on_halfline decides the order-1 cone, and only as a yes or
+    no: a condition of degree 2 or 3 that its discriminant rejects is
+    rejected with no root isolation, and a rejection's rational matrix is
+    order2_counterexample's to find. Most members are proved by the H
+    certificate's halves in x alone. None when H (see above) has a
+    repeated factor in u, which the decision does not treat. Raises
     ValueError for a coefficient that is not finite.
     """
     try:

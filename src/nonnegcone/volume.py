@@ -353,6 +353,10 @@ def compare_experiment(kind: str, params: dict, N: int,
     if unread:
         raise ValueError(f"{kind} reads only {sorted(_PARAM_KEYS[kind])}, "
                          f"not {unread}")
+    missing = sorted(_PARAM_KEYS[kind] - set(params))
+    if missing:
+        raise ValueError(f"{kind} needs {sorted(_PARAM_KEYS[kind])}, "
+                         f"missing {missing}")
     if kind == "trend":
         n = _whole(params["n"])
         ks = [_whole(k) for k in params["ks"]]

@@ -284,6 +284,15 @@ def test_compare_bad_params(capsys):
     assert code == 2 and doc is None
 
 
+def test_compare_names_missing_params(capsys):
+    # a missing key is named, as an unread one is, not shown as a bare
+    # KeyError repr
+    code, doc, err = run_cli(capsys, "compare", "order",
+                             '{"n_a":1,"n_b":2}', "--samples", "10")
+    assert code == 2 and doc is None
+    assert "order needs ['k', 'n_a', 'n_b'], missing ['k']" in err
+
+
 @pytest.mark.parametrize("kind,params", [
     ("order", '{"n_a":2,"n_b":1,"k":2}'),
     ("degree", '{"n":1,"k_a":3,"k_b":2}'),

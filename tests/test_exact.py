@@ -587,14 +587,17 @@ def test_polya_szego_random_members():
 @pytest.mark.parametrize("coeffs, member", [
     ([1.0, 1.0, -1e300, 1.0, 1.0], False),     # negative on (1e-150, 1e150)
     ([1.0, 1.0, -2.0 ** 70, 1.0, 1.0], False),
-    ([1e300, -3.0, 1e-300], False),            # negative on (4e299, 3e300)
+    # (1e300 - 3 x + 1e-300 x^2) (1 + x^2), rounded: negative on about
+    # (4e299, 3e300); the quadratic alone the boolean oracle rejects by its
+    # discriminant, with no walk
+    ([1e300, -3.0, 1e300, -3.0, 1e-300], False),
     # (x^2 - 2^-80)^2 and (x^2 - 2^80)^2: a double root at 2^-40 or 2^40, a
     # depth past the settle, where no critical point is negative (degree 4,
     # which the discriminant does not decide)
     ([2.0 ** -160, 0.0, -2.0 ** -79, 0.0, 1.0], True),
     ([2.0 ** 160, 0.0, -2.0 ** 81, 0.0, 1.0], True),
-    # and a dip below zero between roots 2^-40 +- 2^-50
-    ([2.0 ** -80 - 2.0 ** -100, -2.0 ** -39, 1.0], False),
+    # and a dip below zero between roots 2^-40 +- 2^-50, times 1 + x^2
+    ([2.0 ** -80 - 2.0 ** -100, -2.0 ** -39, 1.0, -2.0 ** -39, 1.0], False),
 ])
 def test_deep_walks_settle_at_a_critical_point(coeffs, member):
     # the boolean oracle decides as the walk alone does; refute_halfline
@@ -714,16 +717,17 @@ def test_bernstein2_matches_the_power_form(h):
 @example(b=[[5]])
 @example(b=[[0, 0, 0]])
 @example(b=[[1], [-2 ** 1100], [0]])
-def test_quarters_match_a_fraction_casteljau(b):
-    ks, ku = len(b) - 1, len(b[0]) - 1
-    quarters = exact._quarters(b)
-    assert [q[:2] for q in quarters] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    halves_u = [_casteljau(row) for row in b]
-    for ds, du, q in quarters:
-        cols = [_casteljau(col) for col in zip(*(h[du] for h in halves_u))]
-        want = [_scaled(row, 2 ** (ks + ku))
-                for row in zip(*(c[ds] for c in cols))]
-        assert _all_ints(q) and q == want
+def test_tensor_halves_match_a_fraction_casteljau(b):
+    # a leaf b[j][i] halves along each b[j] in s, and along each i in u
+    for in_s in (True, False):
+        lines = b if in_s else list(zip(*b))
+        halves = [_casteljau(line) for line in lines]
+        scale = 2 ** (len(lines[0]) - 1)
+        for side, got in zip((0, 1), exact._tensor_halves(b, in_s)):
+            want = [_scaled(h[side], scale) for h in halves]
+            if not in_s:
+                want = [list(r) for r in zip(*want)]
+            assert _all_ints(got) and [list(r) for r in got] == want
 
 
 def _certifies_by_levels(q):

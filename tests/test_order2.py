@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nonnegcone import exact, volume
@@ -15,6 +15,7 @@ from nonnegcone.core import Polynomial
 from nonnegcone.exact import (RationalPolynomial, is_nonneg_on_halfline,
                               is_order2_member, order2_counterexample)
 from nonnegcone.membership import Refuted, SearchConfig, refute
+from test_acceptance import _sympy_order2_member
 
 
 def _image(coeffs, x, y, a):
@@ -163,6 +164,47 @@ def test_a_wrong_h_point_raises(coeffs):
             order2_counterexample(Polynomial(coeffs))
 
 
+# a row whose p', odd or even part, of degree 3, has both ends positive and
+# a positive discriminant, so that it is the condition that fails, with the
+# matrix order2_counterexample gives for it
+DISCRIMINANT_REJECTED = [
+    ("p'", [1, 1, -3, -4, 2], [(8, 7), (1, 7), (9, 14)]),
+    ("odd", [4, 4, -1, -4, 3, -3, 3, 1], [(1, 1), (-15, 16), (1, 32)]),
+    ("even", [1, 3, -4, 4, 2], [(55, 96), (-1705, 3072),
+                                (21667439307, 3918989363648)]),
+]
+
+
+@pytest.mark.parametrize("cond, coeffs, matrix", DISCRIMINANT_REJECTED)
+def test_discriminant_rejections_isolate_nothing(cond, coeffs, matrix):
+    # the yes/no answers need no point, so no root isolation runs; the
+    # counterexample still isolates the condition's point
+    c = exact._integer_coeffs(coeffs)
+    f = {"p'": exact._deriv(c), "odd": c[1::2], "even": c[0::2]}[cond]
+    with mock.patch.object(exact, "_isolate",
+                           side_effect=AssertionError("isolated")):
+        assert is_order2_member(Polynomial(coeffs)) is False
+        assert is_nonneg_on_halfline(RationalPolynomial(f)) is False
+    assert exact._order2_failure(Polynomial(coeffs), settle=False)[1][0] \
+        == cond
+    found = order2_counterexample(Polynomial(coeffs))
+    assert found == tuple(Fraction(*v) for v in matrix)
+    _assert_counterexample(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1, -1, 1, 1], [1, 1, -2, 1, 1]])
+def test_h_members_proved_by_halves_in_x(coeffs):
+    # H of these members, L_2 among them, has a negative Bernstein
+    # coefficient that halving in s (that is, x) removes: no leaf is halved
+    # in u, and the cylindrical decomposition never runs
+    with mock.patch.object(exact, "_tensor_halves",
+                           wraps=exact._tensor_halves) as spy, \
+            mock.patch.object(exact, "_h_cells",
+                              side_effect=AssertionError("cells")):
+        assert is_order2_member(Polynomial(coeffs)) is True
+    assert spy.call_count and all(call.args[1] for call in spy.call_args_list)
+
+
 def test_non_finite_coefficients_are_rejected():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -246,3 +288,70 @@ def test_sign_of_p0_stands_for_the_halfline_test_of_p(coeffs):
     assert (failed is not None and failed[0] == "p") == (coeffs[0] < 0)
     if not member:
         _assert_counterexample(coeffs)
+
+
+@st.composite
+def _int_rows(draw):
+    """(coeffs, small): an integer row of degree 2 to 8, lowest degree
+    first, and whether sympy decides it quickly. Either small entries with
+    zeros, mostly positive; or a row whose p' or even part (the conditions
+    with an interior minimum) has a double positive root a / b, or two
+    roots a / b and a / b + 2^-e / b, times a positive factor. Its roots
+    may be moved by 2^80 or 2^-80 (c_i 2^(80 (k - i)) or c_i 2^(80 i)), and
+    its coefficients scaled by 2^80 or 2^-80, as Fractions."""
+    kind = draw(st.sampled_from(["small", "p'", "even"]))
+    entry = st.integers(0, 4)
+    if kind == "small":
+        c = draw(st.lists(st.integers(-3, 6), min_size=3, max_size=9))
+    else:
+        a, b = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+        e = draw(st.sampled_from([0, 8, 20, 40]))
+        f = exact._mul(exact._mul([-a, b], [-(a << e) - (e > 0), b << e]),
+                       [1 + draw(entry)] + draw(st.lists(entry, max_size=2)))
+        if kind == "even":
+            odd = draw(st.lists(entry, min_size=len(f) - 1,
+                                max_size=len(f) - 1))
+            c = [v for pair in zip(f, odd) for v in pair] + [f[-1]]
+        else:                           # p = c_0 + int_0^x f, times lcm
+            lcm = math.lcm(*range(1, len(f) + 1))
+            c = [draw(entry) * lcm] + [v * lcm // (i + 1)
+                                       for i, v in enumerate(f)]
+    while c and c[-1] == 0:
+        c.pop()
+    assume(len(c) >= 3)
+    k = len(c) - 1
+    move = draw(st.sampled_from([0, 80, -80]))
+    if move:
+        c = [v << (move * i if move > 0 else -move * (k - i))
+             for i, v in enumerate(c)]
+    scale = draw(st.sampled_from([1, Fraction(1, 2 ** 80), 2 ** 80]))
+    small = kind == "small" and k <= 4 and move == 0
+    return [Fraction(v * scale) for v in c], small
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(row=_int_rows())
+@example(row=([1, 1, -2, 1, 1], True))         # L_2, on the cone's boundary
+@example(row=([0, 1, 0, -2, 4, 4], False))     # rejected by H alone
+@example(row=([4, -4, 1], True))               # (x - 2)^2
+@example(row=([4, 4, -1, -4, 3, -3, 3, 1], False))  # rejected by odd
+def test_yes_no_decision_matches_the_counterexample(row):
+    # the yes/no decision is order2_counterexample's, None exactly where
+    # that raises Order2Undecided, and every matrix it gives has a negative
+    # entry in p(A), re-checked in Fractions; small rows agree with sympy
+    coeffs, small = row
+    p = RationalPolynomial(coeffs)
+    member = is_order2_member(p)
+    try:
+        found = order2_counterexample(p)
+    except exact.Order2Undecided:
+        assert member is None
+        return
+    assert member is (found is None)
+    if found is not None:
+        A, image = _image(coeffs, *found)
+        x, y, _ = found
+        assert x > abs(y) and min(map(min, A)) > 0
+        assert min(map(min, image)) < 0
+    if small:
+        assert member == _sympy_order2_member(coeffs)
