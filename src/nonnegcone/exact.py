@@ -23,9 +23,10 @@ For n = 2, is_order2_member reduces membership, through the eigenvalues of
 question on two variables, decided in integers by a tensor Bernstein
 certificate and, where that leaves it open, a cylindrical decomposition
 whose cells come from the same root isolation; every rejection comes with a
-rational positive matrix whose image has a negative entry
-(order2_counterexample). Volume estimates and the maxt and slice thresholds
-use it; check still searches at n = 2 (see membership).
+nonnegative rational matrix, in closed form at the failed condition's point,
+whose image has a negative entry (order2_counterexample). Volume estimates
+and the maxt and slice thresholds use it; check still searches at n = 2
+(see membership).
 
 For n >= 3 no decision is known; loewy_certificate proves members from the
 Loewy polynomial L_n = 1 + ... + x^(n-1) - 2 x^n + x^(n+1) + ... + x^(2n),
@@ -765,78 +766,70 @@ def _order2_h_point(h: list[list[int]]) -> Optional[tuple[Fraction, Fraction]]:
     return found or _h_cells(h)
 
 
-def _matrix_point(c: list[int], x: Fraction,
-                  y: Fraction) -> Optional[Fraction]:
-    """a for which A = [[a, 1], [a (x + y - a) - x y, x + y - a]], positive
-    with eigenvalues x > |y|, has a negative entry in p(A), when D(x, y) < 0
-    or the (0, 0) entry p(y) + D (a - y) is negative at a = max(0, y);
-    otherwise None. The signs are found in integers."""
-    k = len(c) - 1
-    xq, yq = x.denominator, y.denominator
-    sx = _scaled_value(c, x.numerator, xq)       # xq^k p(x)
-    sy = _scaled_value(c, y.numerator, yq)
-    xd, yd = xq ** k, yq ** k
-    falls = sx * yd < sy * xd                     # D < 0
-    low = sy if y >= 0 else (x.numerator * sy * xd * yq
-                             - y.numerator * sx * yd * xq)
-    if not falls and low >= 0:
-        return None
-    px, py = Fraction(sx, xd), Fraction(sy, yd)
-    d = (px - py) / (x - y)
-    lo, hi = max(Fraction(0), y), min(x, x + y)
-    if d < 0:
-        return (lo + hi) / 2
-    e = py + d * (lo - y)
-    return lo + min((hi - lo) / 2, -e / (2 * d)) if d else (lo + hi) / 2
+def _image(c: Sequence[int], a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """p(A) for p's integer coefficients c and a 2 x 2 matrix A, by Horner."""
+    (a00, a01), (a10, a11) = a
+    p = [[Fraction(0)] * 2 for _ in range(2)]
+    for v in reversed(c):
+        (p00, p01), (p10, p11) = p
+        p = [[p00 * a00 + p01 * a10 + v, p00 * a01 + p01 * a11],
+             [p10 * a00 + p11 * a10, p10 * a01 + p11 * a11 + v]]
+    return p
 
 
 def order2_counterexample(
         p: Union[Polynomial, RationalPolynomial]
-) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-    """Rationals (x, y, a), x > |y|, y < a < x and 0 < a < x + y, for which
-    the positive matrix [[a, 1], [a (x + y - a) - x y, x + y - a]], with
-    eigenvalues x and y, has a negative entry in p(A) exactly; None when p
-    is in the order-2 cone.
+) -> Optional[tuple[list[list[Fraction]], int, int]]:
+    """(A, i, j): a nonnegative 2 x 2 matrix of Fractions with p(A)[i][j] < 0
+    exactly; None when p is in the order-2 cone.
 
     Decided on integer coefficients by the conditions above: the sign of
     c_0, p' and the odd and even parts by the half-line oracle, then H. A
-    failed condition gives a negative value at a point of the closed region,
-    and a sequence of interior points converging to it ends at a negative
-    entry, since the entries are continuous. Raises ValueError for a
-    coefficient that is not finite, and Order2Undecided when H has a
-    repeated factor in u; the point H gives is re-checked exactly first,
-    and ArithmeticError means the decision is wrong.
+    is built at the failed condition's point:
+      - c_0 < 0: A = 0, entry (0, 0), as p(0) = c_0 I;
+      - p'(t) < 0: A = t I + N = [[t, 1], [0, t]], entry (0, 1), as
+        p(t I + N) = p(t) I + p'(t) N;
+      - odd(z) < 0 or even(z) < 0: A = [[0, 1], [z, 0]], entry (0, 1) or
+        (0, 0), as A^2 = z I makes p(A) = even(z) I + odd(z) A;
+      - H(x, u) < 0: A = [[0, 1], [u x^2, x (1 - u)]], entry (0, 0). A has
+        eigenvalues x and y = -u x, so that entry is
+        (x p(y) - y p(x)) / (x - y), H times the factors that _order2_h
+        strips. They vanish on the edges x = 0, u = 0 and u = 1, so a point
+        there is stepped inward until the entry is negative, as it is near
+        the point, H being continuous.
+    Raises ValueError for a coefficient that is not finite, and
+    Order2Undecided when H has a repeated factor in u. The point H gives,
+    and A, are re-checked exactly; ArithmeticError means the decision is
+    wrong.
     """
     c, failed = _order2_failure(p, settle=False)
     if failed is None:
         return None
     cond, point = failed
-    if cond != "H":
-        point = Fraction(*point)
+    zero, one = Fraction(0), Fraction(1)
+    if cond == "H":
 
-    def near(points):
-        for x, y in points:
-            a = _matrix_point(c, x, y)
-            if a is not None:
-                return x, y, a
-
-    if cond == "p":                             # (i): a -> y = 0
-        return near([(point + 1, point)])
-    if cond == "p'":                            # (ii): D -> p'(t)
-        return near((point + Fraction(max(point, 1)) / (1 << j), point)
-                    for j in itertools.count())
-    if cond != "H":         # (ii), u = 1 edge: (x, -x), x^2 = z, from x > |y|
-        n, d = point.numerator * point.denominator, point.denominator
-        return near((Fraction(r, d << j), Fraction(r * (1 - (1 << j)),
-                                                   d << (2 * j)))
-                    for j in itertools.count(1)
-                    for r in [math.isqrt(n << (2 * j))])
-    x0, u0 = point                              # (iii): a -> 0, y = -u x
-
-    def inward(j):
-        x = x0 or Fraction(1, 1 << j)
-        return x, -x * (u0 + (Fraction(1, 2) - u0) / (1 << j))
-    return near(map(inward, itertools.count(1)))
+        def at(x, u):
+            return [[zero, one], [u * x * x, x * (1 - u)]]
+        x, u = point
+        if not (x and 0 < u < 1):
+            x0, u0 = point
+            for e in itertools.count(1):
+                x = x0 or Fraction(1, 1 << e)
+                u = u0 + (Fraction(1, 2) - u0) / (1 << e)
+                if _image(c, at(x, u))[0][0] < 0:
+                    break
+        found, i, j = at(x, u), 0, 0
+    else:
+        t = Fraction(*point)
+        found, i, j = {"p": ([[zero, zero], [zero, zero]], 0, 0),
+                       "p'": ([[t, one], [zero, t]], 0, 1),
+                       "odd": ([[zero, one], [t, zero]], 0, 1),
+                       "even": ([[zero, one], [t, zero]], 0, 0)}[cond]
+    if min(map(min, found)) < 0 or _image(c, found)[i][j] >= 0:
+        raise ArithmeticError(f"order2_counterexample: p({found}) has no "
+                              "negative entry")
+    return found, i, j
 
 
 def _order2_failure(p: Union[Polynomial, RationalPolynomial], settle: bool):

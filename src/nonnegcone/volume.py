@@ -359,6 +359,9 @@ def compare_experiment(kind: str, params: dict, N: int,
                          f"missing {missing}")
     if kind == "trend":
         n = _whole(params["n"])
+        if not isinstance(params["ks"], (list, tuple)):
+            raise ValueError("trend needs ks as a list of degrees, got "
+                             f"{params['ks']!r}")
         ks = [_whole(k) for k in params["ks"]]
         if len(ks) < 2 or any(a >= b for a, b in zip(ks, ks[1:])):
             raise ValueError("trend needs at least two strictly increasing "

@@ -85,18 +85,16 @@ def test_acceptance_02_matrix_sharp_threshold():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_order2_maxt_interval_holds_the_threshold(seed):
-    """At n = 2 both ends of a maxt interval are proofs: hi has a rational
-    positive matrix whose image has a negative entry, and sympy, on its
-    own, finds lo inside the cone."""
+    """At n = 2 both ends of a maxt interval are proofs: hi has a
+    nonnegative rational matrix whose image has a negative entry, and
+    sympy, on its own, finds lo inside the cone."""
     lo, hi = max_t(LoewyGeneral(2, 2, 0, 2.0), 2, SearchConfig(seed=seed),
                    t_hi=3.0, width=1e-9)
     assert lo <= 2.0 < hi and hi - lo <= 1e-9
     p_hi = loewy_general(2, 2, 0, hi)
-    x, y, a = order2_counterexample(p_hi)
-    matrix = [[a, Fraction(1)], [a * (x + y - a) - x * y, x + y - a]]
-    assert min(map(min, matrix)) > 0
-    assert min(_power_sum_entry(p_hi.coeffs, matrix, i, j)
-               for i in range(2) for j in range(2)) < 0
+    matrix, i, j = order2_counterexample(p_hi)
+    assert min(map(min, matrix)) >= 0
+    assert _power_sum_entry(p_hi.coeffs, matrix, i, j) < 0
     assert _sympy_order2_member(loewy_general(2, 2, 0, lo).coeffs)
 
 
@@ -314,20 +312,18 @@ def test_acceptance_04_alpha_and_split():
     for alpha in (2, 4):
         assert _sympy_order2_member(alpha_family(2, alpha).coeffs), alpha
     # and the bound is sharp: past it the even part, whose value at 1 is
-    # m - t, dips below 0, and the rational matrix of the rejection has a
-    # negative entry in p(A) by the explicit power sum above
+    # m - t, dips below 0, and the rejection's matrix is the permutation
+    # [[0, 1], [1, 0]], at which entry (0, 0) of p(A) is that value,
+    # negative by the explicit power sum above
     for m in (2, 4, 8, 16, 32):
         coeffs = [1.0] * (2 * m + 1)
         coeffs[m] = -(m + 2.0 ** -10)
         p = Polynomial(coeffs)
         assert is_order2_member(p) is False, m
         assert exact._order2_failure(p, settle=True)[1][0] == "even", m
-        if m <= 4:
-            x, y, a = order2_counterexample(p)
-            matrix = [[a, Fraction(1)], [a * (x + y - a) - x * y, x + y - a]]
-            assert min(map(min, matrix)) > 0, m
-            assert min(_power_sum_entry(coeffs, matrix, i, j)
-                       for i in range(2) for j in range(2)) < 0, m
+        matrix, i, j = order2_counterexample(p)
+        assert (matrix, i, j) == ([[0, 1], [1, 0]], 0, 0), m
+        assert _power_sum_entry(coeffs, matrix, i, j) < 0, m
 
     alphas = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
     cases = [(n, a) for n in (1, 2, 3, 4, 5) for a in alphas]

@@ -293,6 +293,17 @@ def test_compare_names_missing_params(capsys):
     assert "order needs ['k', 'n_a', 'n_b'], missing ['k']" in err
 
 
+@pytest.mark.parametrize("ks", ["5", '"ab"'])
+def test_compare_names_a_ks_that_is_not_a_list(capsys, ks):
+    # ks is named with its value: a number is not iterated, and a string
+    # is not read as a list of its characters
+    code, doc, err = run_cli(capsys, "compare", "trend",
+                             '{"n":1,"ks":%s}' % ks, "--samples", "10")
+    assert code == 2 and doc is None
+    assert f"trend needs ks as a list of degrees, got {json.loads(ks)!r}" \
+        in err
+
+
 @pytest.mark.parametrize("kind,params", [
     ("order", '{"n_a":2,"n_b":1,"k":2}'),
     ("degree", '{"n":1,"k_a":3,"k_b":2}'),

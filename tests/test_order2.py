@@ -15,13 +15,12 @@ from nonnegcone.core import Polynomial
 from nonnegcone.exact import (RationalPolynomial, is_nonneg_on_halfline,
                               is_order2_member, order2_counterexample)
 from nonnegcone.membership import Refuted, SearchConfig, refute
-from test_acceptance import _sympy_order2_member
+from test_acceptance import _power_sum_entry, _sympy_order2_member
 
 
-def _image(coeffs, x, y, a):
-    """A = [[a, 1], [a (x + y - a) - x y, x + y - a]] and p(A), in stdlib
-    Fractions by plain matrix products: nothing from the package."""
-    A = [[a, Fraction(1)], [a * (x + y - a) - x * y, x + y - a]]
+def _image(coeffs, A):
+    """p(A) in stdlib Fractions, summing explicit powers of A by plain
+    matrix products: nothing from the package."""
     power = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     out = [[Fraction(0)] * 2 for _ in range(2)]
     for c in coeffs:
@@ -29,19 +28,16 @@ def _image(coeffs, x, y, a):
                for i in range(2)]
         power = [[sum(power[i][k] * A[k][j] for k in range(2))
                   for j in range(2)] for i in range(2)]
-    return A, out
+    return out
 
 
 def _assert_counterexample(coeffs):
-    """The rejection of coeffs comes with a positive rational matrix with
-    eigenvalues x > |y| whose image has a negative entry."""
-    x, y, a = order2_counterexample(Polynomial(coeffs))
-    A, image = _image(coeffs, x, y, a)
-    assert x > abs(y)
-    assert min(map(min, A)) > 0
-    assert A[0][0] + A[1][1] == x + y
-    assert A[0][0] * A[1][1] - A[0][1] * A[1][0] == x * y
-    assert min(map(min, image)) < 0
+    """The rejection of coeffs comes with a nonnegative rational matrix A
+    and an entry (i, j) that is negative in p(A)."""
+    A, i, j = order2_counterexample(Polynomial(coeffs))
+    assert all(isinstance(v, Fraction) and v >= 0 for row in A for v in row)
+    assert _image(coeffs, A)[i][j] < 0
+    return A, i, j
 
 
 def _searched_rows(k: int, total: int, seed: int) -> list:
@@ -166,12 +162,12 @@ def test_a_wrong_h_point_raises(coeffs):
 
 # a row whose p', odd or even part, of degree 3, has both ends positive and
 # a positive discriminant, so that it is the condition that fails, with the
-# matrix order2_counterexample gives for it
+# matrix and entry order2_counterexample gives for it
 DISCRIMINANT_REJECTED = [
-    ("p'", [1, 1, -3, -4, 2], [(8, 7), (1, 7), (9, 14)]),
-    ("odd", [4, 4, -1, -4, 3, -3, 3, 1], [(1, 1), (-15, 16), (1, 32)]),
-    ("even", [1, 3, -4, 4, 2], [(55, 96), (-1705, 3072),
-                                (21667439307, 3918989363648)]),
+    ("p'", [1, 1, -3, -4, 2], ([[(1, 7), (1, 1)], [(0, 1), (1, 7)]], 0, 1)),
+    ("odd", [4, 4, -1, -4, 3, -3, 3, 1],
+     ([[(0, 1), (1, 1)], [(1, 1), (0, 1)]], 0, 1)),
+    ("even", [1, 3, -4, 4, 2], ([[(0, 1), (1, 1)], [(1, 3), (0, 1)]], 0, 0)),
 ]
 
 
@@ -187,9 +183,57 @@ def test_discriminant_rejections_isolate_nothing(cond, coeffs, matrix):
         assert is_nonneg_on_halfline(RationalPolynomial(f)) is False
     assert exact._order2_failure(Polynomial(coeffs), settle=False)[1][0] \
         == cond
-    found = order2_counterexample(Polynomial(coeffs))
-    assert found == tuple(Fraction(*v) for v in matrix)
-    _assert_counterexample(coeffs)
+    rows, i, j = matrix
+    A = [[Fraction(*v) for v in row] for row in rows]
+    assert _assert_counterexample(coeffs) == (A, i, j)
+
+
+def _h_point_of(A):
+    """(x, u) of A = [[0, 1], [u x^2, x (1 - u)]], the matrix of an H
+    rejection: x is the positive root of x^2 - A11 x - A10 = 0."""
+    assert A[0] == [0, 1]
+    disc = A[1][1] ** 2 + 4 * A[1][0]
+    root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+    assert root * root == disc
+    x = (A[1][1] + root) / 2
+    return x, 1 - A[1][1] / x
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-1, 5, 5], [1, 1, -3, -4, 2], [4, 4, -1, -4, 3, -3, 3, 1],
+    [1, 3, -4, 4, 2], H_REJECTED[6]])
+def test_matrix_is_the_closed_form_at_the_failed_point(coeffs):
+    # each condition's matrix sits at the very point the decision found: 0
+    # for c_0 < 0, t I + N for p'(t) < 0, [[0, 1], [z, 0]] for the odd and
+    # even parts at z, and [[0, 1], [u x^2, x (1 - u)]] for an interior
+    # point (x, u) of H
+    cond, point = exact._order2_failure(Polynomial(coeffs), settle=False)[1]
+    zero, one = Fraction(0), Fraction(1)
+    if cond == "H":
+        x, u = point
+        assert x > 0 and 0 < u < 1
+        want = [[zero, one], [u * x * x, x * (1 - u)]], 0, 0
+    else:
+        t = Fraction(*point)
+        want = {"p": ([[zero, zero], [zero, zero]], 0, 0),
+                "p'": ([[t, one], [zero, t]], 0, 1),
+                "odd": ([[zero, one], [t, zero]], 0, 1),
+                "even": ([[zero, one], [t, zero]], 0, 0)}[cond]
+    assert _assert_counterexample(coeffs) == want
+
+
+@pytest.mark.parametrize("coeffs", H_REJECTED[:6])
+def test_h_edge_points_step_inside(coeffs):
+    # these rows fail H on its u = 0 edge, where the factors _order2_h
+    # strips vanish and the matrix at the point itself has no negative
+    # entry: the matrix is taken at a point stepped inward, x > 0 and
+    # 0 < u < 1
+    cond, (x0, u0) = exact._order2_failure(Polynomial(coeffs),
+                                           settle=False)[1]
+    assert cond == "H" and u0 == 0
+    A, i, j = _assert_counterexample(coeffs)
+    x, u = _h_point_of(A)
+    assert (i, j) == (0, 0) and x > 0 and 0 < u < 1
 
 
 @pytest.mark.parametrize("coeffs", [[1, 1, -1, 1, 1], [1, 1, -2, 1, 1]])
@@ -337,8 +381,9 @@ def _int_rows(draw):
 @example(row=([4, 4, -1, -4, 3, -3, 3, 1], False))  # rejected by odd
 def test_yes_no_decision_matches_the_counterexample(row):
     # the yes/no decision is order2_counterexample's, None exactly where
-    # that raises Order2Undecided, and every matrix it gives has a negative
-    # entry in p(A), re-checked in Fractions; small rows agree with sympy
+    # that raises Order2Undecided, and every matrix it gives is nonnegative
+    # with a negative entry in p(A), re-checked in Fractions; small rows
+    # agree with sympy
     coeffs, small = row
     p = RationalPolynomial(coeffs)
     member = is_order2_member(p)
@@ -349,9 +394,8 @@ def test_yes_no_decision_matches_the_counterexample(row):
         return
     assert member is (found is None)
     if found is not None:
-        A, image = _image(coeffs, *found)
-        x, y, _ = found
-        assert x > abs(y) and min(map(min, A)) > 0
-        assert min(map(min, image)) < 0
+        A, i, j = found
+        assert min(map(min, A)) >= 0
+        assert _power_sum_entry(coeffs, A, i, j) < 0
     if small:
         assert member == _sympy_order2_member(coeffs)
