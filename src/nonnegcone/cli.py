@@ -50,7 +50,7 @@ from .membership import (
     max_t,
     refute,
     trace_slice,
-    verdict_to_json,
+    verdict_to_json_dict,
 )
 from .volume import (
     compare_experiment,
@@ -62,7 +62,7 @@ from .volume import (
 ENV_SEED = "NONNEG_CONE_SEED"
 # the options that subcommands share, in run_config order; each subcommand
 # defines only those it reads
-_OPTIONS = ("seed", "restarts", "samples", "tol", "out")
+_OPTIONS = ("seed", "restarts", "samples", "out")
 
 
 def _resolve_seed(arg_seed: Optional[int]) -> int:
@@ -92,7 +92,7 @@ def _run_config(args: argparse.Namespace, command: str, params: dict) -> dict:
 
 def _search_config(rc: dict, max_iters: int = 200) -> SearchConfig:
     return SearchConfig(restarts=rc["restarts"], max_iters=max_iters,
-                        confirm_tol=rc["tol"], seed=rc["seed"])
+                        seed=rc["seed"])
 
 
 def _parse_json_arg(text: str, what: str):
@@ -212,7 +212,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdict = refute(p, args.n, cfg)
     payload = {
         "necessary_condition_failures": flags,
-        "verdict": json.loads(verdict_to_json(verdict, cfg)),
+        "verdict": verdict_to_json_dict(verdict, cfg),
     }
     _emit(payload, rc)
     return 1 if isinstance(verdict, Refuted) else 0
@@ -248,16 +248,15 @@ def cmd_maxt(args: argparse.Namespace) -> int:
 def cmd_volume(args: argparse.Namespace) -> int:
     rc = _run_config(args, "volume",
                      {"n": args.n, "k": args.k, "projection": args.projection,
-                      "c_cap": args.c_cap, "z": args.z})
+                      "c_cap": args.c_cap})
     cfg = _search_config(rc, max_iters=120)
     if args.projection:
         if args.k < 2 * args.n:
             raise _InputError("--projection needs --k >= 2 n")
         est = estimate_projection_fraction(args.n, args.k, rc["samples"], cfg,
-                                           c_cap=args.c_cap, z=args.z)
+                                           c_cap=args.c_cap)
     else:
-        est = estimate_cone_fraction(args.n, args.k, rc["samples"], cfg,
-                                     z=args.z)
+        est = estimate_cone_fraction(args.n, args.k, rc["samples"], cfg)
     extra = {}
     if rc["out"]:
         extra[os.path.splitext(rc["out"])[0] + ".csv"] = estimates_csv([est])
@@ -373,24 +372,18 @@ _POS_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _NONNEG_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POS_FLOAT = _checked(float, lambda v: 0.0 < v < math.inf,
                       "a finite number > 0")
-_NONNEG_FLOAT = _checked(float, lambda v: 0.0 <= v < math.inf,
-                         "a finite number >= 0")
-_Z_LEVEL = _checked(float, lambda v: 0.0 < v and v * v < math.inf,
-                    "a number > 0 whose square is finite")
 
 
 def _add_options(sp: argparse.ArgumentParser, restarts: Optional[int] = None,
                  samples: bool = False) -> None:
-    """--out; given a restarts default, the search options --seed,
-    --restarts and --tol; with samples, --samples."""
+    """--out; given a restarts default, the search options --seed and
+    --restarts; with samples, --samples."""
     if restarts is not None:
         sp.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (fallback: ${ENV_SEED}, then 0)")
         sp.add_argument("--restarts", type=_POS_INT, default=restarts,
                         help="search restarts per membership query "
                              "(default: %(default)s)")
-        sp.add_argument("--tol", type=_NONNEG_FLOAT, default=1e-9,
-                        help="witness confirmation threshold")
     if samples:
         sp.add_argument("--samples", type=_POS_INT, default=10000,
                         help="Monte Carlo sample count")
@@ -437,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c-cap", type=_POS_FLOAT, default=10.0,
                     help="projection cap: each row is completed with "
                     "16 c_cap x^(k+1), which decides every c <= 16 c_cap")
-    sp.add_argument("--z", type=_Z_LEVEL, default=3.0, help="CI z level")
     _add_options(sp, restarts=20, samples=True)
     sp.set_defaults(fn=cmd_volume)
 

@@ -394,16 +394,11 @@ def _integer_rows(rows: np.ndarray) -> np.ndarray:
     return m.astype(object) << shift.astype(object)
 
 
-def _negative_point(
-        p: Union[Polynomial, RationalPolynomial]) -> Optional[tuple[int, int]]:
-    """(a, b) with b > 0 and p(a / b) < 0 exactly, or None when p >= 0 on
-    [0, infinity), decided on integer coefficients."""
-    return _negative_int(_integer_coeffs(p.coeffs))
-
-
 def _negative_int(c: Sequence[int], settle: bool = False
                   ) -> Union[None, bool, tuple[int, int]]:
-    """_negative_point on integer coefficients, lowest degree first.
+    """(a, b) with b > 0 and p(a / b) < 0 exactly, or None when p >= 0 on
+    [0, infinity), for p with the integer coefficients c, lowest degree
+    first.
 
     settle marks a caller that needs only whether a point exists: a deep
     root isolation may then return another negative point (see _walk), and
@@ -432,11 +427,11 @@ def _negative_int(c: Sequence[int], settle: bool = False
     if len(q) < 5 and q[0] > 0:
         # decided here: a non-member goes to isolation for its point, past
         # the certificate, which cannot prove it, unless the caller needs no
-        # point: a negative coefficient and a positive discriminant prove it
-        # a non-member (_low_degree_member)
+        # point: _low_degree_member has then proved it a non-member by a
+        # negative coefficient and a positive discriminant
         if _low_degree_member(q):
             return None
-        if settle and min(q) < 0 and _discriminant(q) > 0:
+        if settle:
             return True
     elif _bernstein_certifies(q):
         return None
@@ -514,7 +509,7 @@ def refute_halfline(p: RationalPolynomial) -> Optional[Fraction]:
     The witness sign is re-verified in rational arithmetic before return;
     ArithmeticError means the oracle is wrong.
     """
-    point = _negative_point(p)
+    point = _negative_int(_integer_coeffs(p.coeffs))
     if point is None:
         return None
     x = Fraction(*point)

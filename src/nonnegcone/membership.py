@@ -7,8 +7,8 @@ trace_slice); its docstring lists them. The search refutes only: p leaves
 the order-n cone exactly when some positive matrix A has a negative entry
 in p(A), it suffices to scan A = rho * S with S positive row-stochastic
 and rho > 0, and a refutation is reported only after its entry has been
-re-evaluated in exact rational arithmetic. So every Refuted verdict is
-sound; NoRefutationFound is a budget report, not a membership certificate.
+re-evaluated exactly and found below -1e-9 (_CONFIRM_TOL). So every Refuted
+verdict is sound; NoRefutationFound is a budget report, not a certificate.
 
 _search runs that search on a batch, as decide's last stage; refute runs it
 on one polynomial and, with check, keeps the search contract at every
@@ -20,7 +20,6 @@ check only with a no_refutation_found verdict.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -61,7 +60,7 @@ class BadBracket(RuntimeError):
 class NoFloatWitness(ValueError):
     """Raised when p is proved negative on (0, inf) but the float point tried
     gives no witness that confirms: the negative values lie beyond the float
-    range, or are no deeper than confirm_tol."""
+    range, or are no deeper than _CONFIRM_TOL."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +92,14 @@ class Witness:
 # concentrations of the restart start modes before the permutation mode
 _RHO_LOG_RANGE = (-10.0, 10.0)
 _CONCENTRATIONS = (0.05, 0.3, 1.0)
+# the margin below which a witness's exact entry must lie
+_CONFIRM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 50
     max_iters: int = 200
-    confirm_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -110,16 +110,15 @@ class SearchConfig:
         return {
             "restarts": self.restarts,
             "max_iters": self.max_iters,
-            "confirm_tol": self.confirm_tol,
             "seed": self.seed,
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "SearchConfig":
+        """Ignores the confirm_tol key that older artifacts hold."""
         return SearchConfig(
             restarts=int(d["restarts"]),
             max_iters=int(d["max_iters"]),
-            confirm_tol=float(d["confirm_tol"]),
             seed=int(d["seed"]),
         )
 
@@ -145,7 +144,7 @@ class ExactMember:
 Verdict = Union[Refuted, NoRefutationFound, ExactMember]
 
 
-def verdict_to_json(v: Verdict, cfg: SearchConfig) -> str:
+def verdict_to_json_dict(v: Verdict, cfg: SearchConfig) -> dict:
     if isinstance(v, Refuted):
         d = {"kind": "refuted", "witness": v.witness.to_json_dict()}
     elif isinstance(v, NoRefutationFound):
@@ -154,7 +153,7 @@ def verdict_to_json(v: Verdict, cfg: SearchConfig) -> str:
     else:
         d = {"kind": "exact_member"}
     d["config"] = cfg.to_json_dict()
-    return json.dumps(d)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +185,16 @@ def _exact_entry(p: Polynomial, s: np.ndarray, rho: float, i: int, j: int) -> Fr
     return Fraction(acc[j], lcd * step // big)
 
 
-def confirm_witness(p: Polynomial, w: Witness, tol: float) -> bool:
+def confirm_witness(p: Polynomial, w: Witness) -> bool:
     """Fresh exact re-evaluation of the claimed negative entry.
 
-    The claimed value must be finite and below -tol, and rho finite and
-    positive; the exact entry may exceed the claim by at most
+    The claimed value must be finite and below -_CONFIRM_TOL, and rho
+    finite and positive; the exact entry may exceed the claim by at most
     1e-12 * max(1, |claim|). Checks the stochastic normalization as well;
     soundness of the refutation itself only needs rho * s to be a positive
-    matrix and the exact entry to be below -tol.
+    matrix and the exact entry to be below -_CONFIRM_TOL.
     """
-    if not (0.0 < w.rho < np.inf and -np.inf < w.value < -tol):
+    if not (0.0 < w.rho < np.inf and -np.inf < w.value < -_CONFIRM_TOL):
         return False
     s = np.asarray(w.s, dtype=float)
     n = s.shape[0]
@@ -209,7 +208,7 @@ def confirm_witness(p: Polynomial, w: Witness, tol: float) -> bool:
     value = Fraction(w.value)
     if entry > value + Fraction(1, 10**12) * max(1, abs(value)):
         return False
-    return entry < -Fraction(tol)
+    return entry < -Fraction(_CONFIRM_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +244,17 @@ def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _softmax_rows(logits), np.exp(tau)
 
 
-def _witness(p: Polynomial, s: np.ndarray, rho: np.ndarray,
-             cfg: SearchConfig) -> tuple[np.ndarray, Optional[Witness]]:
+def _witness(p: Polynomial, s: np.ndarray,
+             rho: np.ndarray) -> tuple[np.ndarray, Optional[Witness]]:
     """Smallest entry of each p(rho_k s_k) over a stack, with the first
     witness in stack order that confirms exactly. Overflow to inf or NaN is
-    expected here and harmless: NaN is never below -confirm_tol, and
+    expected here and harmless: NaN is never below -_CONFIRM_TOL, and
     confirm_witness rejects -inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         vals, i, j = min_entry(eval_matrix(p, rho[:, None, None] * s))
-    for k in np.flatnonzero(vals < -cfg.confirm_tol):
+    for k in np.flatnonzero(vals < -_CONFIRM_TOL):
         w = Witness(s[k], rho[k], int(i[k]), int(j[k]), float(vals[k]))
-        if confirm_witness(p, w, cfg.confirm_tol):
+        if confirm_witness(p, w):
             return vals, w
     return vals, None
 
@@ -294,8 +293,7 @@ def _deepest_step(f: Callable[[Fraction], Fraction],
     return min((scale / 2 ** k for k in range(64)), key=f)
 
 
-def _monotone_witness(p: Polynomial, n: int,
-                      cfg: SearchConfig) -> Optional[Witness]:
+def _monotone_witness(p: Polynomial, n: int) -> Optional[Witness]:
     """Witness at xI + cJ, J the all-ones matrix, when p(0) < 0 or p
     decreases somewhere on [0, infinity).
 
@@ -320,7 +318,7 @@ def _monotone_witness(p: Polynomial, n: int,
         return None
     s = np.full((1, n, n), float(c / rho))
     np.fill_diagonal(s[0], float((x + c) / rho))
-    return _witness(p, s, np.array([float(rho)]), cfg)[1]
+    return _witness(p, s, np.array([float(rho)]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +492,10 @@ def _search(polys: Sequence[Polynomial], n: int,
     candidates = _probe_candidates(n)
     probes: list[np.ndarray] = []
     out: list[Optional[Verdict]] = []
-    for p, cfg in zip(polys, cfgs):
-        vals, w = _witness(p, *candidates, cfg)
+    for p in polys:
+        vals, w = _witness(p, *candidates)
         if w is None:
-            w = _monotone_witness(p, n, cfg)
+            w = _monotone_witness(p, n)
         probes.append(vals)
         out.append(None if w is None else Refuted(w))
     open_ = [t for t, v in enumerate(out) if v is None]
@@ -508,7 +506,7 @@ def _search(polys: Sequence[Polynomial], n: int,
         rows[r, : len(polys[t].coeffs)] = polys[t].coeffs
     lows = _lockstep(rows, n, [cfgs[t] for t in open_])[1]
     for t, x in zip(open_, lows):
-        vals, w = _witness(polys[t], *_unpack(x, n), cfgs[t])
+        vals, w = _witness(polys[t], *_unpack(x, n))
         # the lowest value seen, ignoring NaN
         best = min([np.inf, *probes[t].tolist(), *vals.tolist()])
         out[t] = Refuted(w) if w is not None else \
@@ -527,15 +525,15 @@ def refute(p: Polynomial, n: int, cfg: SearchConfig) -> Verdict:
     on how the restarts are batched.
     """
     assert n >= 1
-    return _refute_scalar(p, cfg) if n == 1 else _search([p], n, [cfg])[0]
+    return _refute_scalar(p) if n == 1 else _search([p], n, [cfg])[0]
 
 
-def _refute_scalar(p: Polynomial, cfg: SearchConfig) -> Verdict:
+def _refute_scalar(p: Polynomial) -> Verdict:
     q = RationalPolynomial.from_polynomial(p)
     x0 = refute_halfline(q)
     if x0 is None:
         return ExactMember()
-    if not (x0 > 0 and q(x0) < -2 * Fraction(cfg.confirm_tol)):
+    if not (x0 > 0 and q(x0) < -2 * Fraction(_CONFIRM_TOL)):
         # x0 may be 0, which is no positive matrix, or barely negative next
         # to a root on either side: take the deepest positive point x0 +- h,
         # h = max(x0, 1) / 2^k, k < 64; the larger step up on ties
@@ -547,10 +545,10 @@ def _refute_scalar(p: Polynomial, cfg: SearchConfig) -> Verdict:
         w = Witness(np.array([[1.0]]), rho, 0, 0, float(q(Fraction(rho))))
     except OverflowError:
         w = None
-    if w is None or not confirm_witness(p, w, cfg.confirm_tol):
+    if w is None or not confirm_witness(p, w):
         raise NoFloatWitness(
             "p is negative on (0, inf), but no float x tried has p(x) below "
-            "-confirm_tol: its negative values are beyond the float range or "
+            "-1e-9: its negative values are beyond the float range or "
             "too small")
     return Refuted(w)
 

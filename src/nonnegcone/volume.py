@@ -32,7 +32,8 @@ draw each chunk once and run 2-4 once; each order applies only its 1 and 5.
 Only decide's "search_exhausted" rests on a budget rather than a proof (and
 "loewy_cone" on the paper's theorem, not on a check made here). So an
 estimate is labeled Exact when no sample is "search_exhausted", as every
-n = 1 and n = 2 estimate is in practice, and UpperBiased otherwise.
+n = 1 and n = 2 estimate is in practice, and UpperBiased otherwise. Every
+interval is the Wilson interval at z = 3 (_Z), which the JSON names.
 Projection estimates complete each row with 16 c_cap x^(k+1) and run the
 same stages on the completed row, at every n (see _projection_rows).
 """
@@ -53,6 +54,7 @@ from .membership import (DECISION_STAGES, INSIDE_STAGES, SearchConfig,
                          decide, refute)
 
 _CHUNK = 4096
+_Z = 3.0        # the z level of every estimate's Wilson interval
 # the search budget of an estimate given no config
 _DEFAULT_CFG = SearchConfig(restarts=20, max_iters=120)
 _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
@@ -80,7 +82,6 @@ class VolumeEstimate:
     fraction: float
     ci_low: float
     ci_high: float
-    z: float
     bias: str                  # "Exact" or "UpperBiased"
     cfg: SearchConfig
     seed: int
@@ -100,7 +101,7 @@ class VolumeEstimate:
             "n": self.n, "k": self.k, "dim": self.dim,
             "n_samples": self.n_samples, "n_inside": self.n_inside,
             "n_refuted": self.n_refuted, "fraction": self.fraction,
-            "ci_low": self.ci_low, "ci_high": self.ci_high, "z": self.z,
+            "ci_low": self.ci_low, "ci_high": self.ci_high, "z": _Z,
             "bias": self.bias, "seed": self.seed,
             "config": self.cfg.to_json_dict(), "stages": self.stages,
         }
@@ -245,19 +246,17 @@ def _classify_rows(rows: np.ndarray, orders: Sequence[int], k: int,
 
 
 def _estimate(classify: Callable[[np.ndarray, int], Sequence[np.ndarray]],
-              orders: Sequence[int], k: int, N: int, cfg: SearchConfig,
-              z: float) -> list[VolumeEstimate]:
+              orders: Sequence[int], k: int, N: int,
+              cfg: SearchConfig) -> list[VolumeEstimate]:
     """One estimate per order, from the stage counts of classify(rows,
     start_idx), one line of stage codes per order, over the sample chunks."""
-    if not (z > 0.0 and z * z < np.inf):
-        raise ValueError(f"need z > 0 with a finite square, got z = {z}")
     stages = np.zeros((len(orders), len(STAGES)), dtype=np.int64)
     for start, rows in _ball_chunks(k + 1, N, cfg.seed):
         stages += [np.bincount(line, minlength=len(STAGES))
                    for line in classify(rows, start)]
     return [VolumeEstimate(
         n, k, k + 1, N, inside, N - inside, inside / N,
-        *wilson_interval(inside, N, z), z,
+        *wilson_interval(inside, N, _Z),
         "Exact" if counts[_SEARCH_EXHAUSTED] == 0 else "UpperBiased", cfg,
         cfg.seed, dict(zip(STAGES, counts.tolist())))
         for n, inside, counts in zip(
@@ -265,7 +264,7 @@ def _estimate(classify: Callable[[np.ndarray, int], Sequence[np.ndarray]],
 
 
 def _cone_estimates(orders: Sequence[int], k: int, N: int,
-                    cfg: Optional[SearchConfig], z: float) -> list:
+                    cfg: Optional[SearchConfig]) -> list:
     """The cone fractions of estimate_cone_fraction at each order, from one
     pass over their shared samples."""
     if not (min(orders) >= 1 and k >= 0 and N >= 1):
@@ -275,14 +274,14 @@ def _cone_estimates(orders: Sequence[int], k: int, N: int,
         cfg = _DEFAULT_CFG
     return _estimate(
         lambda rows, start: _classify_rows(rows, orders, k, cfg, start),
-        orders, k, N, cfg, z)
+        orders, k, N, cfg)
 
 
 def estimate_cone_fraction(
-        n: int, k: int, N: int, cfg: Optional[SearchConfig] = None,
-        z: float = 3.0) -> VolumeEstimate:
+        n: int, k: int, N: int,
+        cfg: Optional[SearchConfig] = None) -> VolumeEstimate:
     """Fraction of the unit coefficient ball inside the order-n degree-k cone."""
-    return _cone_estimates((n,), k, N, cfg, z)[0]
+    return _cone_estimates((n,), k, N, cfg)[0]
 
 
 def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
@@ -298,7 +297,7 @@ def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
 
 def estimate_projection_fraction(
         n: int, k: int, N: int, cfg: Optional[SearchConfig] = None,
-        c_cap: float = 10.0, z: float = 3.0) -> VolumeEstimate:
+        c_cap: float = 10.0) -> VolumeEstimate:
     """Fraction of the ball whose points v extend to members v + c x^(k+1),
     0 <= c <= 16 c_cap: by upward closure (_projection_rows) a witness at
     c = 16 c_cap refutes every such c. ValueError unless 0 < c_cap < inf,
@@ -313,7 +312,7 @@ def estimate_projection_fraction(
         cfg = _DEFAULT_CFG
     return _estimate(
         lambda rows, start: [_projection_rows(rows, n, k, cfg, start, c_cap)],
-        (n,), k, N, cfg, z)[0]
+        (n,), k, N, cfg)[0]
 
 
 def _separated(a: VolumeEstimate, b: VolumeEstimate) -> bool:
@@ -341,7 +340,7 @@ def compare_experiment(kind: str, params: dict, N: int,
     two orders of "order" classify the shared samples in one pass.
 
     Reports both estimates, the expected inequality direction, whether the
-    observed point estimates follow it, and whether the z-level confidence
+    observed point estimates follow it, and whether the z = 3 confidence
     intervals separate. A direction is never reported as confirmed while
     the intervals overlap.
     """
@@ -377,7 +376,7 @@ def compare_experiment(kind: str, params: dict, N: int,
         n_a, n_b, k = (_whole(params[key]) for key in ("n_a", "n_b", "k"))
         if not n_a < n_b:
             raise ValueError(f"order needs n_a < n_b, got {n_a} and {n_b}")
-        a, b = _cone_estimates((n_a, n_b), k, N, cfg, 3.0)
+        a, b = _cone_estimates((n_a, n_b), k, N, cfg)
         expected = "fraction decreases when the matrix order increases"
     elif kind == "projection":
         n, k = _whole(params["n"]), _whole(params["k"])

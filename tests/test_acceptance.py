@@ -41,7 +41,7 @@ from nonnegcone.membership import (
     max_t,
     refute,
     trace_slice,
-    verdict_to_json,
+    verdict_to_json_dict,
 )
 from nonnegcone.volume import compare_experiment, estimate_cone_fraction
 
@@ -403,12 +403,12 @@ def test_acceptance_08_volume_calibration():
 
     full = volume._estimate(
         inside_where(lambda rows: np.ones(len(rows), bool)),
-        (1,), 3, 100000, cfg, 3.0)[0]
+        (1,), 3, 100000, cfg)[0]
     assert full.fraction == 1.0
 
     orthant = volume._estimate(
         inside_where(lambda rows: (rows >= 0).all(axis=1)),
-        (1,), 3, 100000, cfg, 3.0)[0]
+        (1,), 3, 100000, cfg)[0]
     p = 2.0 ** (-4)
     sigma = np.sqrt(p * (1 - p) / 100000)
     assert abs(orthant.fraction - p) <= 3 * sigma
@@ -471,10 +471,10 @@ def test_acceptance_11_projection_strictness():
 def test_acceptance_12_replayability():
     cfg = SearchConfig(restarts=50, seed=9)
     p = loewy_general(2, 2, 0, 2.1)
-    first = verdict_to_json(refute(p, 2, cfg), cfg)
+    first = json.dumps(verdict_to_json_dict(refute(p, 2, cfg), cfg))
     doc = json.loads(first)
     cfg2 = SearchConfig.from_json_dict(doc["config"])
-    again = verdict_to_json(refute(p, 2, cfg2), cfg2)
+    again = json.dumps(verdict_to_json_dict(refute(p, 2, cfg2), cfg2))
     assert again == first
 
     est = estimate_cone_fraction(1, 2, 2000, SearchConfig(restarts=20, seed=3))

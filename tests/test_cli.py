@@ -13,6 +13,7 @@ from nonnegcone import cli
 from nonnegcone.cli import main
 from nonnegcone.core import Polynomial
 from nonnegcone.families import loewy_general
+from nonnegcone.volume import wilson_interval
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -422,13 +423,13 @@ MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
     ("check", "[0]", "--n", "2"),
     ("check", "[1,1]", "--n", "0"),
     ("check", "[1,1]", "--n", "2", "--restarts", "0"),
-    ("check", "[1,1]", "--n", "1", "--tol", "-1"),
     ("volume", "--n", "1", "--k", "2", "--samples", "0"),
     ("volume", "--n", "1", "--k", "-1"),
     ("volume", "--n", "1", "--k", "1", "--projection"),
+    ("volume", "--n", "1", "--k", "4", "--projection", "--c-cap", "-1"),
+    # --z is not an option: the interval level is the constant volume._Z
     ("volume", "--n", "1", "--k", "2", "--z", "-1"),
     ("volume", "--n", "1", "--k", "2", "--z", "1e200"),
-    ("volume", "--n", "1", "--k", "4", "--projection", "--c-cap", "-1"),
     ("compare", "order", '{"n_a":null,"n_b":2,"k":2}', "--samples", "10"),
     ("compare", "trend", '{"n":1,"ks":5}', "--samples", "10"),
     ("compare", "trend", '{"n":1,"ks":[]}', "--samples", "10"),
@@ -476,23 +477,25 @@ def test_slice_ladder_beyond_float_range_is_a_usage_error(capsys, n):
 # a short call of each subcommand, and the shared options it reads, in
 # run_config order
 SUBCOMMANDS = {
-    "check": (("check", "[1,1]", "--n", "1"),
-              ("seed", "restarts", "tol", "out")),
-    "maxt": (MAXT + ("--width", "0.5"), ("seed", "restarts", "tol", "out")),
+    "check": (("check", "[1,1]", "--n", "1"), ("seed", "restarts", "out")),
+    "maxt": (MAXT + ("--width", "0.5"), ("seed", "restarts", "out")),
     "volume": (("volume", "--n", "1", "--k", "2", "--samples", "50"),
-               ("seed", "restarts", "samples", "tol", "out")),
+               ("seed", "restarts", "samples", "out")),
     "compare": (("compare", "degree", '{"n":1,"k_a":2,"k_b":3}',
                  "--samples", "50"),
-                ("seed", "restarts", "samples", "tol", "out")),
+                ("seed", "restarts", "samples", "out")),
     "slice": (("slice", "[1]", "[1]", "[0,1]", "--n", "1", "--grid", "1"),
-              ("seed", "restarts", "tol", "out")),
+              ("seed", "restarts", "out")),
     "family": (("family", "loewy", "--n", "1", "--m", "1", "--s", "0"),
                ("out",)),
     "decompose": (("decompose", "[1,0,1]"), ("out",)),
     "normalize": (("normalize", "[[1,2],[3,4]]"), ("out",)),
 }
+# a value for each shared option, and for --tol and --z, which no subcommand
+# reads: the witness margin and the interval level are the constants
+# membership._CONFIRM_TOL and volume._Z
 SHARED_OPTIONS = {"seed": "9", "restarts": "3", "samples": "5", "tol": "0.5",
-                  "out": "never.json"}
+                  "z": "2", "out": "never.json"}
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
@@ -508,8 +511,26 @@ def test_run_config_holds_the_options_read(capsys, command):
     for option in SHARED_OPTIONS if option not in read])
 def test_option_not_read_is_rejected(capsys, command, option):
     argv = SUBCOMMANDS[command][0] + (f"--{option}", SHARED_OPTIONS[option])
-    code, out, _ = usage_exit(capsys, *argv)
+    code, out, err = usage_exit(capsys, *argv)
     assert code == 2 and out == ""
+    assert err.startswith("usage:") and \
+        f"unrecognized arguments: --{option}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("volume", "--n", "1", "--k", "2", "--samples", "700", "--seed", "4"),
+    ("volume", "--n", "1", "--k", "4", "--projection", "--samples", "300"),
+    ("compare", "order", '{"n_a":1,"n_b":2,"k":4}', "--samples", "500"),
+], ids=["volume", "volume-projection", "compare-order"])
+def test_estimates_report_the_wilson_interval_at_z_3(capsys, argv):
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 0
+    ests = [doc["estimate"]] if "estimate" in doc else \
+        doc["report"]["estimates"]
+    for e in ests:
+        assert e["z"] == 3.0
+        assert [e["ci_low"], e["ci_high"]] == \
+            list(wilson_interval(e["n_inside"], e["n_samples"], 3.0))
 
 
 def test_parser_reuse_leaks_no_state(capsys, monkeypatch):

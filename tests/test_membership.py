@@ -45,7 +45,7 @@ from nonnegcone.membership import (
     max_t,
     refute,
     trace_slice,
-    verdict_to_json,
+    verdict_to_json_dict,
 )
 
 CFG = SearchConfig(restarts=8, max_iters=150, seed=3)
@@ -59,7 +59,7 @@ def test_refute_scalar_cases():
     v = refute(Polynomial([1.0, -2.1, 1.0]), 1, CFG)
     assert isinstance(v, Refuted)
     w = v.witness
-    assert w.rho > 0 and w.value < -CFG.confirm_tol
+    assert w.rho > 0 and w.value < -membership._CONFIRM_TOL
     q = RationalPolynomial.from_polynomial(Polynomial([1.0, -2.1, 1.0]))
     assert q(Fraction(w.rho)) < 0
     assert isinstance(refute(Polynomial([1.0, -2.0, 1.0]), 1, CFG), ExactMember)
@@ -70,19 +70,19 @@ def test_refute_scalar_cases():
     p = Polynomial([1.0, -2.000000238418579, 1.0])
     v = refute(p, 1, CFG)
     assert isinstance(v, Refuted)
-    assert confirm_witness(p, v.witness, CFG.confirm_tol)
+    assert confirm_witness(p, v.witness)
 
 
 def test_refute_monomial_never():
     v = refute(Polynomial([0.0, 0.0, 0.0, 1.0]), 2, CFG)
     assert isinstance(v, NoRefutationFound)
-    assert v.best >= -CFG.confirm_tol
+    assert v.best >= -membership._CONFIRM_TOL
 
 
 def test_refute_sharp_family():
     v = refute(loewy22(2.1), 2, CFG)
     assert isinstance(v, Refuted)
-    assert confirm_witness(loewy22(2.1), v.witness, CFG.confirm_tol)
+    assert confirm_witness(loewy22(2.1), v.witness)
     v = refute(loewy22(2.0), 2, CFG)
     assert isinstance(v, NoRefutationFound)
 
@@ -98,13 +98,13 @@ def test_decrease_beyond_the_rho_clip_is_refuted():
     assert isinstance(v, Refuted)
     assert v.witness.rho > np.exp(membership._RHO_LOG_RANGE[1])
     assert v.witness.value < -0.03
-    assert confirm_witness(p, v.witness, cfg.confirm_tol)
+    assert confirm_witness(p, v.witness)
 
 
 def test_decrease_beyond_float_range_is_not_a_crash():
     # p' < 0 only beyond x = 5e599, where no float matrix reaches
     p = Polynomial([1.0, 1e300, -1e-300])
-    assert _monotone_witness(p, 2, CFG) is None
+    assert _monotone_witness(p, 2) is None
     assert isinstance(refute(p, 2, SearchConfig(restarts=1)), NoRefutationFound)
 
 
@@ -147,7 +147,7 @@ def test_monotone_certificate_matches_sympy(coeffs, n):
     flags = necessary_conditions(p, n)
     assert (("low_coeff", 0) in flags or ("monotone", None) in flags) == \
         decreasing
-    w = _monotone_witness(p, n, CFG)
+    w = _monotone_witness(p, n)
     assert (w is not None) == decreasing
     if w is not None:
         assert _sympy_entry(coeffs, w) < 0
@@ -160,7 +160,7 @@ def test_large_genuine_witness_is_confirmed():
     # the float value -131132.0 is 3.6e-11 below the exact entry, more than
     # an absolute 1e-12 but well within 1e-12 of the value's size
     p = Polynomial([4, 6, -3, 5, -1, -1])
-    w = _monotone_witness(p, 2, CFG)
+    w = _monotone_witness(p, 2)
     assert w is not None and w.value < -1e5
     assert _sympy_entry([4, 6, -3, 5, -1, -1], w) < 0
 
@@ -189,7 +189,7 @@ def test_every_refuted_witness_confirms(coeffs, n):
         assert n == 1
         return
     if isinstance(v, Refuted):
-        assert confirm_witness(p, v.witness, cfg.confirm_tol)
+        assert confirm_witness(p, v.witness)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -455,26 +455,26 @@ def test_exact_entry_matches_fraction_matrices(case):
 def test_confirm_witness_rejections():
     v = refute(loewy22(2.1), 2, CFG)
     w = v.witness
-    assert confirm_witness(loewy22(2.1), w, CFG.confirm_tol)
+    assert confirm_witness(loewy22(2.1), w)
     # value below the confirmation threshold
     tiny = Witness(w.s, w.rho, w.i, w.j, -1e-15)
-    assert not confirm_witness(Polynomial([1.0]), tiny, 1e-9)
+    assert not confirm_witness(Polynomial([1.0]), tiny)
     # broken row sums
     bad = Witness(w.s * 1.1, w.rho, w.i, w.j, w.value)
-    assert not confirm_witness(loewy22(2.1), bad, CFG.confirm_tol)
+    assert not confirm_witness(loewy22(2.1), bad)
     # nonpositive entries
     s = w.s.copy()
     s[0, 0] = -s[0, 0]
-    assert not confirm_witness(loewy22(2.1), Witness(s, w.rho, w.i, w.j, w.value),
-                               CFG.confirm_tol)
-    # a claimed value that is not a finite number below -tol
+    assert not confirm_witness(loewy22(2.1),
+                               Witness(s, w.rho, w.i, w.j, w.value))
+    # a claimed value that is not a finite number below -_CONFIRM_TOL
     for value in (-w.value, float("nan"), float("-inf")):
-        assert not confirm_witness(loewy22(2.1), Witness(w.s, w.rho, w.i, w.j,
-                                                         value), CFG.confirm_tol)
+        assert not confirm_witness(loewy22(2.1),
+                                   Witness(w.s, w.rho, w.i, w.j, value))
     # rho that is not a finite positive number
     for rho in (float("nan"), float("inf")):
-        assert not confirm_witness(loewy22(2.1), Witness(w.s, rho, w.i, w.j,
-                                                         w.value), CFG.confirm_tol)
+        assert not confirm_witness(loewy22(2.1),
+                                   Witness(w.s, rho, w.i, w.j, w.value))
 
 
 def test_downward_closure_in_t():
@@ -491,7 +491,7 @@ def test_downward_closure_in_t():
         expect = w.value + slope * dt
         assert out[w.i, w.j] == pytest.approx(expect, rel=1e-9, abs=1e-12)
         w2 = Witness(w.s, w.rho, w.i, w.j, out[w.i, w.j])
-        assert confirm_witness(p2, w2, CFG.confirm_tol)
+        assert confirm_witness(p2, w2)
 
 
 def test_monomial_addition_monotonicity():
@@ -515,7 +515,7 @@ def test_scale_equivariance():
     w = v.witness
     for lam in (0.5, 3.0):
         w2 = Witness(w.s, w.rho, w.i, w.j, lam * w.value)
-        assert confirm_witness(p.scale(lam), w2, 0.5 * CFG.confirm_tol)
+        assert confirm_witness(p.scale(lam), w2)
 
 
 def test_agreement_with_exact_oracle_n1():
@@ -594,20 +594,20 @@ def test_trace_slice_degenerate():
 
 def test_witness_and_verdict_json():
     v = refute(loewy22(2.1), 2, CFG)
-    blob = verdict_to_json(v, CFG)
-    import json
-    d = json.loads(blob)
+    d = json.loads(json.dumps(verdict_to_json_dict(v, CFG)))
     assert d["kind"] == "refuted"
     w = Witness.from_json_dict(d["witness"])
-    assert confirm_witness(loewy22(2.1), w, CFG.confirm_tol)
+    assert confirm_witness(loewy22(2.1), w)
     assert d["config"]["seed"] == CFG.seed
-    blob = verdict_to_json(NoRefutationFound(5, 0.25), CFG)
-    assert json.loads(blob)["restarts_used"] == 5
+    d = verdict_to_json_dict(NoRefutationFound(5, 0.25), CFG)
+    assert d["restarts_used"] == 5
 
 
 def test_search_config_roundtrip():
     d = CFG.to_json_dict()
     assert SearchConfig.from_json_dict(d) == CFG
+    # artifacts written when the margin was an option still replay
+    assert SearchConfig.from_json_dict({**d, "confirm_tol": 1e-6}) == CFG
 
 
 def test_random_members_never_refuted():
