@@ -154,6 +154,8 @@ def _family_spec(args: argparse.Namespace) -> FamilySpec:
                 raise _InputError("loewy requires --m and --s")
             return LoewyGeneral(n=args.n, m=args.m, s=args.s, t=args.t)
         if kind == "alpha":
+            if args.m is not None or args.s is not None:
+                raise _InputError("alpha takes neither --m nor --s")
             return Alpha(n=args.n, alpha=args.t)
         if kind == "conjecture":
             if args.m is None or args.s is None:

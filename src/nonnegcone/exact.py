@@ -28,6 +28,9 @@ whose image has a negative entry (order2_counterexample). Volume estimates
 and the maxt and slice thresholds use it; check still searches at n = 2
 (see membership).
 
+_entry, one integer Horner for an entry of p(A) on float, int or Fraction
+values, re-checks every such matrix and confirms every search witness.
+
 For n >= 3 no decision is known; loewy_certificate proves members from the
 Loewy polynomial L_n = 1 + ... + x^(n-1) - 2 x^n + x^(n+1) + ... + x^(2n),
 with a rational (j, a, lam) for which p - lam x^j L_n(a x) has no negative
@@ -761,15 +764,32 @@ def _order2_h_point(h: list[list[int]]) -> Optional[tuple[Fraction, Fraction]]:
     return found or _h_cells(h)
 
 
-def _image(c: Sequence[int], a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """p(A) for p's integer coefficients c and a 2 x 2 matrix A, by Horner."""
-    (a00, a01), (a10, a11) = a
-    p = [[Fraction(0)] * 2 for _ in range(2)]
-    for v in reversed(c):
-        (p00, p01), (p10, p11) = p
-        p = [[p00 * a00 + p01 * a10 + v, p00 * a01 + p01 * a11],
-             [p10 * a00 + p11 * a10, p10 * a01 + p11 * a11 + v]]
-    return p
+def _entry(coeffs: Sequence, a: Sequence, i: int, j: int,
+           scale=1) -> Fraction:
+    """Entry (i, j) of p(scale * A), exactly, for p's coefficients and the
+    square matrix A; every value may be a float, an int or a Fraction.
+
+    Every entry of scale * A is num / den, so the matrix is M / B for one
+    integer matrix M and B the lcm of the denominators, and every
+    coefficient is C_d / L likewise; Horner on the row vector e_i^T then
+    stays in integers, scaling by B at each step. scale is a factor apart
+    so that a search witness rho * s is lifted from its floats, with no
+    Fraction formed per entry.
+    """
+    r_num, r_den = scale.as_integer_ratio()
+    ratios = [[v.as_integer_ratio() for v in row] for row in a]
+    big = math.lcm(*(den for row in ratios for _, den in row))
+    cols = [[r_num * num * (big // den) for num, den in col]
+            for col in zip(*ratios)]
+    big *= r_den
+    coef = [c.as_integer_ratio() for c in coeffs]
+    lcd = math.lcm(*(den for _, den in coef))
+    acc, step = [0] * len(cols), 1
+    for num, den in reversed(coef):
+        acc = [sum(map(mul, acc, col)) for col in cols]
+        acc[i] += num * (lcd // den) * step
+        step *= big
+    return Fraction(acc[j], lcd * step // big)
 
 
 def order2_counterexample(
@@ -812,7 +832,7 @@ def order2_counterexample(
             for e in itertools.count(1):
                 x = x0 or Fraction(1, 1 << e)
                 u = u0 + (Fraction(1, 2) - u0) / (1 << e)
-                if _image(c, at(x, u))[0][0] < 0:
+                if _entry(c, at(x, u), 0, 0) < 0:
                     break
         found, i, j = at(x, u), 0, 0
     else:
@@ -821,7 +841,7 @@ def order2_counterexample(
                        "p'": ([[t, one], [zero, t]], 0, 1),
                        "odd": ([[zero, one], [t, zero]], 0, 1),
                        "even": ([[zero, one], [t, zero]], 0, 0)}[cond]
-    if min(map(min, found)) < 0 or _image(c, found)[i][j] >= 0:
+    if min(map(min, found)) < 0 or _entry(c, found, i, j) >= 0:
         raise ArithmeticError(f"order2_counterexample: p({found}) has no "
                               "negative entry")
     return found, i, j

@@ -7,8 +7,9 @@ trace_slice); its docstring lists them. The search refutes only: p leaves
 the order-n cone exactly when some positive matrix A has a negative entry
 in p(A), it suffices to scan A = rho * S with S positive row-stochastic
 and rho > 0, and a refutation is reported only after its entry has been
-re-evaluated exactly and found below -1e-9 (_CONFIRM_TOL). So every Refuted
-verdict is sound; NoRefutationFound is a budget report, not a certificate.
+re-evaluated exactly, by exact._entry, and found below -1e-9
+(_CONFIRM_TOL). So every Refuted verdict is sound; NoRefutationFound is a
+budget report, not a certificate.
 
 _search runs that search on a batch, as decide's last stage; refute runs it
 on one polynomial and, with check, keeps the search contract at every
@@ -25,14 +26,13 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from typing import (TYPE_CHECKING, Any, Callable, Generator, Optional,
                     Sequence, Union)
 
 import numpy as np
 
 from .core import BeyondFloatRange, Polynomial, eval_matrix, min_entry
-from .exact import (RationalPolynomial, is_nonneg_on_halfline,
+from .exact import (RationalPolynomial, _entry, is_nonneg_on_halfline,
                     is_order2_member, loewy_certificate, refute_halfline)
 
 if TYPE_CHECKING:
@@ -160,31 +160,6 @@ def verdict_to_json_dict(v: Verdict, cfg: SearchConfig) -> dict:
 # exact confirmation
 
 
-def _exact_entry(p: Polynomial, s: np.ndarray, rho: float, i: int, j: int) -> Fraction:
-    """Entry (i, j) of p(rho * s) in exact rational arithmetic.
-
-    Binary floats are exact rationals, so this is a zero-error evaluation of
-    the floating-point matrix the search actually produced. Every entry of
-    rho * s is m / 2^e, so the matrix is M / 2^E for one integer matrix M,
-    and every coefficient is C_d / L for one power of two L; Horner on the
-    row vector e_i^T then stays in integers, scaling by 2^E at each step.
-    """
-    n = s.shape[0]
-    r_num, r_den = float(rho).as_integer_ratio()
-    ratios = [[float(v).as_integer_ratio() for v in row] for row in s]
-    big = max(den for row in ratios for _, den in row) * r_den
-    cols = [[r_num * num * (big // (den * r_den)) for num, den in col]
-            for col in zip(*ratios)]
-    coef = [float(c).as_integer_ratio() for c in p.coeffs]
-    lcd = max(den for _, den in coef)
-    acc, step = [0] * n, 1
-    for num, den in reversed(coef):
-        acc = [sum(map(mul, acc, col)) for col in cols]
-        acc[i] += num * (lcd // den) * step
-        step *= big
-    return Fraction(acc[j], lcd * step // big)
-
-
 def confirm_witness(p: Polynomial, w: Witness) -> bool:
     """Fresh exact re-evaluation of the claimed negative entry.
 
@@ -204,7 +179,7 @@ def confirm_witness(p: Polynomial, w: Witness) -> bool:
         return False
     if np.max(np.abs(s.sum(axis=1) - 1.0)) > 1e-12:
         return False
-    entry = _exact_entry(p, s, w.rho, w.i, w.j)
+    entry = _entry(p.coeffs, s, w.i, w.j, float(w.rho))
     value = Fraction(w.value)
     if entry > value + Fraction(1, 10**12) * max(1, abs(value)):
         return False

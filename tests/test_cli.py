@@ -446,6 +446,9 @@ MAXT = ("maxt", "loewy", "--n", "1", "--m", "1", "--s", "0")
     ("family", "loewy", "--n", "2", "--m", "2", "--s", "0", "--t", "inf"),
     ("family", "alpha", "--n", "2", "--t", "1e308"),
     ("maxt", "alpha", "--n", "2", "--t-hi", "1e300"),
+    # alpha has no center degree or offset to set
+    ("family", "alpha", "--n", "2", "--m", "3"),
+    ("maxt", "alpha", "--n", "2", "--s", "0"),
     ("check", "[1,1e300,-1e-300]", "--n", "1"),
     ("check", "[0,-1,1e300]", "--n", "1"),
     ("check", "[true,false,1]", "--n", "1"),
@@ -463,6 +466,18 @@ def test_hostile_input_is_a_usage_error(capsys, argv):
     code, out, err = usage_exit(capsys, *argv)
     assert code == 2 and out == ""
     assert err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("family", "alpha", "--n", "2", "--m", "7", "--s", "3", "--t", "3"),
+     "--m"),
+    (("family", "alpha", "--n", "2", "--s", "3"), "--s"),
+    (("maxt", "alpha", "--n", "2", "--m", "3"), "--m"),
+])
+def test_alpha_rejects_m_and_s(capsys, argv, flag):
+    code, out, err = usage_exit(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err
 
 
 @pytest.mark.parametrize("n", ["1", "2"])

@@ -1,6 +1,7 @@
 """Refutation search, witness confirmation, bisection utilities."""
 
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -33,7 +34,6 @@ from nonnegcone.membership import (
     NoFloatWitness,
     TraceResult,
     Witness,
-    _exact_entry,
     _lockstep,
     _monotone_witness,
     _probe_candidates,
@@ -413,14 +413,14 @@ def test_probe_stack_is_built_once_and_read_only(n):
     assert again.witness.s.tobytes() == first.s.tobytes()
 
 
-def _fraction_entry(p: Polynomial, s: np.ndarray, rho: float, i: int,
-                    j: int) -> Fraction:
-    """Reference: entry (i, j) of p(rho * s), whole matrices of Fractions."""
-    n = s.shape[0]
-    a = [[Fraction(rho) * Fraction(float(s[r, c])) for c in range(n)]
+def _fraction_entry(coeffs, s, rho, i: int, j: int) -> Fraction:
+    """Reference: entry (i, j) of p(rho * s), whole matrices of Fractions,
+    for float or Fraction values."""
+    n = len(s)
+    a = [[Fraction(rho) * Fraction(s[r][c]) for c in range(n)]
          for r in range(n)]
     acc = [[Fraction(0)] * n for _ in range(n)]
-    for coef in reversed(p.coeffs):
+    for coef in reversed(coeffs):
         acc = [[sum(acc[r][m] * a[m][c] for m in range(n))
                 + (Fraction(coef) if r == c else 0) for c in range(n)]
                for r in range(n)]
@@ -449,7 +449,30 @@ def _entry_cases(draw):
                np.full((3, 3), 2.0 ** -1022), 9.9e299, 2, 0))
 def test_exact_entry_matches_fraction_matrices(case):
     p, s, rho, i, j = case
-    assert _exact_entry(p, s, rho, i, j) == _fraction_entry(p, s, rho, i, j)
+    assert exact._entry(p.coeffs, s, i, j, rho) == \
+        _fraction_entry(p.coeffs, s, rho, i, j)
+
+
+def _fractions(min_value):
+    """Fractions with denominators that are products of odd primes, so no
+    entry is dyadic and the lcm of the denominators is not their maximum."""
+    primes = st.sampled_from([3, 5, 7, 11, 13])
+    return st.builds(lambda num, dens: Fraction(num, math.prod(dens)),
+                     st.integers(min_value, 10 ** 6),
+                     st.lists(primes, min_size=1, max_size=3))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_entry_matches_fraction_matrices_off_the_dyadics(n, data):
+    coeffs = data.draw(st.lists(_fractions(-10 ** 6), min_size=1,
+                                max_size=8))
+    a = data.draw(st.lists(st.lists(_fractions(0), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    scale = data.draw(_fractions(1))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    assert exact._entry(coeffs, a, i, j, scale) == \
+        _fraction_entry(coeffs, a, scale, i, j)
 
 
 def test_confirm_witness_rejections():
@@ -475,6 +498,16 @@ def test_confirm_witness_rejections():
     for rho in (float("nan"), float("inf")):
         assert not confirm_witness(loewy22(2.1),
                                    Witness(w.s, rho, w.i, w.j, w.value))
+    # a claim twice the true value: the exact entry lies above it
+    p = loewy22(2.1)
+    assert w.value == pytest.approx(
+        float(_fraction_entry(p.coeffs, w.s, w.rho, w.i, w.j)))
+    assert not confirm_witness(p, Witness(w.s, w.rho, w.i, w.j, 2 * w.value))
+    # the same claim at an entry of p(rho * s) that is not negative
+    n = w.s.shape[0]
+    i, j = next((i, j) for i in range(n) for j in range(n)
+                if _fraction_entry(p.coeffs, w.s, w.rho, i, j) >= 0)
+    assert not confirm_witness(p, Witness(w.s, w.rho, i, j, w.value))
 
 
 def test_downward_closure_in_t():

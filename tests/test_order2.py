@@ -186,6 +186,10 @@ def test_discriminant_rejections_isolate_nothing(cond, coeffs, matrix):
     rows, i, j = matrix
     A = [[Fraction(*v) for v in row] for row in rows]
     assert _assert_counterexample(coeffs) == (A, i, j)
+    # the package's exact evaluator agrees with the explicit powers
+    image = _image(coeffs, A)
+    assert [[exact._entry(coeffs, A, r, c) for c in range(2)]
+            for r in range(2)] == image
 
 
 def _h_point_of(A):
