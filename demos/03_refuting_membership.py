@@ -1,11 +1,12 @@
 """Refuting cone membership for matrix order n >= 2.
 
-There is no known finite decision procedure once n >= 2, so the
-laboratory searches: deterministic probe matrices first, then
-Nelder-Mead over (row logits, log rho) from seeded restarts. A witness
-only counts after exact rational confirmation, so a Refuted verdict is
-a proof about the polynomial, while NoRefutationFound only reports a
-search budget.
+Order 2 has an exact decision, exact.is_order2_member, which maxt and
+volume use; no finite decision procedure is known once n >= 3. refute
+keeps the search at every n >= 2, as check does: deterministic probe
+matrices first, then Nelder-Mead over (row logits, log rho) from seeded
+restarts. A witness only counts after exact rational confirmation, so a
+Refuted verdict is a proof about the polynomial, while NoRefutationFound
+only reports a search budget.
 """
 
 import numpy as np

@@ -1,10 +1,12 @@
 """How big is the cone? Monte Carlo fractions of the coefficient ball.
 
 Samples are drawn uniformly in the unit ball of coefficient space and
-classified by the membership machinery. For n = 1 every classification
-is exact; for n >= 2 unrefuted samples count as inside, so the fraction
-is an upper estimate and is labeled as such. Seeded substreams make
-every number here reproducible bit for bit.
+classified by the membership machinery. For n = 1 and n = 2 the
+classification is exact (the half-line oracle, then the order-2
+decision), save a rare order-2 row that it leaves to the search. A
+sample that exhausts its search budget counts as inside, and an
+estimate with such a sample is labeled UpperBiased.
+Seeded substreams make every number here reproducible bit for bit.
 """
 
 from nonnegcone import (

@@ -19,7 +19,8 @@ import json
 import math
 import os
 import sys
-from functools import lru_cache
+from dataclasses import replace
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,16 +33,19 @@ from .exact import (
     polya_szego_decompose,
 )
 from .families import (
+    MAX_DEGREE,
     Alpha,
     ConjectureGap,
     FamilySpec,
     InvalidSpec,
     LoewyGeneral,
     build,
+    family_with_t,
     necessary_conditions,
     spec_to_json_dict,
 )
 from .membership import (
+    MAX_ORDER,
     BadBracket,
     NoFloatWitness,
     NoUpperRefutation,
@@ -53,46 +57,30 @@ from .membership import (
     verdict_to_json_dict,
 )
 from .volume import (
+    _DEFAULT_CFG,
     compare_experiment,
     estimate_cone_fraction,
     estimate_projection_fraction,
     estimates_csv,
 )
 
-ENV_SEED = "NONNEG_CONE_SEED"
 # the options that subcommands share, in run_config order; each subcommand
 # defines only those it reads
 _OPTIONS = ("seed", "restarts", "samples", "out")
 
 
-def _resolve_seed(arg_seed: Optional[int]) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _InputError(f"{ENV_SEED} is not an integer: {env!r}")
-    return 0
-
-
 def _run_config(args: argparse.Namespace, command: str, params: dict) -> dict:
     """Everything needed to replay a command, echoed into every artifact:
-    the command, the shared options it defines, the seed resolved, and
-    params."""
+    the command, the shared options it defines, and params."""
     given = vars(args)
-    rc = {"command": command,
-          **{name: given[name] for name in _OPTIONS if name in given},
-          "params": params}
-    if "seed" in rc:
-        rc["seed"] = _resolve_seed(rc["seed"])
-    return rc
+    return {"command": command,
+            **{name: given[name] for name in _OPTIONS if name in given},
+            "params": params}
 
 
-def _search_config(rc: dict, max_iters: int = 200) -> SearchConfig:
-    return SearchConfig(restarts=rc["restarts"], max_iters=max_iters,
-                        seed=rc["seed"])
+def _search_config(args: argparse.Namespace) -> SearchConfig:
+    """The subcommand's search budget with the --restarts and --seed given."""
+    return replace(args.budget, restarts=args.restarts, seed=args.seed)
 
 
 def _parse_json_arg(text: str, what: str):
@@ -208,7 +196,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if p.is_zero():
         raise _InputError("check needs a nonzero polynomial")
     rc = _run_config(args, "check", {"poly": list(p.coeffs), "n": args.n})
-    cfg = _search_config(rc)
+    cfg = _search_config(args)
     flags = [{"kind": kind, "degree": deg}
              for kind, deg in necessary_conditions(p, args.n)]
     verdict = refute(p, args.n, cfg)
@@ -225,11 +213,11 @@ def cmd_maxt(args: argparse.Namespace) -> int:
     rc = _run_config(args, "maxt",
                      {"family": spec_to_json_dict(spec), "t_hi": args.t_hi,
                       "width": args.width, "n": spec.n})
-    cfg = _search_config(rc)
+    cfg = _search_config(args)
     probes: list = []
     try:
-        lo, hi = max_t(spec, spec.n, cfg, t_hi=args.t_hi, width=args.width,
-                       probe_log=probes)
+        lo, hi = max_t(partial(family_with_t, spec), spec.n, cfg,
+                       t_hi=args.t_hi, width=args.width, probe_log=probes)
     except NoUpperRefutation as e:
         _emit({"error": "no_upper_refutation", "detail": str(e)}, rc)
         return 1
@@ -251,7 +239,7 @@ def cmd_volume(args: argparse.Namespace) -> int:
     rc = _run_config(args, "volume",
                      {"n": args.n, "k": args.k, "projection": args.projection,
                       "c_cap": args.c_cap})
-    cfg = _search_config(rc, max_iters=120)
+    cfg = _search_config(args)
     if args.projection:
         if args.k < 2 * args.n:
             raise _InputError("--projection needs --k >= 2 n")
@@ -271,7 +259,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not isinstance(params, dict):
         raise _InputError("experiment parameters must be a JSON object")
     rc = _run_config(args, "compare", {"kind": args.kind, **params})
-    cfg = _search_config(rc, max_iters=120)
+    cfg = _search_config(args)
     try:
         report = compare_experiment(args.kind, params, rc["samples"], cfg)
     except (KeyError, ValueError, TypeError) as e:
@@ -287,7 +275,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
     rc = _run_config(args, "slice",
                      {"p": list(p.coeffs), "q": list(q.coeffs),
                       "u": list(u.coeffs), "n": args.n, "grid": args.grid})
-    cfg = _search_config(rc)
+    cfg = _search_config(args)
     try:
         tr = trace_slice(p, q, u, args.n, args.grid, cfg)
     except BadBracket as e:
@@ -371,21 +359,27 @@ def _checked(conv: Callable, ok: Callable, what: str) -> Callable:
 
 
 _POS_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_NONNEG_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+# the bounds that keep a probe stack and a sample chunk within memory
+_ORDER = _checked(int, lambda v: 1 <= v <= MAX_ORDER,
+                  f"an integer from 1 to {MAX_ORDER}")
+_DEGREE = _checked(int, lambda v: 0 <= v <= MAX_DEGREE,
+                   f"an integer from 0 to {MAX_DEGREE}")
 _POS_FLOAT = _checked(float, lambda v: 0.0 < v < math.inf,
                       "a finite number > 0")
 
 
-def _add_options(sp: argparse.ArgumentParser, restarts: Optional[int] = None,
+def _add_options(sp: argparse.ArgumentParser,
+                 budget: Optional[SearchConfig] = None,
                  samples: bool = False) -> None:
-    """--out; given a restarts default, the search options --seed and
-    --restarts; with samples, --samples."""
-    if restarts is not None:
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (fallback: ${ENV_SEED}, then 0)")
-        sp.add_argument("--restarts", type=_POS_INT, default=restarts,
+    """--out; given a search budget, the search options --seed and
+    --restarts, which default to the budget's; with samples, --samples."""
+    if budget is not None:
+        sp.add_argument("--seed", type=int, default=budget.seed,
+                        help="RNG seed (default: %(default)s)")
+        sp.add_argument("--restarts", type=_POS_INT, default=budget.restarts,
                         help="search restarts per membership query "
                              "(default: %(default)s)")
+        sp.set_defaults(budget=budget)
     if samples:
         sp.add_argument("--samples", type=_POS_INT, default=10000,
                         help="Monte Carlo sample count")
@@ -395,7 +389,7 @@ def _add_options(sp: argparse.ArgumentParser, restarts: Optional[int] = None,
 
 def _add_family_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("kind", choices=["loewy", "alpha", "conjecture"])
-    sp.add_argument("--n", type=_POS_INT, required=True, help="matrix order")
+    sp.add_argument("--n", type=_ORDER, required=True, help="matrix order")
     sp.add_argument("--m", type=int, default=None, help="center degree")
     sp.add_argument("--s", type=int, default=None, help="offset")
 
@@ -409,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="test one polynomial for membership")
     sp.add_argument("poly", help="JSON coefficient array or @file")
-    sp.add_argument("--n", type=_POS_INT, required=True, help="matrix order")
-    _add_options(sp, restarts=50)
+    sp.add_argument("--n", type=_ORDER, required=True, help="matrix order")
+    _add_options(sp, SearchConfig())
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("maxt", help="bisect the largest safe family weight")
@@ -419,37 +413,37 @@ def build_parser() -> argparse.ArgumentParser:
                     help="upper end of the bisection bracket")
     sp.add_argument("--width", type=_POS_FLOAT, default=0.01,
                     help="target bracket width")
-    _add_options(sp, restarts=50)
+    _add_options(sp, SearchConfig())
     # t comes from the bisection; the spec is built at the default weight
     sp.set_defaults(fn=cmd_maxt, t=2.0)
 
     sp = sub.add_parser("volume", help="Monte Carlo cone fraction of the ball")
-    sp.add_argument("--n", type=_POS_INT, required=True, help="matrix order")
-    sp.add_argument("--k", type=_NONNEG_INT, required=True,
+    sp.add_argument("--n", type=_ORDER, required=True, help="matrix order")
+    sp.add_argument("--k", type=_DEGREE, required=True,
                     help="degree bound")
     sp.add_argument("--projection", action="store_true",
                     help="measure the one-degree-down projection instead")
     sp.add_argument("--c-cap", type=_POS_FLOAT, default=10.0,
                     help="projection cap: each row is completed with "
                     "16 c_cap x^(k+1), which decides every c <= 16 c_cap")
-    _add_options(sp, restarts=20, samples=True)
+    _add_options(sp, _DEFAULT_CFG, samples=True)
     sp.set_defaults(fn=cmd_volume)
 
     sp = sub.add_parser("compare", help="paired fraction experiments")
     sp.add_argument("kind", choices=["order", "projection", "degree", "trend"])
     sp.add_argument("params", help="JSON parameter object, e.g. "
                     '\'{"n_a":1,"n_b":2,"k":4}\'')
-    _add_options(sp, restarts=20, samples=True)
+    _add_options(sp, _DEFAULT_CFG, samples=True)
     sp.set_defaults(fn=cmd_compare)
 
     sp = sub.add_parser("slice", help="trace the boundary along a segment")
     sp.add_argument("p", help="left endpoint polynomial JSON")
     sp.add_argument("q", help="right endpoint polynomial JSON")
     sp.add_argument("u", help="probe direction polynomial JSON")
-    sp.add_argument("--n", type=_POS_INT, required=True, help="matrix order")
+    sp.add_argument("--n", type=_ORDER, required=True, help="matrix order")
     sp.add_argument("--grid", type=_POS_INT, default=9,
                     help="number of interior segment points")
-    _add_options(sp, restarts=50)
+    _add_options(sp, SearchConfig())
     sp.set_defaults(fn=cmd_slice)
 
     sp = sub.add_parser("family", help="print family coefficients")

@@ -16,6 +16,11 @@ on one polynomial and, with check, keeps the search contract at every
 n >= 2: the release checks assert NoRefutationFound for the n = 2 member
 loewy_general(2, 2, 0, 2), and the benchmark's checker accepts an exit-0
 check only with a no_refutation_found verdict.
+
+SearchConfig() is the search budget of check, maxt and slice. max_t bisects
+any function of t, so this module imports nothing from families. MAX_ORDER
+bounds the orders that the command line and the volume estimates accept:
+past order 4 the probe stack holds 5,904 n x n matrices.
 """
 
 from __future__ import annotations
@@ -26,17 +31,13 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import (TYPE_CHECKING, Any, Callable, Generator, Optional,
-                    Sequence, Union)
+from typing import Any, Callable, Generator, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import BeyondFloatRange, Polynomial, eval_matrix, min_entry
 from .exact import (RationalPolynomial, _entry, is_nonneg_on_halfline,
                     is_order2_member, loewy_certificate, refute_halfline)
-
-if TYPE_CHECKING:
-    from .families import FamilySpec
 
 
 def __getattr__(name: str):
@@ -94,6 +95,8 @@ _RHO_LOG_RANGE = (-10.0, 10.0)
 _CONCENTRATIONS = (0.05, 0.3, 1.0)
 # the margin below which a witness's exact entry must lie
 _CONFIRM_TOL = 1e-9
+# the largest order the command line and the volume estimates accept
+MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -624,20 +627,10 @@ def _run(searches: Sequence[Search], n: int, cfg: SearchConfig) -> list:
     return results
 
 
-FamilyLike = Union[Callable[[float], Polynomial], "FamilySpec"]
-
-
-def _family_fn(family: FamilyLike) -> Callable[[float], Polynomial]:
-    if callable(family):
-        return family
-    from .families import family_with_t
-    return lambda t: family_with_t(family, t)
-
-
-def max_t(family: FamilyLike, n: int, cfg: SearchConfig,
+def max_t(fn: Callable[[float], Polynomial], n: int, cfg: SearchConfig,
           t_hi: float, width: float,
           probe_log: Optional[list] = None) -> tuple[float, float]:
-    """Bisect the largest t whose family member is not refuted.
+    """Bisect the largest t whose family member fn(t) is not refuted.
 
     Well-posed because the families are (fixed nonnegative part) - t x^m:
     any witness at t transfers to every larger t. Returns (lo, hi) with
@@ -647,7 +640,6 @@ def max_t(family: FamilyLike, n: int, cfg: SearchConfig,
     collects (t, refuted) pairs in probe order. BeyondFloatRange when a
     family member has a coefficient beyond the float range.
     """
-    fn = _family_fn(family)
     base = fn(0.0)
     if any(c < 0.0 for c in base.coeffs):
         raise ValueError("family at t = 0 must have nonnegative coefficients")

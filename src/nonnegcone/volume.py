@@ -36,26 +36,29 @@ n = 1 and n = 2 estimate is in practice, and UpperBiased otherwise. Every
 interval is the Wilson interval at z = 3 (_Z), which the JSON names.
 Projection estimates complete each row with 16 c_cap x^(k+1) and run the
 same stages on the completed row, at every n (see _projection_rows).
+An order above membership.MAX_ORDER or a degree above families.MAX_DEGREE
+is a ValueError raised before any sample is drawn (_check_sizes).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import BeyondFloatRange, Polynomial
 from .exact import (_batch_members, _integer_rows, _scaled_value,
                     is_nonneg_on_halfline)
+from .families import MAX_DEGREE
 # refute is unused here, but bench/spans.py wraps it (ROADMAP item 4)
-from .membership import (DECISION_STAGES, INSIDE_STAGES, SearchConfig,
-                         decide, refute)
+from .membership import (DECISION_STAGES, INSIDE_STAGES, MAX_ORDER,
+                         SearchConfig, decide, refute)
 
 _CHUNK = 4096
 _Z = 3.0        # the z level of every estimate's Wilson interval
-# the search budget of an estimate given no config
+# the search budget of volume and compare, and of an estimate given no config
 _DEFAULT_CFG = SearchConfig(restarts=20, max_iters=120)
 _GRID = np.concatenate([np.linspace(0.0, 2.0, 33),
                         np.geomspace(2.5, 1000.0, 32)])
@@ -118,17 +121,14 @@ def estimates_csv(rows: Sequence[VolumeEstimate]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
 
 
-def wilson_interval(inside: int, total: int, z: float) -> tuple[float, float]:
-    """The Wilson score interval at level z; ValueError unless z * z is
-    finite."""
+def wilson_interval(inside: int, total: int) -> tuple[float, float]:
+    """The Wilson score interval at level _Z."""
     assert total >= 1 and 0 <= inside <= total
-    zz = z * z
-    if not zz < np.inf:
-        raise ValueError(f"z * z must be finite, got z = {z}")
+    zz = _Z * _Z
     p = inside / total
     denom = 1.0 + zz / total
     center = (p + zz / (2.0 * total)) / denom
-    half = z * np.sqrt(p * (1.0 - p) / total + zz / (4.0 * total * total)) / denom
+    half = _Z * np.sqrt(p * (1.0 - p) / total + zz / (4.0 * total * total)) / denom
     lo = 0.0 if inside == 0 else max(0.0, center - half)
     hi = 1.0 if inside == total else min(1.0, center + half)
     return float(lo), float(hi)
@@ -256,22 +256,29 @@ def _estimate(classify: Callable[[np.ndarray, int], Sequence[np.ndarray]],
                    for line in classify(rows, start)]
     return [VolumeEstimate(
         n, k, k + 1, N, inside, N - inside, inside / N,
-        *wilson_interval(inside, N, _Z),
+        *wilson_interval(inside, N),
         "Exact" if counts[_SEARCH_EXHAUSTED] == 0 else "UpperBiased", cfg,
         cfg.seed, dict(zip(STAGES, counts.tolist())))
         for n, inside, counts in zip(
             orders, stages[:, _INSIDE].sum(axis=1).tolist(), stages)]
 
 
+def _check_sizes(orders: Sequence[int], ks: Sequence[int], N: int) -> None:
+    """ValueError unless N >= 1 and each order and degree is in range:
+    [1, MAX_ORDER] keeps a probe stack and [0, MAX_DEGREE] a chunk of
+    samples within memory."""
+    if not (1 <= min(orders) <= max(orders) <= MAX_ORDER
+            and 0 <= min(ks) <= max(ks) <= MAX_DEGREE and N >= 1):
+        raise ValueError(f"need 1 <= n <= {MAX_ORDER}, 0 <= k <= "
+                         f"{MAX_DEGREE} and N >= 1, got n={list(orders)}, "
+                         f"k={list(ks)}, N={N}")
+
+
 def _cone_estimates(orders: Sequence[int], k: int, N: int,
-                    cfg: Optional[SearchConfig]) -> list:
+                    cfg: SearchConfig) -> list:
     """The cone fractions of estimate_cone_fraction at each order, from one
     pass over their shared samples."""
-    if not (min(orders) >= 1 and k >= 0 and N >= 1):
-        raise ValueError(f"need n >= 1, k >= 0 and N >= 1, got "
-                         f"n={min(orders)}, k={k}, N={N}")
-    if cfg is None:
-        cfg = _DEFAULT_CFG
+    _check_sizes(orders, (k,), N)
     return _estimate(
         lambda rows, start: _classify_rows(rows, orders, k, cfg, start),
         orders, k, N, cfg)
@@ -279,7 +286,7 @@ def _cone_estimates(orders: Sequence[int], k: int, N: int,
 
 def estimate_cone_fraction(
         n: int, k: int, N: int,
-        cfg: Optional[SearchConfig] = None) -> VolumeEstimate:
+        cfg: SearchConfig = _DEFAULT_CFG) -> VolumeEstimate:
     """Fraction of the unit coefficient ball inside the order-n degree-k cone."""
     return _cone_estimates((n,), k, N, cfg)[0]
 
@@ -296,20 +303,21 @@ def _projection_rows(rows: np.ndarray, n: int, k: int, cfg: SearchConfig,
 
 
 def estimate_projection_fraction(
-        n: int, k: int, N: int, cfg: Optional[SearchConfig] = None,
+        n: int, k: int, N: int, cfg: SearchConfig = _DEFAULT_CFG,
         c_cap: float = 10.0) -> VolumeEstimate:
     """Fraction of the ball whose points v extend to members v + c x^(k+1),
     0 <= c <= 16 c_cap: by upward closure (_projection_rows) a witness at
-    c = 16 c_cap refutes every such c. ValueError unless 0 < c_cap < inf,
+    c = 16 c_cap refutes every such c. ValueError unless 0 < c_cap < inf
+    and n and k are in range (as in _check_sizes, with k >= 2 n),
     BeyondFloatRange unless 16 c_cap is a float."""
-    if not (n >= 1 and k >= 2 * n and N >= 1 and 0.0 < c_cap < np.inf):
-        raise ValueError(f"need n >= 1, k >= 2 n, N >= 1 and a finite "
-                         f"c_cap > 0, got n={n}, k={k}, N={N}, c_cap={c_cap}")
+    if not (1 <= n <= MAX_ORDER and 2 * n <= k <= MAX_DEGREE and N >= 1
+            and 0.0 < c_cap < np.inf):
+        raise ValueError(f"need 1 <= n <= {MAX_ORDER}, 2 n <= k <= "
+                         f"{MAX_DEGREE}, N >= 1 and a finite c_cap > 0, got "
+                         f"n={n}, k={k}, N={N}, c_cap={c_cap}")
     if not 16.0 * c_cap < np.inf:
         raise BeyondFloatRange(f"the completion coefficient 16 c_cap = 16 * "
                                f"{c_cap} is beyond the float range")
-    if cfg is None:
-        cfg = _DEFAULT_CFG
     return _estimate(
         lambda rows, start: [_projection_rows(rows, n, k, cfg, start, c_cap)],
         (n,), k, N, cfg)[0]
@@ -335,7 +343,7 @@ def _whole(v) -> int:
 
 
 def compare_experiment(kind: str, params: dict, N: int,
-                       cfg: Optional[SearchConfig] = None) -> dict:
+                       cfg: SearchConfig = _DEFAULT_CFG) -> dict:
     """Paired comparison experiments on a shared seed and sample budget; the
     two orders of "order" classify the shared samples in one pass.
 
@@ -344,8 +352,6 @@ def compare_experiment(kind: str, params: dict, N: int,
     intervals separate. A direction is never reported as confirmed while
     the intervals overlap.
     """
-    if cfg is None:
-        cfg = _DEFAULT_CFG
     if kind not in _PARAM_KEYS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     unread = sorted(set(params) - _PARAM_KEYS[kind])
@@ -365,6 +371,7 @@ def compare_experiment(kind: str, params: dict, N: int,
         if len(ks) < 2 or any(a >= b for a, b in zip(ks, ks[1:])):
             raise ValueError("trend needs at least two strictly increasing "
                              f"degrees, got {ks}")
+        _check_sizes((n,), ks, N)
         ests = [estimate_cone_fraction(n, k, N, cfg) for k in ks]
         fr = [e.fraction for e in ests]
         return {"kind": kind, "params": params, "n_samples": N,
@@ -388,6 +395,7 @@ def compare_experiment(kind: str, params: dict, N: int,
         n, k_a, k_b = (_whole(params[key]) for key in ("n", "k_a", "k_b"))
         if not k_a < k_b:
             raise ValueError(f"degree needs k_a < k_b, got {k_a} and {k_b}")
+        _check_sizes((n,), (k_a, k_b), N)
         a = estimate_cone_fraction(n, k_a, N, cfg)
         b = estimate_cone_fraction(n, k_b, N, cfg)
         expected = "fraction decreases as the degree grows"

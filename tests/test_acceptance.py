@@ -27,7 +27,6 @@ from nonnegcone.exact import (
     refute_halfline,
 )
 from nonnegcone.families import (
-    LoewyGeneral,
     alpha_family,
     loewy_general,
     projection_gap_example,
@@ -76,7 +75,7 @@ def test_acceptance_02_matrix_sharp_threshold():
     v_at = refute(p_at, 2, SearchConfig(restarts=500, seed=0))
     assert isinstance(v_at, NoRefutationFound)
 
-    lo, hi = max_t(LoewyGeneral(2, 2, 0, 2.0), 2,
+    lo, hi = max_t(lambda t: loewy_general(2, 2, 0, t), 2,
                    SearchConfig(restarts=60, seed=0), t_hi=4.0, width=0.01)
     assert 1.9 <= lo <= hi <= 2.1, f"interval [{lo}, {hi}]"
     elapsed = time.perf_counter() - t0
@@ -88,8 +87,8 @@ def test_order2_maxt_interval_holds_the_threshold(seed):
     """At n = 2 both ends of a maxt interval are proofs: hi has a
     nonnegative rational matrix whose image has a negative entry, and
     sympy, on its own, finds lo inside the cone."""
-    lo, hi = max_t(LoewyGeneral(2, 2, 0, 2.0), 2, SearchConfig(seed=seed),
-                   t_hi=3.0, width=1e-9)
+    lo, hi = max_t(lambda t: loewy_general(2, 2, 0, t), 2,
+                   SearchConfig(seed=seed), t_hi=3.0, width=1e-9)
     assert lo <= 2.0 < hi and hi - lo <= 1e-9
     p_hi = loewy_general(2, 2, 0, hi)
     matrix, i, j = order2_counterexample(p_hi)

@@ -1,19 +1,20 @@
 """Subcommand behavior: exit codes, artifacts, config echo, replay."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from nonnegcone import cli
+from nonnegcone import cli, membership, volume
 from nonnegcone.cli import main
 from nonnegcone.core import Polynomial
 from nonnegcone.families import loewy_general
-from nonnegcone.volume import wilson_interval
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -92,19 +93,11 @@ def test_maxt_no_upper_refutation(capsys):
     assert doc["error"] == "no_upper_refutation"
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
+def test_seed_comes_only_from_the_option(capsys, monkeypatch):
+    # the environment variable that once gave the seed is not read
     monkeypatch.setenv("NONNEG_CONE_SEED", "77")
     _, doc, _ = run_cli(capsys, "check", "[1,1]", "--n", "1")
-    assert doc["run_config"]["seed"] == 77
-    _, doc, _ = run_cli(capsys, "check", "[1,1]", "--n", "1", "--seed", "5")
-    assert doc["run_config"]["seed"] == 5
-
-
-def test_seed_env_not_an_integer_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("NONNEG_CONE_SEED", "abc")
-    code, doc, err = run_cli(capsys, "check", "[1,1]", "--n", "1")
-    assert code == 2 and doc is None
-    assert "NONNEG_CONE_SEED" in err
+    assert doc["run_config"]["seed"] == 0
 
 
 def test_volume_artifacts(capsys, tmp_path):
@@ -468,6 +461,23 @@ def test_hostile_input_is_a_usage_error(capsys, argv):
     assert err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "[1,1,-3,1,1]", "--n", "65"),
+    ("volume", "--n", "1", "--k", "1001"),
+    ("compare", "order", '{"n_a":1,"n_b":65,"k":4}', "--samples", "10"),
+], ids=["n", "k", "compare-order"])
+def test_sizes_beyond_memory_bounds_exit_2_before_any_work(capsys, argv):
+    # orders above 64 and degrees above 1000 are refused before a probe
+    # stack is built or a sample chunk drawn
+    with mock.patch.object(membership, "_probe_candidates",
+                           side_effect=AssertionError("probes built")), \
+            mock.patch.object(volume, "_ball_chunks",
+                              side_effect=AssertionError("samples drawn")):
+        code, out, err = usage_exit(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("family", "alpha", "--n", "2", "--m", "7", "--s", "3", "--t", "3"),
      "--m"),
@@ -543,45 +553,46 @@ def test_estimates_report_the_wilson_interval_at_z_3(capsys, argv):
     ests = [doc["estimate"]] if "estimate" in doc else \
         doc["report"]["estimates"]
     for e in ests:
-        assert e["z"] == 3.0
-        assert [e["ci_low"], e["ci_high"]] == \
-            list(wilson_interval(e["n_inside"], e["n_samples"], 3.0))
+        # the Wilson score interval at z = 3, from its formula
+        z, n, inside = 3.0, e["n_samples"], e["n_inside"]
+        p, zz = inside / n, z * z
+        d = 1.0 + zz / n
+        c = (p + zz / (2.0 * n)) / d
+        h = z * math.sqrt(p * (1.0 - p) / n + zz / (4.0 * n * n)) / d
+        assert e["z"] == z
+        assert [e["ci_low"], e["ci_high"]] == [
+            0.0 if inside == 0 else max(0.0, c - h),
+            1.0 if inside == n else min(1.0, c + h)]
 
 
-def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
+def test_parser_reuse_leaks_no_state(capsys):
     # one process, many main calls: each must print and exit as the same
     # argv does in a fresh process
     refuted = ("check", "[1,1,-3,1,1]", "--n", "2", "--restarts", "2")
-    seq = [(("check", "[1,1]"), None),  # usage error: --n missing
-           *[(argv, None) for argv, _ in SUBCOMMANDS.values()],
-           (SUBCOMMANDS["family"][0] + ("--seed", "9"), None),
-           (refuted, "3"), (refuted, "4"),
-           (("check", "[1,1]", "--n", "1", "--seed", "5"), None),
-           (("check", "[1,1]", "--n", "1"), None),
-           *[(argv, "7") for argv, _ in reversed(SUBCOMMANDS.values())]]
+    seq = [("check", "[1,1]"),  # usage error: --n missing
+           *[argv for argv, _ in SUBCOMMANDS.values()],
+           SUBCOMMANDS["family"][0] + ("--seed", "9"),
+           refuted + ("--seed", "3"), refuted + ("--seed", "4"),
+           ("check", "[1,1]", "--n", "1", "--seed", "5"),
+           ("check", "[1,1]", "--n", "1"),
+           *[argv + ("--seed", "7")
+             for argv, read in reversed(SUBCOMMANDS.values())
+             if "seed" in read]]
     parser = cli._parser()
     seen = []
-    for argv, seed in seq:
-        if seed is None:
-            monkeypatch.delenv("NONNEG_CONE_SEED", raising=False)
-        else:
-            monkeypatch.setenv("NONNEG_CONE_SEED", seed)
+    for argv in seq:
         code, out, _ = usage_exit(capsys, *argv)
-        seen.append((argv, seed, code, out))
+        seen.append((argv, code, out))
     assert cli._parser() is parser
     fresh = {}
-    for argv, seed, code, out in seen:
-        if (argv, seed) not in fresh:
-            env = src_env()
-            env.pop("NONNEG_CONE_SEED", None)
-            if seed is not None:
-                env["NONNEG_CONE_SEED"] = seed
-            fresh[argv, seed] = subprocess.run(
+    for argv, code, out in seen:
+        if argv not in fresh:
+            fresh[argv] = subprocess.run(
                 [sys.executable, "-m", "nonnegcone.cli", *argv],
-                capture_output=True, text=True, timeout=60, env=env)
-        proc = fresh[argv, seed]
-        assert (code, out) == (proc.returncode, proc.stdout), (argv, seed)
-    assert {code for _, _, code, _ in seen} == {0, 1, 2}
+                capture_output=True, text=True, timeout=60, env=src_env())
+        proc = fresh[argv]
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+    assert {code for _, code, _ in seen} == {0, 1, 2}
 
 
 def test_module_entrypoint_subprocess():

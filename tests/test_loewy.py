@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nonnegcone import exact, membership, volume
 from nonnegcone.core import Polynomial
-from nonnegcone.families import LoewyGeneral, loewy_general
+from nonnegcone.families import loewy_general
 from nonnegcone.membership import Refuted, SearchConfig, _search, max_t, refute
 from nonnegcone.volume import STAGES, _ball_chunks, estimate_cone_fraction
 
@@ -128,7 +128,7 @@ def test_order3_maxt_runs_no_lockstep(family):
     # is refuted by the probe matrices or the xI + cJ certificate
     with mock.patch.object(membership, "_lockstep",
                            side_effect=AssertionError("lockstep ran")):
-        lo, hi = max_t(LoewyGeneral(*family, 2.0), 3,
+        lo, hi = max_t(lambda t: loewy_general(*family, t), 3,
                        SearchConfig(restarts=10, seed=1), t_hi=4.0,
                        width=0.02)
     assert lo <= 2.0 < hi

@@ -75,19 +75,12 @@ def test_ball_chunks_index_is_independent_of_total():
 
 
 def test_wilson_interval_basic():
-    lo, hi = wilson_interval(0, 100, 3.0)
+    lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and hi > 0.0
-    lo, hi = wilson_interval(100, 100, 3.0)
+    lo, hi = wilson_interval(100, 100)
     assert hi == 1.0 and lo < 1.0
-    lo, hi = wilson_interval(30, 100, 3.0)
+    lo, hi = wilson_interval(30, 100)
     assert 0.0 <= lo <= 0.3 <= hi <= 1.0
-
-
-@pytest.mark.parametrize("z", [1e200, np.inf, np.nan])
-def test_wilson_interval_rejects_z_whose_square_is_not_finite(z):
-    # z * z overflows; NaN would fall through max and min to [0, 1]
-    with pytest.raises(ValueError, match="finite"):
-        wilson_interval(30, 100, z)
 
 
 def test_projection_rejects_c_cap_not_above_zero():
@@ -98,6 +91,24 @@ def test_projection_rejects_c_cap_not_above_zero():
             estimate_projection_fraction(1, 2, 200, c_cap=c_cap)
     with pytest.raises(BeyondFloatRange):
         estimate_projection_fraction(1, 2, 200, c_cap=1e308)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("order", {"n_a": 1, "n_b": 65, "k": 4}),
+    ("projection", {"n": 65, "k": 130}),
+    ("projection", {"n": 1, "k": 1001}),
+    ("degree", {"n": 1, "k_a": 2, "k_b": 1001}),
+    ("trend", {"n": 1, "ks": [2, 1001]}),
+    ("trend", {"n": 65, "ks": [2, 3]}),
+])
+def test_compare_refuses_sizes_beyond_the_bounds_before_sampling(kind,
+                                                                 params):
+    # an order above 64 or a degree above 1000 is a ValueError before any
+    # estimate of the pair draws a sample
+    with mock.patch.object(volume, "_ball_chunks",
+                           side_effect=AssertionError("samples drawn")):
+        with pytest.raises(ValueError, match="<= 1000"):
+            compare_experiment(kind, params, 10)
 
 
 def inside_where(mask_of_rows):
